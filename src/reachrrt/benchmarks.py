@@ -30,7 +30,6 @@ class Linear1D(ContinuousSystem):
     name = "linear1d"
     state_dim = 1
     collision_projection = (0,)
-    integration = "euler"
 
     def __init__(self, theta_lo=0.0, theta_hi=1.0, w_lo=0.0, w_hi=0.0):
         self.bounds = UncertaintyBounds(

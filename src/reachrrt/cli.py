@@ -79,24 +79,20 @@ def _overridden_params(scenario, args):
         params = replace(params, zeta=args.zeta)
     if getattr(args, "tau_max", None) is not None:
         params = replace(params, tau_max=args.tau_max)
-    if getattr(args, "workers", None) is not None:
-        params = replace(params, workers=args.workers)
     if getattr(args, "baseline_padding", None) is not None:
         params = replace(params, baseline=True, n_particles=1,
                          epsilon=args.baseline_padding)
-    return params
+    try:
+        return params.validated()
+    except ValueError as e:
+        print(f"invalid parameters: {e}", file=_sys.stderr)
+        raise SystemExit(1)
 
 
 def cmd_run(args):
     scenario = _load(args)
     params = _overridden_params(scenario, args)
     sys = scenario.build_system()
-    try:
-        params = params.validated()
-    except ValueError as e:
-        print(f"invalid parameters: {e}", file=_sys.stderr)
-        return 1
-
     result = run_plan(sys, scenario.init_region, scenario.goal,
                       scenario.obstacles, scenario.sampling_box, params,
                       init_mode=scenario.init_mode)
@@ -159,10 +155,12 @@ def cmd_validate(args):
 
     seed = args.seed if args.seed is not None else scenario.validation_seed
     rollouts = args.rollouts if args.rollouts is not None else scenario.validation_rollouts
+    if rollouts < 1:
+        print("--rollouts must be at least 1", file=_sys.stderr)
+        return 1
     record = monte_carlo_validate(sys, plan_obj, scenario.init_region,
                                   scenario.goal, scenario.obstacles,
-                                  rollouts, seed, init_mode=scenario.init_mode,
-                                  workers=args.workers or 1)
+                                  rollouts, seed, init_mode=scenario.init_mode)
     out = _out_dir(args)
     report = {
         "format": REPORT_FORMAT,
@@ -192,6 +190,9 @@ def cmd_study(args):
         return 1
     if not budgets or any(b < 0 for b in budgets):
         print("budgets must be nonnegative integers", file=_sys.stderr)
+        return 1
+    if args.repeats < 1:
+        print("--repeats must be at least 1", file=_sys.stderr)
         return 1
     rows = success_rate_study(sys, scenario.init_region, scenario.goal,
                               scenario.obstacles, scenario.sampling_box, params,
@@ -225,7 +226,6 @@ def main(argv=None):
     p_run.add_argument("--epsilon", type=float, default=None)
     p_run.add_argument("--zeta", type=float, default=None)
     p_run.add_argument("--tau-max", type=float, default=None)
-    p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--baseline-padding", type=float, default=None,
                        help="plan with a single padded nominal instead of particles")
     p_run.set_defaults(fn=cmd_run)
@@ -234,7 +234,6 @@ def main(argv=None):
     _add_common(p_val)
     p_val.add_argument("--plan", required=True, help="plan JSON file")
     p_val.add_argument("--rollouts", type=int, default=None)
-    p_val.add_argument("--workers", type=int, default=None)
     p_val.set_defaults(fn=cmd_validate)
 
     p_study = sub.add_parser("study", help="success rate vs iteration budget")
@@ -247,7 +246,6 @@ def main(argv=None):
     p_study.add_argument("--epsilon", type=float, default=None)
     p_study.add_argument("--zeta", type=float, default=None)
     p_study.add_argument("--tau-max", type=float, default=None)
-    p_study.add_argument("--workers", type=int, default=None)
     p_study.set_defaults(fn=cmd_study)
 
     args = parser.parse_args(argv)

@@ -5,13 +5,8 @@ hold a piecewise-constant commanded control for a duration tau, integrating
 in sub-steps of length h with a final partial sub-step when tau is not a
 multiple of h.  Disturbances are redrawn every sub-step; the parameter vector
 theta is frozen per particle for the whole rollout.
-
-Everything a particle step does is row-local (no cross-particle reductions),
-so splitting the batch across worker threads is bitwise equivalent to a
-single-shot call for any worker count.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,23 +125,14 @@ class System:
 
 
 class ContinuousSystem(System):
-    """System defined by a flow x' = f(x, u, w; theta), integrated per sub-step."""
-
-    integration = "euler"
+    """System defined by a flow x' = f(x, u, w; theta), one Euler step per
+    sub-step."""
 
     def flow_batch(self, X, U, W, Th):
         raise NotImplementedError
 
     def step_batch(self, X, U, W, Th, h):
-        if self.integration == "euler":
-            return X + h * self.flow_batch(X, U, W, Th)
-        if self.integration == "rk4":
-            k1 = self.flow_batch(X, U, W, Th)
-            k2 = self.flow_batch(X + 0.5 * h * k1, U, W, Th)
-            k3 = self.flow_batch(X + 0.5 * h * k2, U, W, Th)
-            k4 = self.flow_batch(X + h * k3, U, W, Th)
-            return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        raise ValueError(f"unknown integration scheme {self.integration!r}")
+        return X + h * self.flow_batch(X, U, W, Th)
 
 
 class HybridSystem(System):
@@ -236,22 +222,6 @@ def constant_w_source(w):
     return source
 
 
-_POOLS = {}
-
-
-def _pool(workers):
-    p = _POOLS.get(workers)
-    if p is None:
-        p = ThreadPoolExecutor(max_workers=workers)
-        _POOLS[workers] = p
-    return p
-
-
-def _chunk_bounds(n, k):
-    edges = np.linspace(0, n, k + 1).astype(int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(k) if edges[i + 1] > edges[i]]
-
-
 @dataclass
 class Rollout:
     """Trace of one constant-control segment over a particle batch."""
@@ -273,7 +243,7 @@ class Rollout:
 
 
 def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
-                  mu_mode0=None, workers=1):
+                  mu_mode0=None):
     """Roll a particle batch under commanded control nu for duration tau.
 
     Args:
@@ -284,12 +254,11 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         h: sub-step length.
         thetas: (N, p) frozen per-particle parameters.
         w_source: callable (substep_index, count) -> (count, dw) disturbance
-            draws shared by all workers.
+            draws for the whole batch.
         mu0: tracked nominal state, advanced under nominal parameter and
             disturbance alongside the batch (required by feedback systems).
         modes0: (N,) initial mode indices for hybrid systems.
         mu_mode0: initial mode of the tracked nominal.
-        workers: worker threads used to split the batch by rows.
 
     Returns a Rollout; `diverged` is set if any state leaves the finite range,
     in which case the trace is truncated at the bad sub-step.
@@ -325,9 +294,9 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         U = sys.resolve_control(nu, X, mu)
 
         if hyb:
-            X, modes = _stepped(sys, X, U, W, thetas, hj, workers, modes=modes, ctx=ctx)
+            X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx)
         else:
-            X = _stepped(sys, X, U, W, thetas, hj, workers)
+            X = sys.step_batch(X, U, W, thetas, hj)
 
         if track_mu:
             U_mu = sys.resolve_control(nu, mu[None, :], mu)
@@ -364,37 +333,6 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         lengths=lengths,
         diverged=False,
     )
-
-
-def _stepped(sys, X, U, W, Th, h, workers, modes=None, ctx=None):
-    """One sub-step, optionally split by rows across worker threads.  Steps
-    are row-local so any split is bitwise identical to a single call."""
-    N = len(X)
-    if workers <= 1 or N < 2 * workers:
-        if modes is None:
-            return sys.step_batch(X, U, W, Th, h)
-        return sys.hybrid_step_batch(X, modes, U, W, Th, h, ctx)
-
-    bounds = _chunk_bounds(N, workers)
-
-    def run(se):
-        s, e = se
-        if modes is None:
-            return s, sys.step_batch(X[s:e], U[s:e], W[s:e], Th[s:e], h), None
-        sub_ctx = None if ctx is None else {k: v[s:e] for k, v in ctx.items()}
-        Xn, Mn = sys.hybrid_step_batch(X[s:e], modes[s:e], U[s:e], W[s:e], Th[s:e], h, sub_ctx)
-        return s, Xn, Mn
-
-    out_X = np.empty_like(X)
-    out_M = None if modes is None else np.empty_like(modes)
-    for s, Xc, Mc in _pool(workers).map(run, bounds):
-        e = s + len(Xc)
-        out_X[s:e] = Xc
-        if out_M is not None:
-            out_M[s:e] = Mc
-    if modes is None:
-        return out_X
-    return out_X, out_M
 
 
 def step(sys, x, u, w, theta, h):
@@ -450,11 +388,6 @@ def rollout(sys, x0, u, tau, h, theta=None, w=None, mode=None):
     if sys.hybrid:
         return r.states[:, 0, :], r.modes[:, 0]
     return r.states[:, 0, :]
-
-
-def nominal_rollout(sys, x, nu, tau, h, mode=None):
-    """Deterministic rollout of the nominal state under nominal uncertainty."""
-    return rollout(sys, x, nu, tau, h, mode=mode)
 
 
 def reachable_modes(sys, x, mode, tau_max, h):

@@ -36,9 +36,7 @@ class PlannerParams:
     epsilon: float = 0.0         # obstacle inflation / goal shrink
     h: float = 0.1               # sub-step
     seed: int = 0
-    workers: int = 1
     nn_weights: tuple | None = None
-    nominal_kind: str = "mean"   # tree representative: particle mean or tracked nominal
     baseline: bool = False       # single nominal particle, no uncertainty sampling
 
     def validated(self):
@@ -128,8 +126,7 @@ def sample_control_hybrid(sys, x, mode, tau_max, h, gen):
     return u, tau, sigma
 
 
-def extend_hybrid(sys, reach, u, tau, sigma_s, h, seed, ext_id, workers=1,
-                  nominal_kind="mean"):
+def extend_hybrid(sys, reach, u, tau, sigma_s, h, seed, ext_id):
     """One hybrid extension attempt against a target mode sigma_s.
 
     Gates in order: the nominal rollout must end in sigma_s (cheap, checked
@@ -142,8 +139,7 @@ def extend_hybrid(sys, reach, u, tau, sigma_s, h, seed, ext_id, workers=1,
         return ExtendOutcome(None, None, "diverged")
     if int(mtrace[-1]) != int(sigma_s):
         return ExtendOutcome(None, None, "nominal_mode")
-    pset, r = compute_reach_set(sys, reach, u, tau, h, seed, ext_id,
-                                workers=workers, nominal_kind=nominal_kind)
+    pset, r = compute_reach_set(sys, reach, u, tau, h, seed, ext_id)
     if pset is None:
         return ExtendOutcome(None, r, "diverged")
     if np.any(pset.modes != int(sigma_s)):
@@ -157,7 +153,8 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
 
     Every iteration consumes budget whether or not its extension is kept.
     All randomness derives from params.seed; a run is reproducible from the
-    seed alone, including bitwise-identical results for any worker count.
+    seed alone.  Nodes are represented by their particle mean; meta records
+    that as "nominal_kind" so plan files keep their format.
     """
     params = params.validated()
     meta = {
@@ -166,7 +163,7 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
         "h": float(params.h),
         "tau_max": float(params.tau_max),
         "zeta": float(params.zeta),
-        "nominal_kind": params.nominal_kind,
+        "nominal_kind": "mean",
         "baseline": bool(params.baseline),
     }
     if init_mode is not None:
@@ -175,8 +172,7 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     t0 = time.perf_counter()
     root = init_particles(
         sys, init_region, params.n_particles, params.seed,
-        init_mode=init_mode, nominal_kind=params.nominal_kind,
-        nominal_only=params.baseline,
+        init_mode=init_mode, nominal_only=params.baseline,
     )
     tree = DualTree(root, weights=params.nn_weights)
     stats = PlanStats()
@@ -200,7 +196,7 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
             u, tau, sigma = sample_control_hybrid(
                 sys, reach.mu, reach.mu_mode, params.tau_max, params.h, gen)
             out = extend_hybrid(sys, reach, u, tau, sigma, params.h,
-                                params.seed, i, params.workers, params.nominal_kind)
+                                params.seed, i)
             if out.reject in ("nominal_mode", "mode_straddle"):
                 stats.rejected_mode += 1
                 continue
@@ -212,8 +208,7 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
         else:
             u, tau = sample_control(sys.bounds.control, params.tau_max, gen)
             pset, r = compute_reach_set(sys, reach, u, tau, params.h,
-                                        params.seed, i, params.workers,
-                                        params.nominal_kind)
+                                        params.seed, i)
             if pset is None:
                 stats.rejected_divergence += 1
                 continue
@@ -236,27 +231,25 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     return PlanResult("budget_exhausted", None, stats, tree)
 
 
-def replay_plan(sys, plan_obj, init_region, workers=1):
+def replay_plan(sys, plan_obj, init_region):
     """Re-derive every reachable set along a plan from its seed.
 
     Reuses the stored extension ids, so the disturbance draws are the ones
-    the original growth consumed; the reconstruction is exact.
+    the original growth consumed; the reconstruction is exact.  meta's
+    "nominal_kind" is not read: the node representative never affects
+    particle states.
     """
     meta = plan_obj.meta
     root = init_particles(
         sys, init_region, meta["n_particles"], plan_obj.seed,
-        init_mode=meta.get("init_mode"), nominal_kind=meta.get("nominal_kind", "mean"),
-        nominal_only=meta.get("baseline", False),
+        init_mode=meta.get("init_mode"), nominal_only=meta.get("baseline", False),
     )
     sets = [root]
     rollouts = []
     cur = root
     for step in plan_obj.steps:
-        cur, r = compute_reach_set(
-            sys, cur, np.asarray(step.u, dtype=float), step.tau, meta["h"],
-            plan_obj.seed, step.ext_id, workers=workers,
-            nominal_kind=meta.get("nominal_kind", "mean"),
-        )
+        cur, r = compute_reach_set(sys, cur, np.asarray(step.u, dtype=float),
+                                   step.tau, meta["h"], plan_obj.seed, step.ext_id)
         if cur is None:
             raise RuntimeError("replay diverged; plan and system disagree")
         sets.append(cur)

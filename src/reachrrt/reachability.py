@@ -34,7 +34,7 @@ class ParticleSet:
 
     states and thetas are row-aligned; thetas never change after the initial
     draw.  mu is the deterministically tracked nominal state (the feedback
-    reference), nominal the representative used for tree distances.
+    reference), nominal the particle mean, used for tree distances.
     """
 
     states: np.ndarray            # (N, n)
@@ -51,16 +51,8 @@ class ParticleSet:
         return len(self.states)
 
 
-def _representative(states, mu, kind):
-    if kind == "mean":
-        return np.mean(states, axis=0)
-    if kind == "tracked":
-        return np.asarray(mu, dtype=float)
-    raise ValueError(f"unknown nominal kind {kind!r}")
-
-
 def init_particles(sys, init_region, n_particles, seed, init_mode=None,
-                   nominal_kind="mean", nominal_only=False):
+                   nominal_only=False):
     """Sample the initial particle set.
 
     Initial states and parameters come from separate substreams, so growing
@@ -85,12 +77,11 @@ def init_particles(sys, init_region, n_particles, seed, init_mode=None,
             raise ValueError("hybrid system needs an initial mode")
         mu_mode = int(init_mode)
         modes = np.full(n, mu_mode, dtype=np.int64)
-    mu = center.copy()
     return ParticleSet(
         states=states,
         thetas=thetas,
-        mu=mu,
-        nominal=_representative(states, mu, nominal_kind),
+        mu=center.copy(),
+        nominal=np.mean(states, axis=0),
         t=0.0,
         hull=convex_hull_2d(project_to_plane(states, sys.collision_projection)),
         modes=modes,
@@ -114,8 +105,7 @@ def extension_w_source(sys, seed, ext_id):
     return source
 
 
-def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id, workers=1,
-                      nominal_kind="mean"):
+def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id):
     """Propagate a particle set under commanded control nu for duration tau.
 
     Returns (new_set, rollout); new_set is None when the rollout left the
@@ -132,17 +122,15 @@ def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id, workers=1,
         mu0=pset.mu,
         modes0=pset.modes,
         mu_mode0=pset.mu_mode,
-        workers=workers,
     )
     if r.diverged:
         return None, r
     states = r.final_states
-    mu = r.mu[-1]
     new = ParticleSet(
         states=states,
         thetas=pset.thetas,
-        mu=mu,
-        nominal=_representative(states, mu, nominal_kind),
+        mu=r.mu[-1],
+        nominal=np.mean(states, axis=0),
         t=pset.t + float(tau),
         hull=convex_hull_2d(project_to_plane(states, sys.collision_projection)),
         modes=None if r.modes is None else r.final_modes,

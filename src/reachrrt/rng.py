@@ -4,8 +4,7 @@ Every random draw in the package comes from a substream derived from one
 master seed plus an integer purpose key.  Two substreams with different keys
 are statistically independent, and the same (seed, key) always yields the
 same stream regardless of how many other streams were consumed in between.
-That property is what makes plans replayable and runs byte-reproducible
-under any worker count.
+That property is what makes plans replayable and runs byte-reproducible.
 """
 
 import numpy as np
@@ -26,15 +25,3 @@ def substream(seed, *key):
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def uniform_block(seed, key, lo, hi, n):
-    """Draw an (n, dim) block of uniforms over the box [lo, hi].
-
-    The first m rows of an n-row block equal the m-row block for the same
-    (seed, key), so enlarging a particle set keeps existing draws intact.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    gen = substream(seed, *key)
-    return gen.uniform(lo, hi, size=(int(n), lo.shape[0]))

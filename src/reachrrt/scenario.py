@@ -59,12 +59,7 @@ class Scenario:
     def init_mode(self):
         if self.init_mode_name is None:
             return None
-        sys = self.build_system()
-        if self.init_mode_name not in sys.modes:
-            raise ScenarioError(
-                f"init_mode {self.init_mode_name!r} not a mode of {self.system_name}",
-                key="init_mode")
-        return sys.modes.index(self.init_mode_name)
+        return self.build_system().modes.index(self.init_mode_name)
 
 
 def _want(raw, key, types, where=""):
@@ -74,6 +69,21 @@ def _want(raw, key, types, where=""):
     if not isinstance(v, types):
         names = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise ScenarioError(f"{where}{key} must be {names}", key=key)
+    return v
+
+
+def _number(raw, key, default, where, kinds=(int, float), positive=False, nonneg=False):
+    """Optional numeric entry; kinds=int demands an integer.  The error key
+    is the dotted path, so its line is looked up inside the right block."""
+    v = raw.get(key, default)
+    path = f"{where}{key}"
+    if isinstance(v, bool) or not isinstance(v, kinds):
+        kind = "an integer" if kinds is int else "a number"
+        raise ScenarioError(f"{path} must be {kind}", key=path)
+    if positive and v <= 0:
+        raise ScenarioError(f"{path} must be positive", key=path)
+    if nonneg and v < 0:
+        raise ScenarioError(f"{path} must be nonnegative", key=path)
     return v
 
 
@@ -179,31 +189,24 @@ def load_scenario(path):
 
     p = _want(raw, "planner", dict)
 
-    def num(key, default, kinds=(int, float), positive=False, nonneg=False):
-        v = p.get(key, default)
-        if isinstance(v, bool) or not isinstance(v, kinds):
-            raise ScenarioError(f"planner.{key} must be a number", key=key)
-        if positive and v <= 0:
-            raise ScenarioError(f"planner.{key} must be positive", key=key)
-        if nonneg and v < 0:
-            raise ScenarioError(f"planner.{key} must be nonnegative", key=key)
-        return v
+    def num(key, default, **kw):
+        return _number(p, key, default, "planner.", **kw)
 
-    nn_weights = p.get("nn_weights")
-    if nn_weights is not None:
-        nn_weights = tuple(float(w) for w in nn_weights)
+    nn_weights = None
+    if p.get("nn_weights") is not None:
+        nn_weights = tuple(float(w) for w in _vector(p, "nn_weights", "planner."))
         if len(nn_weights) != dim:
             raise ScenarioError("planner.nn_weights must match the state dimension",
-                                key="nn_weights")
+                                key="planner.nn_weights")
 
     params = PlannerParams(
-        i_max=int(num("i_max", 1000, kinds=int, nonneg=True)),
+        i_max=num("i_max", 1000, kinds=int, nonneg=True),
         tau_max=float(num("tau_max", 1.0, positive=True)),
         zeta=float(num("zeta", 0.0, nonneg=True)),
-        n_particles=int(num("particles", 100, kinds=int, positive=True)),
+        n_particles=num("particles", 100, kinds=int, positive=True),
         epsilon=float(num("epsilon", 0.0, nonneg=True)),
         h=float(num("substep", 0.1, positive=True)),
-        seed=int(num("seed", 0, kinds=int, nonneg=True)),
+        seed=num("seed", 0, kinds=int, nonneg=True),
         nn_weights=nn_weights,
     )
 
@@ -214,11 +217,7 @@ def load_scenario(path):
         raise ScenarioError(f"init_mode {init_mode_name!r} is not a mode of {system_name}",
                             key="init_mode")
 
-    baseline_padding = raw.get("baseline_padding", 0.0)
-    if isinstance(baseline_padding, bool) or not isinstance(baseline_padding, (int, float)):
-        raise ScenarioError("baseline_padding must be a number", key="baseline_padding")
-    if baseline_padding < 0:
-        raise ScenarioError("baseline_padding must be nonnegative", key="baseline_padding")
+    baseline_padding = _number(raw, "baseline_padding", 0.0, "", nonneg=True)
 
     val = raw.get("validation", {})
     if not isinstance(val, dict):
@@ -235,8 +234,9 @@ def load_scenario(path):
         params=params,
         init_mode_name=init_mode_name,
         baseline_padding=float(baseline_padding),
-        validation_rollouts=int(val.get("rollouts", 1000)),
-        validation_seed=int(val.get("seed", 1)),
+        validation_rollouts=_number(val, "rollouts", 1000, "validation.",
+                                    kinds=int, positive=True),
+        validation_seed=_number(val, "seed", 1, "validation.", kinds=int, nonneg=True),
         sha256=sha,
         path=str(path),
     )
@@ -245,17 +245,23 @@ def load_scenario(path):
 
 
 def error_line(path, key):
-    """Line of the first occurrence of a key in the file, for error messages."""
+    """Line of a key in the file, for error messages.  A dotted key such as
+    "validation.seed" is looked up part by part, each part at or after the
+    line of the one before; the deepest part found gives the line."""
     if key is None:
         return 1
     try:
         with open(path, "r") as f:
-            for i, line in enumerate(f, start=1):
-                if f'"{key}"' in line:
-                    return i
+            lines = f.readlines()
     except OSError:
-        pass
-    return 1
+        return 1
+    found, start = 1, 0
+    for part in key.split("."):
+        hit = next((i for i in range(start, len(lines)) if f'"{part}"' in lines[i]), None)
+        if hit is None:
+            break
+        found, start = hit + 1, hit
+    return found
 
 
 def _plain(value):

@@ -52,7 +52,7 @@ def _min_clearance(pts, obstacles):
 
 
 def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
-                         m_rollouts, seed, init_mode=None, workers=1):
+                         m_rollouts, seed, init_mode=None):
     """Execute a plan m_rollouts times under fresh uncertainty draws.
 
     The plan's commanded controls are applied through the system's own
@@ -91,8 +91,7 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
             return box.sample(gen, count)
 
         r = rollout_batch(sys, X, np.asarray(step.u, dtype=float), step.tau, h,
-                          Th, w_source, mu0=mu, modes0=modes, mu_mode0=mu_mode,
-                          workers=workers)
+                          Th, w_source, mu0=mu, modes0=modes, mu_mode0=mu_mode)
         if r.diverged:
             raise RuntimeError("validation rollout diverged")
         pts = project_to_plane(r.states, proj)          # (S+1, m, 2)
@@ -119,13 +118,13 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
     )
 
 
-def replay_validate(sys, plan_obj, init_region, goal, obstacles, workers=1):
+def replay_validate(sys, plan_obj, init_region, goal, obstacles):
     """Check a plan on the planner's own particle draws (exact replay).
 
     A correctly produced plan always passes: growth required strictly more
     clearance and goal margin than the unpadded constraints ask for.
     """
-    sets, rollouts = replay_plan(sys, plan_obj, init_region, workers=workers)
+    sets, rollouts = replay_plan(sys, plan_obj, init_region)
     proj = sys.collision_projection
     for r in rollouts:
         if not padded_collision_free(r.states, proj, obstacles, 0.0):

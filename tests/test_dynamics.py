@@ -18,7 +18,6 @@ from reachrrt.dynamics import (
     ContinuousSystem,
     FeedbackWrapped,
     constant_w_source,
-    nominal_rollout,
     rollout,
     rollout_batch,
     step,
@@ -140,53 +139,9 @@ def test_zero_uncertainty_collapses_to_nominal():
     Th = np.tile([0.5, 0.5], (32, 1))
     r = rollout_batch(sys_, X0, np.array([0.3, 0.1]), 0.5, H, Th,
                       constant_w_source(np.zeros(2)))
-    nom = nominal_rollout(sys_, X0[0], np.array([0.3, 0.1]), 0.5, H)
+    nom = rollout(sys_, X0[0], np.array([0.3, 0.1]), 0.5, H)
     assert np.array_equal(r.states[:, 0, :], nom)
     assert np.all(r.states == r.states[:, :1, :])
-
-
-# ----------------------------------------------------------- integrators
-
-
-class Decay(ContinuousSystem):
-    """x' = -x, for integrator accuracy comparisons."""
-
-    name = "decay"
-    state_dim = 1
-    collision_projection = (0,)
-
-    def __init__(self, scheme):
-        self.integration = scheme
-        self.bounds = _scalar_bounds()
-        self.nominal_param = np.array([0.0])
-        self.nominal_disturbance = np.array([0.0])
-
-    def flow_batch(self, X, U, W, Th):
-        return -X
-
-
-def _scalar_bounds():
-    from reachrrt.dynamics import UncertaintyBounds
-
-    z = Box([0.0], [0.0])
-    return UncertaintyBounds(control=z, disturbance=z, param=z)
-
-
-def test_rk4_beats_euler_on_smooth_flow():
-    exact = math.exp(-1.0)
-    errs = {}
-    for scheme in ("euler", "rk4"):
-        trace = rollout(Decay(scheme), np.array([1.0]), np.zeros(1), 1.0, 0.1)
-        errs[scheme] = abs(trace[-1, 0] - exact)
-    assert errs["rk4"] < 1e-6
-    assert errs["rk4"] < errs["euler"] / 1000
-
-
-def test_unknown_integrator_rejected():
-    sys_ = Decay("euler")
-    sys_.integration = "heun"
-    with pytest.raises(ValueError):
-        step(sys_, np.array([1.0]), np.zeros(1), np.zeros(1), np.zeros(1), 0.1)
 
 
 # ------------------------------------------------------------- feedback
@@ -226,6 +181,13 @@ def test_feedback_gain_shape_checked():
 
 
 # ------------------------------------------------------------ divergence
+
+
+def _scalar_bounds():
+    from reachrrt.dynamics import UncertaintyBounds
+
+    z = Box([0.0], [0.0])
+    return UncertaintyBounds(control=z, disturbance=z, param=z)
 
 
 class Explode(ContinuousSystem):
@@ -269,26 +231,3 @@ def test_nonfinite_single_step_raises():
 
     with pytest.raises(RuntimeError, match="dynamics diverged"):
         step(Nan(), np.array([0.0]), np.zeros(1), np.zeros(1), np.zeros(1), 0.1)
-
-
-# ------------------------------------------------------------- workers
-
-
-def test_worker_split_is_bitwise_identical():
-    sys_ = make_benchmark("quadrotor")
-    gen = rng.substream(11, rng.DOMAIN_CHECK, 2)
-    X0 = gen.uniform(-1, 1, size=(101, 4))
-    Th = gen.uniform(0.35, 0.65, size=(101, 2))
-
-    def w_source(j, n):
-        g2 = rng.substream(11, rng.DOMAIN_CHECK, 3, j)
-        return g2.uniform(-0.1, 0.1, size=(n, 2))
-
-    runs = [
-        rollout_batch(sys_, X0, np.array([0.5, -0.5]), 0.73, H, Th, w_source,
-                      mu0=np.zeros(4), workers=k)
-        for k in (1, 4, 8)
-    ]
-    for r in runs[1:]:
-        assert np.array_equal(runs[0].states, r.states)
-        assert np.array_equal(runs[0].mu, r.mu)

@@ -76,17 +76,6 @@ def test_init_nominal_only_baseline():
     assert np.all(pset.thetas == sys_.nominal_param)
 
 
-def test_init_nominal_kinds():
-    sys_ = _linear()
-    region = Box([0.0], [0.1])
-    mean = init_particles(sys_, region, 100, SEED, nominal_kind="mean")
-    assert np.array_equal(mean.nominal, mean.states.mean(axis=0))
-    tracked = init_particles(sys_, region, 100, SEED, nominal_kind="tracked")
-    assert np.array_equal(tracked.nominal, region.center)
-    with pytest.raises(ValueError):
-        init_particles(sys_, region, 100, SEED, nominal_kind="median")
-
-
 def test_hybrid_init_requires_mode():
     jumper = make_benchmark("jumper")
     region = Box([0.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0])
@@ -187,24 +176,10 @@ def test_extension_draws_differ_by_id_and_substep():
     assert np.array_equal(a[:10], src(0, 10))
 
 
-def test_extension_worker_count_is_invisible():
-    sys_ = make_benchmark("quadrotor")
-    region = Box([-0.1, -0.1, 0.0, 0.0], [0.1, 0.1, 0.0, 0.0])
-    root = init_particles(sys_, region, 97, SEED)
-    outs = [
-        compute_reach_set(sys_, root, np.array([0.5, -0.2]), 0.73, 0.1, SEED, 2,
-                          workers=k)[0]
-        for k in (1, 4, 8)
-    ]
-    for o in outs[1:]:
-        assert np.array_equal(outs[0].states, o.states)
-        assert np.array_equal(outs[0].mu, o.mu)
-        assert np.array_equal(outs[0].hull.vertices, o.hull.vertices)
-
-
 def test_extension_mean_nominal_is_particle_mean():
     sys_ = _linear()
     root = init_particles(sys_, Box([0.0], [0.1]), 100, SEED)
+    assert np.array_equal(root.nominal, root.states.mean(axis=0))
     pset, _ = compute_reach_set(sys_, root, np.zeros(1), 0.5, 0.1, SEED, 0)
     assert np.array_equal(pset.nominal, pset.states.mean(axis=0))
 

@@ -27,14 +27,6 @@ def test_key_depth_matters():
     assert not np.array_equal(a, b)
 
 
-def test_uniform_block_prefix_property():
-    lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.0])
-    small = rng.uniform_block(7, (rng.DOMAIN_EXTEND, 3, 1), lo, hi, 10)
-    large = rng.uniform_block(7, (rng.DOMAIN_EXTEND, 3, 1), lo, hi, 250)
-    assert np.array_equal(small, large[:10])
-    assert np.all(large >= lo) and np.all(large <= hi)
-
-
 def test_box_sample_prefix_property():
     box = Box([-2.0, 1.0, 0.0], [2.0, 3.0, 0.5])
     small = box.sample(rng.substream(9, rng.DOMAIN_INIT, 0), 16)

@@ -37,8 +37,13 @@ def _write(tmp_path, name="sc.json", **mods):
 
 
 def _line_of(path, key):
-    for i, line in enumerate(open(path), start=1):
-        if f'"{key}"' in line:
+    """Line of a key; "parent.child" is the first child line after the
+    parent's."""
+    parent, _, child = key.rpartition(".")
+    lines = open(path).read().splitlines()
+    start = _line_of(path, parent) if parent else 1
+    for i, line in enumerate(lines[start - 1:], start=start):
+        if f'"{child}"' in line:
             return i
     return 1
 
@@ -84,6 +89,16 @@ def test_scenario_defaults(tmp_path):
     ({"init": {"kind": "cone", "lo": [0.0], "hi": [0.1]}},
      "init", "unknown init kind 'cone'"),
     ({"system": "warp_drive"}, "system", "unknown benchmark"),
+    ({"validation": {"rollouts": "abc", "seed": 7}},
+     "validation.rollouts", "validation.rollouts must be an integer"),
+    ({"validation": {"rollouts": 0, "seed": 7}},
+     "validation.rollouts", "validation.rollouts must be positive"),
+    ({"validation": {"rollouts": 200, "seed": 1.5}},
+     "validation.seed", "validation.seed must be an integer"),
+    ({"planner": {**BASE["planner"], "nn_weights": ["x"]}},
+     "planner.nn_weights", "planner.nn_weights must be a list of numbers"),
+    ({"planner": {**BASE["planner"], "nn_weights": 3}},
+     "planner.nn_weights", "planner.nn_weights must be list"),
 ])
 def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     path = _write(tmp_path, **mods)
@@ -155,13 +170,11 @@ def test_run_budget_exhaustion_exit(tmp_path, capsys):
 
 def test_run_outputs_are_byte_deterministic(tmp_path):
     path = _write(tmp_path)
-    outs = [tmp_path / "a", tmp_path / "b", tmp_path / "w4"]
+    outs = [tmp_path / "a", tmp_path / "b"]
     assert _run(path, outs[0]) == 0
     assert _run(path, outs[1]) == 0
-    assert _run(path, outs[2], "--workers", "4") == 0
     for fname in ("stats.json", "plan.json", "tree.svg"):
-        blobs = [(d / fname).read_bytes() for d in outs]
-        assert blobs[0] == blobs[1] == blobs[2], fname
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
 def test_run_flag_overrides_land_in_outputs(tmp_path):
@@ -200,6 +213,17 @@ def test_invalid_flag_values_exit_one(tmp_path, capsys):
     path = _write(tmp_path)
     assert _run(path, tmp_path / "o", "--epsilon", "-1.0") == 1
     assert "invalid parameters" in capsys.readouterr().err
+    assert main(["study", "--scenario", path, "--out-dir", str(tmp_path / "s"),
+                 "--budgets", "5", "--epsilon", "-1"]) == 1
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "study.json").exists()
+    out = tmp_path / "out"
+    assert _run(path, out) == 0
+    capsys.readouterr()
+    assert main(["validate", "--scenario", path, "--plan", str(out / "plan.json"),
+                 "--out-dir", str(out), "--rollouts", "0"]) == 1
+    assert "--rollouts" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 # -------------------------------------------------------------- validate
@@ -299,6 +323,11 @@ def test_study_rejects_bad_budgets(tmp_path, capsys):
     assert main(["study", "--scenario", path, "--budgets", "10,x"]) == 1
     assert "--budgets" in capsys.readouterr().err
     assert main(["study", "--scenario", path, "--budgets", "-5"]) == 1
+    out = tmp_path / "out"
+    assert main(["study", "--scenario", path, "--out-dir", str(out),
+                 "--budgets", "5", "--repeats", "-1"]) == 1
+    assert "--repeats" in capsys.readouterr().err
+    assert not (out / "study.json").exists()
 
 
 def test_version_flag():
