@@ -212,8 +212,7 @@ def make_benchmark(name, **kw):
         if not feedback:
             return quad
         if gain is None:
-            Ad, Bd = quad.linearization(gain_substep)
-            gain = dlqr_gain(Ad, Bd, np.eye(4), 0.1 * np.eye(2))
+            gain = quadrotor_tracking_gain(gain_substep)
         return FeedbackWrapped(quad, gain)
     if name == "jumper":
         return Jumper(**kw)

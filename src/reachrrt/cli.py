@@ -3,11 +3,13 @@
     reachrrt run      --scenario FILE [overrides]   grow a tree, write plan/stats/svg
     reachrrt validate --scenario FILE --plan FILE   Monte-Carlo validation report
     reachrrt study    --scenario FILE --budgets ... success rate per budget
+    reachrrt compare  --scenario FILE --seeds N     robust planner vs padded baseline
 
-Exit codes: 0 success (run: solved; validate: plan valid), 2 honest negative
-(budget exhausted / plan invalid), 1 usage or scenario errors.  Output files
-are byte-deterministic for a given scenario, seed, and flags; they embed the
-master seed, the scenario content hash, and the tool version.
+Exit codes: 0 success (run: solved; validate: plan valid; study, compare:
+finished), 2 honest negative (budget exhausted / plan invalid), 1 usage or
+scenario errors.  Output files are byte-deterministic for a given scenario,
+seed, and flags; they embed the seeds, the scenario content hash, and the
+tool version.
 """
 
 import argparse
@@ -15,11 +17,10 @@ import os
 import sys as _sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .planner import plan as run_plan
 from .scenario import (
+    COMPARE_FORMAT,
     REPORT_FORMAT,
     STUDY_FORMAT,
     ScenarioError,
@@ -32,8 +33,9 @@ from .scenario import (
 )
 from .svg import render_svg
 from .validation import (
+    compare_methods,
+    lipschitz_stats,
     monte_carlo_validate,
-    quadrotor_lipschitz_constant,
     success_rate_study,
 )
 
@@ -65,23 +67,18 @@ def _load(args):
         raise SystemExit(1)
 
 
+# command-line flag -> PlannerParams field
+OVERRIDES = (("seed", "seed"), ("max_iters", "i_max"), ("particles", "n_particles"),
+             ("epsilon", "epsilon"), ("zeta", "zeta"), ("tau_max", "tau_max"))
+
+
 def _overridden_params(scenario, args):
     params = scenario.params
-    if args.seed is not None:
-        params = replace(params, seed=args.seed)
-    if getattr(args, "max_iters", None) is not None:
-        params = replace(params, i_max=args.max_iters)
-    if getattr(args, "particles", None) is not None:
-        params = replace(params, n_particles=args.particles)
-    if getattr(args, "epsilon", None) is not None:
-        params = replace(params, epsilon=args.epsilon)
-    if getattr(args, "zeta", None) is not None:
-        params = replace(params, zeta=args.zeta)
-    if getattr(args, "tau_max", None) is not None:
-        params = replace(params, tau_max=args.tau_max)
+    for flag, field in OVERRIDES:
+        if getattr(args, flag, None) is not None:
+            params = replace(params, **{field: getattr(args, flag)})
     if getattr(args, "baseline_padding", None) is not None:
-        params = replace(params, baseline=True, n_particles=1,
-                         epsilon=args.baseline_padding)
+        params = params.as_baseline(args.baseline_padding)
     try:
         return params.validated()
     except ValueError as e:
@@ -97,24 +94,7 @@ def cmd_run(args):
                       scenario.obstacles, scenario.sampling_box, params,
                       init_mode=scenario.init_mode)
 
-    extra = {}
-    if scenario.system_name == "quadrotor":
-        # bound must hold along trajectories: drag self-limits speed where
-        # a_lo v^2 = g u_max + w_max, plus one sub-step of forcing overshoot
-        from .benchmarks import GRAVITY
-        base = sys.base if hasattr(sys, "base") else sys
-        u_max = float(base.bounds.control.hi.max())
-        w_max = float(max(np.abs(base.bounds.disturbance.lo).max(),
-                          np.abs(base.bounds.disturbance.hi).max()))
-        a_lo = float(base.bounds.param.lo.min())
-        v_box = float(max(abs(scenario.sampling_box.lo[2:4]).max(),
-                          abs(scenario.sampling_box.hi[2:4]).max()))
-        force = GRAVITY * u_max + w_max
-        v_inv = max(v_box, (force / a_lo) ** 0.5) + params.h * force
-        K, kmeta = quadrotor_lipschitz_constant(sys, v_inv, params.h, grid=512)
-        extra["lipschitz_constant"] = K
-        extra["lipschitz_meta"] = {"v_max": v_inv, **kmeta}
-
+    extra = lipschitz_stats(sys, scenario.sampling_box, params.h)
     out = _out_dir(args)
     stats_path = os.path.join(out, "stats.json")
     write_json(stats_path, stats_to_dict(result, params, scenario.sha256, extra))
@@ -139,7 +119,7 @@ def cmd_validate(args):
     sys = scenario.build_system()
     try:
         plan_obj = load_plan(args.plan)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"{args.plan}: cannot load plan: {e}", file=_sys.stderr)
         return 1
     m = sys.bounds.control.dim
@@ -212,6 +192,33 @@ def cmd_study(args):
     return 0
 
 
+def cmd_compare(args):
+    scenario = _load(args)
+    params = _overridden_params(scenario, args)
+    if args.seeds < 1:
+        print("--seeds must be at least 1", file=_sys.stderr)
+        return 1
+    rows = compare_methods(scenario, range(params.seed, params.seed + args.seeds))
+    out = _out_dir(args)
+    compare_path = os.path.join(out, "compare.json")
+    write_json(compare_path, {
+        "format": COMPARE_FORMAT,
+        "version": __version__,
+        "scenario_sha256": scenario.sha256,
+        "rows": rows,
+    })
+    for row in rows:
+        status = "valid" if row["valid"] else "INVALID" if row["solved"] else "UNSOLVED"
+        print(f"{row['method']:9s} seed {row['seed']}: {status:8s} "
+              f"iters={row['iterations']} coll={row['collisions']} "
+              f"miss={row['goal_misses']} clear={row['worst_clearance']}")
+    for method in ("reach-set", "baseline"):
+        valid = [row["valid"] for row in rows if row["method"] == method]
+        print(f"{method:9s} valid {sum(valid)}/{len(valid)}")
+    print(f"rows -> {compare_path}")
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="reachrrt",
@@ -241,12 +248,17 @@ def main(argv=None):
     p_study.add_argument("--budgets", default="500,2000,8000",
                          help="comma-separated iteration budgets")
     p_study.add_argument("--repeats", type=int, default=10)
-    p_study.add_argument("--max-iters", type=int, default=None)
     p_study.add_argument("--particles", type=int, default=None)
     p_study.add_argument("--epsilon", type=float, default=None)
     p_study.add_argument("--zeta", type=float, default=None)
     p_study.add_argument("--tau-max", type=float, default=None)
     p_study.set_defaults(fn=cmd_study)
+
+    p_cmp = sub.add_parser("compare", help="robust planner vs padded baseline")
+    _add_common(p_cmp)
+    p_cmp.add_argument("--seeds", type=int, default=10,
+                       help="number of seeds, counting up from the master seed")
+    p_cmp.set_defaults(fn=cmd_compare)
 
     args = parser.parse_args(argv)
     try:

@@ -156,9 +156,6 @@ class HybridSystem(System):
         """Candidate controls used to probe which modes a segment can reach."""
         raise NotImplementedError
 
-    def mode_index(self, name):
-        return self.modes.index(name)
-
 
 class FeedbackWrapped(System):
     """Wraps a system with control u = nu + K (x - mu), clipped to the

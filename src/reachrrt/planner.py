@@ -12,7 +12,7 @@ nominal ends in a different mode or whose particles straddle modes.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +52,14 @@ class PlannerParams:
             raise ValueError("epsilon must be nonnegative")
         if self.h <= 0 or self.h > self.tau_max:
             raise ValueError("sub-step must lie in (0, tau_max]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         return self
+
+    def as_baseline(self, padding):
+        """The nominal padded baseline: one particle at the nominal
+        uncertainty, obstacles and goal padded by `padding`."""
+        return replace(self, baseline=True, n_particles=1, epsilon=padding)
 
 
 @dataclass

@@ -24,6 +24,7 @@ PLAN_FORMAT = "reachrrt-plan/1"
 STATS_FORMAT = "reachrrt-stats/1"
 REPORT_FORMAT = "reachrrt-validation/1"
 STUDY_FORMAT = "reachrrt-study/1"
+COMPARE_FORMAT = "reachrrt-compare/1"
 
 
 class ScenarioError(ValueError):
@@ -308,24 +309,32 @@ def plan_to_dict(plan_obj, scenario_sha):
 
 
 def plan_from_dict(raw):
+    if not isinstance(raw, dict):
+        raise ScenarioError("a plan file must hold a JSON object")
     if raw.get("format") != PLAN_FORMAT:
         raise ScenarioError(f"not a plan file (format {raw.get('format')!r})")
+    raw_steps = _want(raw, "steps", list)
+    if not all(isinstance(s, dict) for s in raw_steps):
+        raise ScenarioError("steps must be a list of objects", key="steps")
+    meta = raw.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ScenarioError("meta must be an object", key="meta")
     steps = tuple(
         PlanStep(
-            u=tuple(float(v) for v in s["u"]),
+            u=tuple(float(v) for v in _vector(s, "u", f"steps[{i}].")),
             tau=float(s["tau"]),
             ext_id=int(s["ext_id"]),
             node_id=int(s["node_id"]),
             mode=None if s.get("mode") is None else int(s["mode"]),
         )
-        for s in raw["steps"]
+        for i, s in enumerate(raw_steps)
     )
     return Plan(
         steps=steps,
         seed=int(raw["seed"]),
         system=str(raw["system"]),
         solved_node=int(raw["solved_node"]),
-        meta=dict(raw.get("meta", {})),
+        meta=dict(meta),
     )
 
 

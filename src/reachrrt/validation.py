@@ -11,13 +11,19 @@ bound  |x1_t - x2_t| <= L_t (|x1_0 - x2_0| + |u1 - u2|)  with
 L_t = sqrt(2 max(1, 2 t^2 K^2)) * exp(K t), and its set-level counterpart
 d_H(X1, X2) <= L (d_H(X1_0, X2_0) + |t1 - t2| + |u1 - u2|) with
 L = max(L_t2, sup |f|).
+
+The paper's two experiments live here as well, each in one function that
+the command line and the acceptance tests share: success_rate_study
+(success rate against the iteration budget) and compare_methods (the
+robust planner against the nominal padded baseline).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import rng
+from .benchmarks import GRAVITY, Quadrotor
 from .dynamics import rollout_batch
 from .geometry import goal_contains, hausdorff_distance, points_obstacle_clearance
 from .reachability import padded_collision_free, padded_goal_contained, project_to_plane
@@ -34,13 +40,7 @@ class ValidityRecord:
     worst_clearance: float
 
     def as_dict(self):
-        return {
-            "rollouts": self.rollouts,
-            "collisions": self.collisions,
-            "goal_misses": self.goal_misses,
-            "valid": self.valid,
-            "worst_clearance": self.worst_clearance,
-        }
+        return asdict(self)
 
 
 def _min_clearance(pts, obstacles):
@@ -211,8 +211,6 @@ def quadrotor_lipschitz_constant(quad, v_max, h, grid=1000):
     [0, 2 a_max v_max]^2 and padded by the Jacobian's own per-cell drift,
     giving an upper bound rather than a sample maximum.  Returns (K, meta).
     """
-    from .benchmarks import GRAVITY, Quadrotor
-
     base = quad.base if hasattr(quad, "base") else quad
     if not isinstance(base, Quadrotor):
         raise TypeError("closed-form Lipschitz constant is quadrotor-specific")
@@ -241,6 +239,26 @@ def quadrotor_lipschitz_constant(quad, v_max, h, grid=1000):
     return K, {"grid": g, "grid_max": k_grid, "cell_slack": spacing}
 
 
+def lipschitz_stats(sys, sampling_box, h):
+    """stats.json extras: the quadrotor's Lipschitz constant over every
+    speed its trajectories can reach; {} for other systems."""
+    base = sys.base if hasattr(sys, "base") else sys
+    if not isinstance(base, Quadrotor):
+        return {}
+    # bound must hold along trajectories: drag self-limits speed where
+    # a_lo v^2 = g u_max + w_max, plus one sub-step of forcing overshoot
+    u_max = float(base.bounds.control.hi.max())
+    w_max = float(max(np.abs(base.bounds.disturbance.lo).max(),
+                      np.abs(base.bounds.disturbance.hi).max()))
+    a_lo = float(base.bounds.param.lo.min())
+    v_box = float(max(abs(sampling_box.lo[2:4]).max(),
+                      abs(sampling_box.hi[2:4]).max()))
+    force = GRAVITY * u_max + w_max
+    v_inv = max(v_box, (force / a_lo) ** 0.5) + h * force
+    K, kmeta = quadrotor_lipschitz_constant(sys, v_inv, h, grid=512)
+    return {"lipschitz_constant": K, "lipschitz_meta": {"v_max": v_inv, **kmeta}}
+
+
 def quadrotor_flow_sup(quad, box):
     """Analytic sup of the sub-step increment magnitude over a state box.
 
@@ -248,8 +266,6 @@ def quadrotor_flow_sup(quad, box):
     monotone in the relevant coordinates), so the bound is exact up to the
     conservative combination across components.
     """
-    from .benchmarks import GRAVITY, Quadrotor
-
     base = quad.base if hasattr(quad, "base") else quad
     if not isinstance(base, Quadrotor):
         raise TypeError("flow sup bound is quadrotor-specific")
@@ -317,24 +333,63 @@ def success_rate_study(sys, init_region, goal, obstacles, sampling_box,
                        base_params, budgets, repeats, init_mode=None):
     """Planner success fraction per iteration budget.
 
-    The same seed list is reused across budgets, so a run that solves within
-    a smaller budget also solves within a larger one and the curve is
-    nondecreasing by construction.
+    plan() draws nothing that depends on i_max, so the run with budget B is
+    a prefix of the run with any larger budget.  Each seed is therefore
+    planned once, at the largest budget, and counts as solved within B when
+    it solved in at most B iterations (a root solve takes 0).  The same
+    seeds serve every budget, so the curve is nondecreasing by construction.
     """
+    budgets = [int(b) for b in budgets]
+    repeats = int(repeats)
+    solved_at = []
+    for j in range(repeats):
+        params = replace(base_params, i_max=max(budgets, default=0),
+                         seed=base_params.seed + j)
+        result = run_plan(sys, init_region, goal, obstacles, sampling_box,
+                          params, init_mode=init_mode)
+        if result.solved:
+            solved_at.append(result.stats.iterations)
     rows = []
     for budget in budgets:
-        successes = 0
-        for j in range(int(repeats)):
-            params = replace(base_params, i_max=int(budget),
-                             seed=base_params.seed + j)
-            result = run_plan(sys, init_region, goal, obstacles, sampling_box,
-                              params, init_mode=init_mode)
-            if result.solved:
-                successes += 1
+        successes = sum(it <= budget for it in solved_at)
         rows.append({
-            "budget": int(budget),
-            "repeats": int(repeats),
+            "budget": budget,
+            "repeats": repeats,
             "successes": successes,
-            "rate": successes / max(int(repeats), 1),
+            "rate": successes / max(repeats, 1),
         })
+    return rows
+
+
+def compare_methods(scenario, seeds):
+    """Robust planner vs the nominal padded baseline over a seed sweep.
+
+    Each seed is planned with the scenario's particle reach sets and again
+    with the single-particle baseline padded by its baseline_padding; every
+    solved plan is Monte-Carlo validated with the scenario's validation
+    rollouts and seed.  Returns one row per (method, seed), the reach-set
+    rows first.  Rows hold no wall time, so they repeat byte for byte.
+    """
+    sys = scenario.build_system()
+    rows = []
+    for method in ("reach-set", "baseline"):
+        for seed in seeds:
+            params = replace(scenario.params, seed=seed)
+            if method == "baseline":
+                params = params.as_baseline(scenario.baseline_padding)
+            result = run_plan(sys, scenario.init_region, scenario.goal,
+                              scenario.obstacles, scenario.sampling_box, params,
+                              init_mode=scenario.init_mode)
+            row = {"seed": seed, "method": method, "solved": result.solved,
+                   "iterations": result.stats.iterations, "valid": False,
+                   "collisions": None, "goal_misses": None, "worst_clearance": None}
+            if result.solved:
+                rec = monte_carlo_validate(
+                    sys, result.plan, scenario.init_region, scenario.goal,
+                    scenario.obstacles, scenario.validation_rollouts,
+                    scenario.validation_seed, init_mode=scenario.init_mode)
+                row.update(valid=rec.valid, collisions=rec.collisions,
+                           goal_misses=rec.goal_misses,
+                           worst_clearance=round(rec.worst_clearance, 4))
+            rows.append(row)
     return rows

@@ -8,7 +8,7 @@ exactly what the command line runs.
 
 import filecmp
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -18,7 +18,7 @@ from reachrrt.benchmarks import Jumper, Linear1D, make_benchmark
 from reachrrt.cli import main
 from reachrrt.dynamics import Box
 from reachrrt.geometry import convex_hull_2d, hausdorff_distance, point_in_hull
-from reachrrt.planner import extend_hybrid, plan, sample_control, sample_node
+from reachrrt.planner import extend_hybrid, sample_control, sample_node
 from reachrrt.reachability import (
     compute_reach_set,
     exact_interval_reach,
@@ -27,8 +27,8 @@ from reachrrt.reachability import (
 from reachrrt.scenario import load_scenario
 from reachrrt.tree import DualTree, Edge
 from reachrrt.validation import (
+    compare_methods,
     lipschitz_bound_check,
-    monte_carlo_validate,
     quadrotor_flow_sup,
     quadrotor_lipschitz_constant,
     reachset_lipschitz_check,
@@ -44,20 +44,10 @@ def _report(label, ok, detail):
     assert ok, f"{label}: {detail}"
 
 
-def _run_scenario(sc, seed, baseline=False):
-    sys_ = sc.build_system()
-    params = replace(sc.params, seed=seed)
-    if baseline:
-        params = replace(params, baseline=True, n_particles=1,
-                         epsilon=sc.baseline_padding)
-    result = plan(sys_, sc.init_region, sc.goal, sc.obstacles,
-                  sc.sampling_box, params, init_mode=sc.init_mode)
-    if not result.solved:
-        return False, None
-    rec = monte_carlo_validate(sys_, result.plan, sc.init_region, sc.goal,
-                               sc.obstacles, sc.validation_rollouts,
-                               sc.validation_seed, init_mode=sc.init_mode)
-    return True, rec
+def _by_method(rows):
+    robust = [r for r in rows if r["method"] == "reach-set"]
+    baseline = [r for r in rows if r["method"] == "baseline"]
+    return robust, baseline
 
 
 # ------------------------------------------------- planner vs padded baseline
@@ -65,15 +55,10 @@ def _run_scenario(sc, seed, baseline=False):
 
 def test_quadrotor_robustness():
     sc = load_scenario(os.path.join(SCENARIOS, "quadrotor.json"))
-    solved = valid = 0
-    for seed in range(10):
-        ok, rec = _run_scenario(sc, seed)
-        solved += ok
-        valid += bool(ok and rec.valid)
-    base_valid = 0
-    for seed in range(10):
-        ok, rec = _run_scenario(sc, seed, baseline=True)
-        base_valid += bool(ok and rec.valid)
+    robust, baseline = _by_method(compare_methods(sc, range(10)))
+    solved = sum(r["solved"] for r in robust)
+    valid = sum(r["valid"] for r in robust)
+    base_valid = sum(r["valid"] for r in baseline)
     _report("quadrotor robustness",
             solved == 10 and valid == 10 and base_valid <= 8,
             f"reach-set runs {solved}/10 solved, {valid}/10 valid; "
@@ -82,15 +67,10 @@ def test_quadrotor_robustness():
 
 def test_jumper_hybrid_validity():
     sc = load_scenario(os.path.join(SCENARIOS, "jumper.json"))
-    solved = valid = 0
-    for seed in range(5):
-        ok, rec = _run_scenario(sc, seed)
-        solved += ok
-        valid += bool(ok and rec.valid)
-    base_invalid = 0
-    for seed in range(5):
-        ok, rec = _run_scenario(sc, seed, baseline=True)
-        base_invalid += bool(not ok or not rec.valid)
+    robust, baseline = _by_method(compare_methods(sc, range(5)))
+    solved = sum(r["solved"] for r in robust)
+    valid = sum(r["valid"] for r in robust)
+    base_invalid = sum(not r["valid"] for r in baseline)
     _report("jumper hybrid validity",
             solved == 5 and valid == 5 and base_invalid >= 1,
             f"reach-set runs {solved}/5 solved, {valid}/5 valid; "

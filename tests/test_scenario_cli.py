@@ -2,6 +2,7 @@
 anchors, exit codes, output files, and byte-determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -291,13 +292,26 @@ def test_validate_control_dimension_mismatch(tmp_path, capsys):
     assert "dimension" in err and "quadrotor" in err
 
 
-def test_validate_rejects_non_plan_file(tmp_path, capsys):
+@pytest.mark.parametrize("corrupt", [
+    lambda plan: [],
+    lambda plan: {**plan, "format": "something-else"},
+    lambda plan: {**plan, "steps": 3},
+    lambda plan: {**plan, "steps": [5]},
+    lambda plan: {**plan, "steps": [{**plan["steps"][0], "u": 5}]},
+    lambda plan: {**plan, "meta": 3},
+], ids=["list", "wrong-format", "steps-int", "step-int", "u-int", "meta-int"])
+def test_validate_rejects_non_plan_file(tmp_path, capsys, corrupt):
     path = _write(tmp_path)
+    out = tmp_path / "out"
+    assert _run(path, out) == 0
+    plan = json.loads((out / "plan.json").read_text())
     bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"format": "something-else"}))
+    bogus.write_text(json.dumps(corrupt(plan)))
+    capsys.readouterr()
     assert main(["validate", "--scenario", path, "--plan", str(bogus),
-                 "--out-dir", str(tmp_path)]) == 1
+                 "--out-dir", str(out)]) == 1
     assert "cannot load plan" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 # ----------------------------------------------------------------- study
@@ -328,6 +342,62 @@ def test_study_rejects_bad_budgets(tmp_path, capsys):
                  "--budgets", "5", "--repeats", "-1"]) == 1
     assert "--repeats" in capsys.readouterr().err
     assert not (out / "study.json").exists()
+    # every row sets its own budget, so study has no --max-iters
+    with pytest.raises(SystemExit) as e:
+        main(["study", "--scenario", path, "--out-dir", str(out),
+              "--budgets", "5", "--max-iters", "3"])
+    assert e.value.code != 0
+    assert "--max-iters" in capsys.readouterr().err
+    assert not (out / "study.json").exists()
+
+
+# --------------------------------------------------------------- compare
+
+CORRIDOR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "corridor.json")
+
+
+def _compare(out, *extra):
+    return main(["compare", "--scenario", CORRIDOR, "--out-dir", str(out),
+                 "--seeds", "2", *extra])
+
+
+def test_compare_is_byte_deterministic(tmp_path, capsys):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert _compare(out) == 0
+    text = (outs[0] / "compare.json").read_bytes()
+    assert text == (outs[1] / "compare.json").read_bytes()
+    doc = json.loads(text)
+    assert doc["format"] == "reachrrt-compare/1"
+    assert [(r["method"], r["seed"]) for r in doc["rows"]] == [
+        ("reach-set", 23), ("reach-set", 24), ("baseline", 23), ("baseline", 24)]
+    assert "baseline  valid 2/2" in capsys.readouterr().out
+
+
+def test_compare_matches_the_retired_script(tmp_path):
+    # rows the former scripts/compare_methods.py wrote for
+    # `--scenario scenarios/corridor.json --seeds 2`, plan_time dropped
+    def row(seed, method, iterations):
+        return {"seed": seed, "method": method, "solved": True,
+                "iterations": iterations, "valid": True, "collisions": 0,
+                "goal_misses": 0, "worst_clearance": float("inf")}
+
+    assert _compare(tmp_path, "--seed", "0") == 0
+    rows = json.loads((tmp_path / "compare.json").read_text())["rows"]
+    assert rows == [row(0, "reach-set", 12), row(1, "reach-set", 16),
+                    row(0, "baseline", 12), row(1, "baseline", 72)]
+
+
+@pytest.mark.parametrize("extra,fragment", [
+    (("--seeds", "0"), "--seeds"),
+    (("--seed", "-1"), "seed must be nonnegative"),
+])
+def test_compare_rejects_bad_seeds(tmp_path, capsys, extra, fragment):
+    assert main(["compare", "--scenario", CORRIDOR, "--out-dir", str(tmp_path),
+                 *extra]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "compare.json").exists()
 
 
 def test_version_flag():

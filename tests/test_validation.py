@@ -1,10 +1,12 @@
 """Validation-harness tests: Monte-Carlo plan checks, deviation-bound
 checks, and the budget study."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from reachrrt.benchmarks import make_benchmark
+from reachrrt.benchmarks import Jumper, make_benchmark
 from reachrrt.dynamics import Box
 from reachrrt.geometry import Ball, GoalRegion
 from reachrrt.planner import PlannerParams, plan
@@ -217,3 +219,52 @@ def test_success_rate_study_monotone():
     assert all(b >= a for a, b in zip(rates, rates[1:]))
     assert rates[-1] >= 0.9
     assert all(r["successes"] <= r["repeats"] for r in rows)
+
+
+def _replanning_study(sys_, init, goal, sampling, base, budgets, repeats,
+                      init_mode=None):
+    """Reference budget study: plans every (budget, seed) pair afresh."""
+    rows = []
+    for budget in budgets:
+        successes = sum(
+            plan(sys_, init, goal, [], sampling,
+                 replace(base, i_max=budget, seed=base.seed + j),
+                 init_mode=init_mode).solved
+            for j in range(repeats))
+        rows.append({"budget": budget, "repeats": repeats,
+                     "successes": successes, "rate": successes / repeats})
+    return rows
+
+
+@pytest.mark.parametrize("goal_radius", [0.55, 2.5], ids=["iterating", "root-solve"])
+def test_study_matches_replanning_reference_linear1d(goal_radius):
+    sys_ = make_benchmark("linear1d", theta_lo=0.45, theta_hi=0.55)
+    init = Box([0.0], [0.1])
+    goal = GoalRegion((0,), (2.0,), goal_radius)
+    sampling = Box([-0.5], [3.5])
+    base = PlannerParams(i_max=1, tau_max=1.0, zeta=0.3, n_particles=40,
+                         epsilon=0.05, h=0.1, seed=100)
+    # seeds 100..107 solve in 5 to 17 iterations
+    budgets = [40, 0, 8, 11, 8, 10]
+    rows = success_rate_study(sys_, init, goal, [], sampling, base, budgets, 8)
+    assert rows == _replanning_study(sys_, init, goal, sampling, base, budgets, 8)
+    if goal_radius > 2.0:
+        assert all(r["rate"] == 1.0 for r in rows)  # budget 0 included
+    else:
+        assert 0.0 < rows[2]["rate"] < rows[3]["rate"] < rows[0]["rate"]
+
+
+def test_study_matches_replanning_reference_hybrid():
+    sys_ = make_benchmark("jumper")
+    init = Box([0.0, 0.0, 0.0, 0.0], [0.05, 0.0, 0.0, 0.0])
+    goal = GoalRegion((0, 2), (1.5, 0.0), 0.5)
+    sampling = Box([-0.5, -2.0, 0.0, -1.0], [3.0, 2.0, 0.1, 1.0])
+    base = PlannerParams(i_max=1, tau_max=0.21, zeta=0.5, n_particles=30,
+                         epsilon=0.02, h=0.03, seed=7)
+    # seeds 7 and 8 solve at iterations 183 and 52
+    budgets = [60, 0, 200, 52, 60, 51]
+    rows = success_rate_study(sys_, init, goal, [], sampling, base, budgets, 2,
+                              init_mode=Jumper.CONTACT)
+    assert rows == _replanning_study(sys_, init, goal, sampling, base, budgets, 2,
+                                     init_mode=Jumper.CONTACT)
+    assert [r["successes"] for r in rows] == [1, 0, 2, 1, 1, 0]
