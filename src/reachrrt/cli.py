@@ -80,10 +80,16 @@ def _overridden_params(scenario, args):
     if getattr(args, "baseline_padding", None) is not None:
         params = params.as_baseline(args.baseline_padding)
     try:
-        return params.validated()
+        params = params.validated()
     except ValueError as e:
         print(f"invalid parameters: {e}", file=_sys.stderr)
         raise SystemExit(1)
+    if params.epsilon >= scenario.goal.radius:
+        # the goal shrunk by epsilon is empty, so no plan could ever be accepted
+        print(f"invalid parameters: epsilon {params.epsilon!r} must be smaller than "
+              f"the goal radius {scenario.goal.radius!r}", file=_sys.stderr)
+        raise SystemExit(1)
+    return params
 
 
 def cmd_run(args):
@@ -260,7 +266,14 @@ def main(argv=None):
                        help="number of seeds, counting up from the master seed")
     p_cmp.set_defaults(fn=cmd_compare)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, but 2 is reserved for honest
+        # negatives; --help and --version exit 0 through here
+        if e.code == 2:
+            return 1
+        raise
     try:
         return args.fn(args)
     except SystemExit as e:

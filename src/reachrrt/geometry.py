@@ -142,17 +142,21 @@ def convex_hull_2d(points):
 
 
 def _point_segments_distance(p, a, b):
-    """Distances from point p to each segment a[i]--b[i]."""
+    """Distances from point p to each segment a[i]--b[i].
+
+    p may carry leading axes, e.g. (k, 1, 2) for k points, giving a (k, m)
+    table; every entry is computed with the same arithmetic as a single point.
+    """
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     ab = b - a
-    denom = (ab * ab).sum(axis=1)
-    t = ((p - a) * ab).sum(axis=1)
+    denom = (ab * ab).sum(axis=-1)
+    t = ((p - a) * ab).sum(axis=-1)
     t = np.where(denom > 0, t / np.where(denom > 0, denom, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
-    proj = a + t[:, None] * ab
+    proj = a + t[..., None] * ab
     d = p - proj
-    return np.sqrt((d * d).sum(axis=1))
+    return np.sqrt((d * d).sum(axis=-1))
 
 
 def _hull_edges(hull):
@@ -192,50 +196,6 @@ def point_hull_distance(hull, p):
             return 0.0
     a, b = _hull_edges(hull)
     return float(_point_segments_distance(p, a, b).min())
-
-
-def _orient(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _on_segment(a, b, c):
-    # assumes a, b, c collinear; is c within the bounding box of a--b
-    return (
-        min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-    )
-
-
-def _segments_intersect(p1, p2, q1, q2):
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0) and (
-        (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
-    ):
-        return True
-    if d1 == 0 and _on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and _on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and _on_segment(p1, p2, q1):
-        return True
-    if d4 == 0 and _on_segment(p1, p2, q2):
-        return True
-    return False
-
-
-def _segment_segment_distance(p1, p2, q1, q2):
-    if _segments_intersect(p1, p2, q1, q2):
-        return 0.0
-    cands = [
-        _point_segments_distance(np.asarray(p1), q1[None], q2[None])[0],
-        _point_segments_distance(np.asarray(p2), q1[None], q2[None])[0],
-        _point_segments_distance(np.asarray(q1), p1[None], p2[None])[0],
-        _point_segments_distance(np.asarray(q2), p1[None], p2[None])[0],
-    ]
-    return float(min(cands))
 
 
 def points_obstacle_clearance(pts, obstacle):
@@ -296,12 +256,11 @@ def hull_obstacle_clearance(hull, obstacle):
     overlap = _sat_overlap(v, corners, axes)
     if overlap is not None:
         return -overlap
-    box_edges = list(zip(corners, np.roll(corners, -1, axis=0)))
-    best = np.inf
-    for s, e in zip(a, b):
-        for bs, be in box_edges:
-            best = min(best, _segment_segment_distance(s, e, bs, be))
-    return float(best)
+    # strictly separated convex polygons: the distance is attained between a
+    # vertex of one and an edge of the other
+    to_box = _point_segments_distance(v[:, None], corners, np.roll(corners, -1, axis=0))
+    to_hull = _point_segments_distance(corners[:, None], a, b)
+    return float(min(to_box.min(), to_hull.min()))
 
 
 def hausdorff_distance(a, b):

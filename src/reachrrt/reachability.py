@@ -34,7 +34,9 @@ class ParticleSet:
 
     states and thetas are row-aligned; thetas never change after the initial
     draw.  mu is the deterministically tracked nominal state (the feedback
-    reference), nominal the particle mean, used for tree distances.
+    reference), nominal the particle mean, used for tree distances.  The
+    set's planar hull is not stored: the collision test hulls each sub-step
+    of a trace, and rendering hulls `states` itself.
     """
 
     states: np.ndarray            # (N, n)
@@ -42,7 +44,6 @@ class ParticleSet:
     mu: np.ndarray                # (n,)
     nominal: np.ndarray           # (n,)
     t: float
-    hull: object                  # ConvexHull2D of the collision projection
     modes: np.ndarray | None = None
     mu_mode: int | None = None
 
@@ -83,7 +84,6 @@ def init_particles(sys, init_region, n_particles, seed, init_mode=None,
         mu=center.copy(),
         nominal=np.mean(states, axis=0),
         t=0.0,
-        hull=convex_hull_2d(project_to_plane(states, sys.collision_projection)),
         modes=modes,
         mu_mode=mu_mode,
     )
@@ -132,7 +132,6 @@ def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id):
         mu=r.mu[-1],
         nominal=np.mean(states, axis=0),
         t=pset.t + float(tau),
-        hull=convex_hull_2d(project_to_plane(states, sys.collision_projection)),
         modes=None if r.modes is None else r.final_modes,
         mu_mode=None if r.mu_modes is None else int(r.mu_modes[-1]),
     )

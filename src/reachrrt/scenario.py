@@ -9,6 +9,7 @@ output files byte-identical for identical inputs.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,8 @@ def _want(raw, key, types, where=""):
     if not isinstance(v, types):
         names = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise ScenarioError(f"{where}{key} must be {names}", key=key)
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ScenarioError(f"{where}{key} must be finite", key=key)
     return v
 
 
@@ -81,6 +84,8 @@ def _number(raw, key, default, where, kinds=(int, float), positive=False, nonneg
     if isinstance(v, bool) or not isinstance(v, kinds):
         kind = "an integer" if kinds is int else "a number"
         raise ScenarioError(f"{path} must be {kind}", key=path)
+    if not math.isfinite(v):
+        raise ScenarioError(f"{path} must be finite", key=path)
     if positive and v <= 0:
         raise ScenarioError(f"{path} must be positive", key=path)
     if nonneg and v < 0:
@@ -92,6 +97,8 @@ def _vector(raw, key, where=""):
     v = _want(raw, key, list, where)
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
         raise ScenarioError(f"{where}{key} must be a list of numbers", key=key)
+    if not all(math.isfinite(x) for x in v):
+        raise ScenarioError(f"{where}{key} must hold finite numbers", key=key)
     return np.asarray(v, dtype=float)
 
 

@@ -7,7 +7,7 @@ fixed order (obstacles, goal, hulls, edges, solution path).
 
 import numpy as np
 
-from .geometry import AxisAlignedBox, Ball
+from .geometry import AxisAlignedBox, Ball, convex_hull_2d
 from .reachability import project_to_plane
 
 _W = 760.0
@@ -106,8 +106,7 @@ def render_svg(result, sys, goal, obstacles, sampling_box, epsilon, seed,
 
     tree = result.tree
     for node in tree.nodes:
-        hull = node.reach.hull
-        v = hull.vertices
+        v = convex_hull_2d(project_to_plane(node.reach.states, proj)).vertices
         if len(v) >= 3:
             parts.append(_polygon(frame, [tuple(p) for p in v],
                                   "#2e86c1", "0.14", "#2e86c1", "0.4"))

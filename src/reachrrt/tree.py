@@ -1,19 +1,13 @@
 """Search tree over reachable sets.
 
 Every node stores a full particle set; nearest-neighbor queries run against
-the nominal representatives only, through a kd-tree that is rebuilt when the
-node count doubles.  Query answers are made exact (identical to a linear
-scan, ties to the lowest node id) by re-checking candidates with the same
-arithmetic the linear scan uses, so the index is purely an accelerator.
+the nominal representatives only, as one vectorized scan over the scaled
+nominals (ties to the lowest node id).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-
-# below this size a vectorized linear scan beats the index
-LINEAR_SCAN_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,7 @@ class Plan:
 
 
 class DualTree:
-    """Tree of reachable sets with an exact nearest-nominal index.
+    """Tree of reachable sets with exact nearest-nominal queries.
 
     `weights` scales state coordinates before distances are taken, which is
     how position and velocity units are traded off; with no weights the
@@ -80,8 +74,6 @@ class DualTree:
             raise ValueError("weights must match the state dimension")
         self.nodes = []
         self._scaled = np.empty((16, dim))
-        self._kd = None
-        self._kd_size = 0
         self.add_node(None, root_reach, None)
 
     def __len__(self):
@@ -102,60 +94,21 @@ class DualTree:
             grown[:nid] = self._scaled[:nid]
             self._scaled = grown
         self._scaled[nid] = self._scale(reach.nominal)
-        self._maybe_rebuild()
         return nid
 
-    def _maybe_rebuild(self):
-        n = len(self.nodes)
-        if n >= LINEAR_SCAN_LIMIT and n >= 2 * max(self._kd_size, 1):
-            self._kd = cKDTree(self._scaled[:n].copy())
-            self._kd_size = n
-
-    def _exact_dists(self, xs, ids):
-        pts = self._scaled[ids]
-        d = pts - xs[None, :]
+    def _dists(self, x):
+        d = self._scaled[:len(self.nodes)] - self._scale(x)[None, :]
         return np.sqrt((d * d).sum(axis=1))
 
     def nearest_nominal(self, x):
-        """Nearest node by scaled Euclidean distance; ties take the lowest id.
-
-        Matches a linear scan exactly: the kd-tree only proposes a radius,
-        and every node within it is re-measured with the scan's arithmetic.
-        """
-        n = len(self.nodes)
-        xs = self._scale(x)
-        if self._kd is None or n < LINEAR_SCAN_LIMIT:
-            ids = np.arange(n)
-        else:
-            _, cand = self._kd.query(xs)
-            overlay = np.arange(self._kd_size, n)
-            r = self._exact_dists(xs, np.array([cand])).min()
-            if len(overlay):
-                r = min(r, self._exact_dists(xs, overlay).min())
-            # widen by one part in 1e9: covers last-ulp disagreement between
-            # the index's distance arithmetic and ours
-            near = self._kd.query_ball_point(xs, r * (1.0 + 1e-9) + 1e-12)
-            ids = np.concatenate([np.asarray(near, dtype=int), overlay])
-        dists = self._exact_dists(xs, ids)
-        best = dists.min()
-        best_id = int(ids[dists <= best].min())
-        return best_id, float(best)
+        """Nearest node by scaled Euclidean distance; ties take the lowest id."""
+        dists = self._dists(x)
+        best_id = int(np.argmin(dists))
+        return best_id, float(dists[best_id])
 
     def range_nominal(self, x, radius):
         """Ids of nodes within the closed scaled ball, ascending."""
-        n = len(self.nodes)
-        xs = self._scale(x)
-        if self._kd is None or n < LINEAR_SCAN_LIMIT:
-            ids = np.arange(n)
-        else:
-            near = self._kd.query_ball_point(xs, radius * (1.0 + 1e-9) + 1e-12)
-            ids = np.concatenate([np.asarray(near, dtype=int),
-                                  np.arange(self._kd_size, n)])
-        if len(ids) == 0:
-            return []
-        dists = self._exact_dists(xs, ids)
-        keep = np.sort(ids[dists <= radius])
-        return [int(i) for i in keep]
+        return [int(i) for i in np.flatnonzero(self._dists(x) <= radius)]
 
 
 def build_path(tree, leaf_id, seed, system_name, meta=None):

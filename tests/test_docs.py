@@ -1,8 +1,12 @@
 """README drift: every repository path and every `reachrrt.cli` subcommand
-that README.md names must exist."""
+that README.md names must exist, and the third-party modules the code
+imports must be the ones pyproject.toml and README's "Requires" line name."""
 
+import ast
+import glob
 import os
 import re
+import sys
 
 import pytest
 
@@ -10,6 +14,7 @@ from reachrrt.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 README = open(os.path.join(ROOT, "README.md")).read()
+PYPROJECT = open(os.path.join(ROOT, "pyproject.toml")).read()
 
 
 def test_readme_paths_exist():
@@ -28,3 +33,37 @@ def test_readme_subcommands_exist(capsys):
             main([command, "--help"])
         assert e.value.code == 0, f"README names unknown subcommand {command!r}"
     capsys.readouterr()
+
+
+def _third_party_imports(directory):
+    names = set()
+    for path in glob.glob(os.path.join(ROOT, directory, "**", "*.py"), recursive=True):
+        for node in ast.walk(ast.parse(open(path).read())):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"reachrrt"}
+
+
+def _requirement_names(key):
+    """Distribution names of a pyproject requirement list (each of ours
+    imports under the same name)."""
+    body = re.search(rf"^{key}\s*=\s*\[(.*?)\]", PYPROJECT, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group(0) for r in re.findall(r'"([^"]+)"', body)}
+
+
+def _readme_names(text):
+    return set(re.split(r",\s*|\s+and\s+", text.strip()))
+
+
+def test_dependencies_match_imports_and_readme():
+    runtime = _requirement_names("dependencies")
+    dev = _requirement_names("dev")
+    assert _third_party_imports("src/reachrrt") == runtime
+    assert _third_party_imports("tests") == runtime | dev
+    m = re.search(r"^Requires Python [\d.]+\+ and ([^(]+)\((.*) for the tests\)\.",
+                  README, re.M)
+    assert m, "README lacks its 'Requires Python ... and ... (... for the tests).' line"
+    assert _readme_names(m.group(1)) == runtime
+    assert _readme_names(m.group(2)) == dev

@@ -4,7 +4,8 @@ The oracles here are deliberately different algorithms from the library:
 Hausdorff by exhaustive pairwise enumeration, hull membership by an
 all-pairs half-plane test, hull vertices by leave-one-out membership, and
 clearance by dense boundary sampling.  Frozen numbers below were produced
-by these oracles.
+by these oracles.  The pairwise edge-against-edge loop that the library's
+separated-box clearance replaced is kept here as its bitwise reference.
 """
 
 import math
@@ -24,6 +25,8 @@ from reachrrt.geometry import (
     point_hull_distance,
     point_in_hull,
     points_obstacle_clearance,
+    _hull_edges,
+    _point_segments_distance,
 )
 
 
@@ -122,20 +125,98 @@ def _dist_to_segment(p, a, b):
     return float(np.linalg.norm(p - (a + t * ab)))
 
 
-def oracle_ball_clearance(hull_vertices, center, radius, per_edge=4097):
-    """Min distance from densely sampled hull boundary to the ball."""
+def _boundary_samples(hull_vertices, per_edge):
+    """per_edge evenly spaced points on every hull edge, ends included."""
     v = np.asarray(hull_vertices, dtype=float)
     if len(v) == 1:
-        pts = v
-    else:
-        ends = np.roll(v, -1, axis=0) if len(v) > 2 else v[1:2]
-        starts = v if len(v) > 2 else v[0:1]
-        t = np.linspace(0.0, 1.0, per_edge)[:, None]
-        pts = np.concatenate([
-            s[None, :] * (1 - t) + e[None, :] * t for s, e in zip(starts, ends)
-        ])
+        return v
+    ends = np.roll(v, -1, axis=0) if len(v) > 2 else v[1:2]
+    starts = v if len(v) > 2 else v[0:1]
+    t = np.linspace(0.0, 1.0, per_edge)[:, None]
+    return np.concatenate([
+        s[None, :] * (1 - t) + e[None, :] * t for s, e in zip(starts, ends)
+    ])
+
+
+def oracle_ball_clearance(hull_vertices, center, radius, per_edge=4097):
+    """Min distance from densely sampled hull boundary to the ball."""
+    pts = _boundary_samples(hull_vertices, per_edge)
     d = np.linalg.norm(pts - np.asarray(center, dtype=float), axis=1)
     return float(d.min() - radius)
+
+
+def oracle_box_clearance(hull_vertices, box, per_edge=4097):
+    """Min distance from densely sampled hull boundary to the box, each
+    sample measured to its clamp onto the box."""
+    pts = _boundary_samples(hull_vertices, per_edge)
+    return float(np.linalg.norm(pts - np.clip(pts, box.lo, box.hi), axis=1).min())
+
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _on_segment(a, b, c):
+    # assumes a, b, c collinear; is c within the bounding box of a--b
+    return (
+        min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+    )
+
+
+def _segments_intersect(p1, p2, q1, q2):
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0) and (
+        (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
+    ):
+        return True
+    if d1 == 0 and _on_segment(q1, q2, p1):
+        return True
+    if d2 == 0 and _on_segment(q1, q2, p2):
+        return True
+    if d3 == 0 and _on_segment(p1, p2, q1):
+        return True
+    if d4 == 0 and _on_segment(p1, p2, q2):
+        return True
+    return False
+
+
+def _segment_segment_distance(p1, p2, q1, q2):
+    if _segments_intersect(p1, p2, q1, q2):
+        return 0.0
+    cands = [
+        _point_segments_distance(np.asarray(p1), q1[None], q2[None])[0],
+        _point_segments_distance(np.asarray(p2), q1[None], q2[None])[0],
+        _point_segments_distance(np.asarray(q1), p1[None], p2[None])[0],
+        _point_segments_distance(np.asarray(q2), p1[None], p2[None])[0],
+    ]
+    return float(min(cands))
+
+
+def reference_box_clearance(hull, box):
+    """Slow reference for hull/box clearance: the closest approach over every
+    (hull edge, box edge) pair, with 0.0 when a pair intersects or one
+    polygon holds the other; a point hull uses the per-point clearance, as
+    the library does.  Positive exactly when the two are disjoint."""
+    v = hull.vertices
+    if len(v) == 1:
+        return float(points_obstacle_clearance(v, box)[0])
+    if np.all((box.lo <= v[0]) & (v[0] <= box.hi)):
+        return 0.0
+    if len(v) >= 3:
+        e = np.roll(v, -1, axis=0) - v
+        w = box.corners[0][None, :] - v
+        if np.all(e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0] >= 0.0):
+            return 0.0
+    corners = box.corners
+    best = np.inf
+    for s, e in zip(*_hull_edges(hull)):
+        for bs, be in zip(corners, np.roll(corners, -1, axis=0)):
+            best = min(best, _segment_segment_distance(s, e, bs, be))
+    return float(best)
 
 
 # ------------------------------------------------------- frozen examples
@@ -185,6 +266,37 @@ def test_box_clearance_frozen_separated():
     far = AxisAlignedBox((4.0, 4.0), (5.0, 5.0))
     assert hull_obstacle_clearance(square, far) == pytest.approx(
         math.sqrt(2) * 3.0, abs=1e-12)
+
+
+def test_box_clearance_frozen_corner_to_edge():
+    # nearest approach from the box corner (2, 2) to the interior of the
+    # diamond's edge x + y = 1: (2 + 2 - 1) / sqrt(2)
+    diamond = convex_hull_2d(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float))
+    box = AxisAlignedBox((2.0, 2.0), (3.0, 3.0))
+    want = oracle_box_clearance(diamond.vertices, box)
+    assert want == pytest.approx(3.0 / math.sqrt(2), abs=1e-6)
+    assert hull_obstacle_clearance(diamond, box) == pytest.approx(3.0 / math.sqrt(2),
+                                                                  abs=1e-12)
+
+
+def test_box_clearance_matches_boundary_sampling_oracle():
+    gen = np.random.default_rng(5)
+    separated = 0
+    for _ in range(200):
+        pts = gen.uniform(-3.0, 3.0, size=(int(gen.integers(1, 12)), 2))
+        hull = convex_hull_2d(pts)
+        lo = gen.uniform(-5.0, 5.0, size=2)
+        box = AxisAlignedBox(lo, lo + gen.uniform(0.1, 3.0, size=2))
+        got = hull_obstacle_clearance(hull, box)
+        if got <= 0.0:
+            continue
+        separated += 1
+        v = hull.vertices
+        longest = float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).max())
+        # sampled boundary points lie within half a spacing of any boundary point
+        tol = 0.5 * longest / 4096 + 1e-12
+        assert got == pytest.approx(oracle_box_clearance(v, box), abs=tol)
+    assert separated >= 50
 
 
 def test_ball_center_inside_hull_is_negative():
@@ -378,6 +490,26 @@ def test_clearance_translation_invariance(pts, dx, dy):
     before = hull_obstacle_clearance(convex_hull_2d(pts), ball)
     after = hull_obstacle_clearance(convex_hull_2d(pts + shift), moved)
     assert after == pytest.approx(before, abs=1e-9)
+
+
+quarter = st.integers(-80, 80).map(lambda v: v / 4.0)
+
+
+@given(pts=st.lists(st.tuples(quarter, quarter), min_size=1, max_size=8),
+       lo=st.tuples(quarter, quarter),
+       size=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+@settings(max_examples=300)
+def test_box_clearance_matches_pairwise_reference(pts, lo, size):
+    # quarter-unit coordinates keep every cross product exact, so touching
+    # and collinear configurations are decided the same way by both sides
+    hull = convex_hull_2d(np.array(pts, dtype=float))
+    box = AxisAlignedBox(lo, (lo[0] + size[0] / 4.0, lo[1] + size[1] / 4.0))
+    got = hull_obstacle_clearance(hull, box)
+    want = reference_box_clearance(hull, box)
+    if want > 0.0:
+        assert got == want
+    else:
+        assert got <= 0.0
 
 
 # ------------------------------------------------------------------ goal

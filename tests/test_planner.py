@@ -10,7 +10,7 @@ from scipy import stats
 from reachrrt import rng
 from reachrrt.benchmarks import Jumper, make_benchmark
 from reachrrt.dynamics import Box
-from reachrrt.geometry import Ball, GoalRegion, hull_obstacle_clearance
+from reachrrt.geometry import Ball, GoalRegion, convex_hull_2d, hull_obstacle_clearance
 from reachrrt.planner import (
     PlannerParams,
     extend_hybrid,
@@ -20,7 +20,8 @@ from reachrrt.planner import (
     sample_control_hybrid,
     sample_node,
 )
-from reachrrt.reachability import compute_reach_set, init_particles, padded_goal_contained
+from reachrrt.reachability import (compute_reach_set, init_particles, padded_goal_contained,
+                                   project_to_plane)
 from reachrrt.tree import DualTree, Edge
 
 
@@ -284,7 +285,8 @@ def test_blocked_corridor_exhausts_budget():
     assert result.stats.rejected_collision >= 1
     # every accepted node keeps the padded clearance
     for node in result.tree.nodes:
-        assert hull_obstacle_clearance(node.reach.hull, wall) > small.epsilon
+        hull = convex_hull_2d(project_to_plane(node.reach.states, sys_.collision_projection))
+        assert hull_obstacle_clearance(hull, wall) > small.epsilon
 
 
 def test_every_tree_edge_replays_collision_free():

@@ -12,7 +12,7 @@ from scipy import stats
 from reachrrt import rng
 from reachrrt.benchmarks import Jumper, make_benchmark
 from reachrrt.dynamics import Box
-from reachrrt.geometry import Ball, GoalRegion, point_in_hull
+from reachrrt.geometry import Ball, GoalRegion, convex_hull_2d, point_in_hull
 from reachrrt.reachability import (
     ParticleSet,
     compute_reach_set,
@@ -159,8 +159,11 @@ def test_extension_monotone_in_particle_count():
     small, _ = compute_reach_set(sys_, small_root, np.zeros(1), 0.8, 0.1, SEED, 7)
     large, _ = compute_reach_set(sys_, large_root, np.zeros(1), 0.8, 0.1, SEED, 7)
     assert np.array_equal(small.states, large.states[:40])
-    for v in small.hull.vertices:
-        assert point_in_hull(large.hull, v)
+    small_hull, large_hull = (
+        convex_hull_2d(project_to_plane(s.states, sys_.collision_projection))
+        for s in (small, large))
+    for v in small_hull.vertices:
+        assert point_in_hull(large_hull, v)
 
 
 def test_extension_draws_differ_by_id_and_substep():
@@ -211,8 +214,6 @@ def test_divergent_extension_returns_none():
 
 def _point_set(points, t=0.0):
     """Particle set around explicit 2-D states (projection is identity)."""
-    from reachrrt.geometry import convex_hull_2d
-
     states = np.atleast_2d(np.asarray(points, dtype=float))
     return ParticleSet(
         states=states,
@@ -220,7 +221,6 @@ def _point_set(points, t=0.0):
         mu=states[0],
         nominal=states.mean(axis=0),
         t=t,
-        hull=convex_hull_2d(states),
     )
 
 

@@ -100,6 +100,14 @@ def test_scenario_defaults(tmp_path):
      "planner.nn_weights", "planner.nn_weights must be a list of numbers"),
     ({"planner": {**BASE["planner"], "nn_weights": 3}},
      "planner.nn_weights", "planner.nn_weights must be list"),
+    ({"goal": {"projection": [0], "center": [float("nan")], "radius": 0.55}},
+     "goal.center", "goal.center must hold finite numbers"),
+    ({"goal": {"projection": [0], "center": [2.0], "radius": float("inf")}},
+     "goal.radius", "goal.radius must be finite"),
+    ({"planner": {**BASE["planner"], "tau_max": float("inf")}},
+     "planner.tau_max", "planner.tau_max must be finite"),
+    ({"planner": {**BASE["planner"], "epsilon": float("nan")}},
+     "planner.epsilon", "planner.epsilon must be finite"),
 ])
 def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     path = _write(tmp_path, **mods)
@@ -214,6 +222,9 @@ def test_invalid_flag_values_exit_one(tmp_path, capsys):
     path = _write(tmp_path)
     assert _run(path, tmp_path / "o", "--epsilon", "-1.0") == 1
     assert "invalid parameters" in capsys.readouterr().err
+    assert _run(path, tmp_path / "o", "--no-such-flag") == 1
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
     assert main(["study", "--scenario", path, "--out-dir", str(tmp_path / "s"),
                  "--budgets", "5", "--epsilon", "-1"]) == 1
     assert "invalid parameters" in capsys.readouterr().err
@@ -225,6 +236,22 @@ def test_invalid_flag_values_exit_one(tmp_path, capsys):
                  "--out-dir", str(out), "--rollouts", "0"]) == 1
     assert "--rollouts" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,mods,extra", [
+    ("run", {"planner": {**BASE["planner"], "epsilon": 0.55}}, ()),
+    ("run", {}, ("--epsilon", "0.6")),
+    ("run", {}, ("--baseline-padding", "0.55")),
+    ("study", {}, ("--epsilon", "0.55", "--budgets", "5")),
+])
+def test_epsilon_at_least_goal_radius_exits_one(tmp_path, capsys, command, mods, extra):
+    # the goal shrunk by epsilon is empty: fail before planning, write nothing
+    path = _write(tmp_path, **mods)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", path, "--out-dir", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert "epsilon" in err and "goal radius 0.55" in err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- validate
@@ -342,11 +369,10 @@ def test_study_rejects_bad_budgets(tmp_path, capsys):
                  "--budgets", "5", "--repeats", "-1"]) == 1
     assert "--repeats" in capsys.readouterr().err
     assert not (out / "study.json").exists()
-    # every row sets its own budget, so study has no --max-iters
-    with pytest.raises(SystemExit) as e:
-        main(["study", "--scenario", path, "--out-dir", str(out),
-              "--budgets", "5", "--max-iters", "3"])
-    assert e.value.code != 0
+    # every row sets its own budget, so study has no --max-iters; a usage
+    # error exits 1, not the 2 of an honest negative
+    assert main(["study", "--scenario", path, "--out-dir", str(out),
+                 "--budgets", "5", "--max-iters", "3"]) == 1
     assert "--max-iters" in capsys.readouterr().err
     assert not (out / "study.json").exists()
 

@@ -1,4 +1,4 @@
-"""Search-tree tests: the index must be indistinguishable from a linear scan."""
+"""Search-tree tests: queries must match a reference linear scan exactly."""
 
 from dataclasses import dataclass
 
