@@ -118,10 +118,14 @@ class System:
     def resolve_control(self, nu, X, mu):
         """Applied control per particle given the commanded control nu.
 
-        Open loop by default: every particle applies nu.  Feedback wrappers
-        override this with a tracking law around the nominal state mu.
+        Open loop by default: every particle applies nu, which may also be
+        one row per particle.  Feedback wrappers override this with a
+        tracking law around the nominal state mu.
         """
-        return np.tile(np.asarray(nu, dtype=float), (len(X), 1))
+        nu = np.asarray(nu, dtype=float)
+        U = np.empty((len(X), nu.shape[-1]))
+        U[:] = nu
+        return U
 
 
 class ContinuousSystem(System):
@@ -246,7 +250,8 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
     Args:
         sys: the system.
         X0: (N, n) initial particle states.
-        nu: (m,) commanded control, constant over the segment.
+        nu: (m,) commanded control, constant over the segment; an open-loop
+            system also takes (N, m), one control per particle.
         tau: segment duration; sub-steps of h with a final partial step.
         h: sub-step length.
         thetas: (N, p) frozen per-particle parameters.
@@ -282,6 +287,7 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
 
     ctx = None
     mu_ctx = None
+    bad = False
     for j, hj in enumerate(lengths):
         W = np.asarray(w_source(j, N), dtype=float)
         if hyb and j == 0:
@@ -313,14 +319,8 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
             if mu_mode is not None:
                 mu_modes_trace.append(mu_mode.copy())
         if bad:
-            return Rollout(
-                states=np.stack(states_trace),
-                modes=np.stack(modes_trace) if hyb else None,
-                mu=np.stack(mu_trace) if track_mu else None,
-                mu_modes=np.concatenate(mu_modes_trace) if mu_modes_trace else None,
-                lengths=lengths[: j + 1],
-                diverged=True,
-            )
+            lengths = lengths[: j + 1]
+            break
 
     return Rollout(
         states=np.stack(states_trace),
@@ -328,7 +328,7 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         mu=np.stack(mu_trace) if track_mu else None,
         mu_modes=np.concatenate(mu_modes_trace) if mu_modes_trace else None,
         lengths=lengths,
-        diverged=False,
+        diverged=bool(bad),
     )
 
 

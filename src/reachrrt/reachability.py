@@ -8,6 +8,7 @@ the hull itself; it inflates obstacles and shrinks the goal instead.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,6 @@ class ParticleSet:
     states: np.ndarray            # (N, n)
     thetas: np.ndarray            # (N, p)
     mu: np.ndarray                # (n,)
-    nominal: np.ndarray           # (n,)
     t: float
     modes: np.ndarray | None = None
     mu_mode: int | None = None
@@ -51,15 +51,21 @@ class ParticleSet:
     def n_particles(self):
         return len(self.states)
 
+    @cached_property
+    def nominal(self):
+        # computed on first use: only sets that become tree nodes need it
+        return np.mean(self.states, axis=0)
+
 
 def init_particles(sys, init_region, n_particles, seed, init_mode=None,
-                   nominal_only=False):
+                   nominal_only=False, stream=(rng.DOMAIN_INIT,)):
     """Sample the initial particle set.
 
-    Initial states and parameters come from separate substreams, so growing
-    n_particles extends the set without disturbing existing rows.  With
-    nominal_only=True the set is a single-point baseline: every row is the
-    region center with the nominal parameter.
+    Initial states and parameters come from the substreams (seed, *stream, 0)
+    and (seed, *stream, 1), so growing n_particles extends the set without
+    disturbing existing rows.  With nominal_only=True the set is a
+    single-point baseline: every row is the region center with the nominal
+    parameter.
     """
     n = int(n_particles)
     if n < 1:
@@ -69,8 +75,8 @@ def init_particles(sys, init_region, n_particles, seed, init_mode=None,
         states = np.tile(center, (n, 1))
         thetas = np.tile(sys.nominal_param, (n, 1))
     else:
-        states = init_region.sample(rng.substream(seed, rng.DOMAIN_INIT, 0), n)
-        thetas = sys.bounds.param.sample(rng.substream(seed, rng.DOMAIN_INIT, 1), n)
+        states = init_region.sample(rng.substream(seed, *stream, 0), n)
+        thetas = sys.bounds.param.sample(rng.substream(seed, *stream, 1), n)
     modes = None
     mu_mode = None
     if sys.hybrid:
@@ -82,31 +88,30 @@ def init_particles(sys, init_region, n_particles, seed, init_mode=None,
         states=states,
         thetas=thetas,
         mu=center.copy(),
-        nominal=np.mean(states, axis=0),
         t=0.0,
         modes=modes,
         mu_mode=mu_mode,
     )
 
 
-def extension_w_source(sys, seed, ext_id):
-    """Disturbance draws for one extension, keyed by sub-step index.
+def disturbance_source(box, seed, *key):
+    """Disturbance draws from `box` for one rollout: sub-step j reads the
+    substream (seed, *key, j).
 
     Each sub-step gets its own substream, so draws are independent of how
-    many particles other extensions used and the first m rows of a block are
+    many particles other rollouts used and the first m rows of a block are
     stable as the particle count grows.
     """
-    box = sys.bounds.disturbance
 
     def source(j, count):
-        gen = rng.substream(seed, rng.DOMAIN_EXTEND, int(ext_id), int(j))
-        return box.sample(gen, count)
+        return box.sample(rng.substream(seed, *key, j), count)
 
     return source
 
 
-def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id):
-    """Propagate a particle set under commanded control nu for duration tau.
+def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id, stream=(rng.DOMAIN_EXTEND,)):
+    """Propagate a particle set under commanded control nu for duration tau,
+    with disturbances from the substreams (seed, *stream, ext_id, substep).
 
     Returns (new_set, rollout); new_set is None when the rollout left the
     finite range (the caller should reject the extension).
@@ -118,19 +123,17 @@ def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id):
         tau,
         h,
         pset.thetas,
-        extension_w_source(sys, seed, ext_id),
+        disturbance_source(sys.bounds.disturbance, seed, *stream, ext_id),
         mu0=pset.mu,
         modes0=pset.modes,
         mu_mode0=pset.mu_mode,
     )
     if r.diverged:
         return None, r
-    states = r.final_states
     new = ParticleSet(
-        states=states,
+        states=r.final_states,
         thetas=pset.thetas,
         mu=r.mu[-1],
-        nominal=np.mean(states, axis=0),
         t=pset.t + float(tau),
         modes=None if r.modes is None else r.final_modes,
         mu_mode=None if r.mu_modes is None else int(r.mu_modes[-1]),

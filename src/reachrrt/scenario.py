@@ -225,7 +225,11 @@ def load_scenario(path):
         raise ScenarioError(f"init_mode {init_mode_name!r} is not a mode of {system_name}",
                             key="init_mode")
 
-    baseline_padding = _number(raw, "baseline_padding", 0.0, "", nonneg=True)
+    baseline_padding = float(_number(raw, "baseline_padding", 0.0, "", nonneg=True))
+    if baseline_padding >= goal.radius:
+        # the goal shrunk by the padding is empty: the baseline could never solve
+        raise ScenarioError(f"baseline_padding {baseline_padding!r} must be smaller "
+                            f"than the goal radius {goal.radius!r}", key="baseline_padding")
 
     val = raw.get("validation", {})
     if not isinstance(val, dict):
@@ -241,7 +245,7 @@ def load_scenario(path):
         sampling_box=sampling_box,
         params=params,
         init_mode_name=init_mode_name,
-        baseline_padding=float(baseline_padding),
+        baseline_padding=baseline_padding,
         validation_rollouts=_number(val, "rollouts", 1000, "validation.",
                                     kinds=int, positive=True),
         validation_seed=_number(val, "seed", 1, "validation.", kinds=int, nonneg=True),

@@ -3,8 +3,10 @@
 monte_carlo_validate executes a plan on fresh uncertainty draws against the
 unpadded constraints: a rollout fails on obstacle contact at any sub-step or
 by ending outside the goal, collision taking precedence and counted once.
-Validation draws live in their own stream domain, so they are independent of
-everything the planner consumed even under the same numeric seed.
+The rollouts are one particle set propagated by the planner's own
+init_particles and compute_reach_set, with every draw in the validation
+stream domain, so they are independent of everything the planner consumed
+even under the same numeric seed.
 
 The bound checks probe two inequalities empirically: the trajectory-level
 bound  |x1_t - x2_t| <= L_t (|x1_0 - x2_0| + |u1 - u2|)  with
@@ -26,7 +28,14 @@ from . import rng
 from .benchmarks import GRAVITY, Quadrotor
 from .dynamics import rollout_batch
 from .geometry import goal_contains, hausdorff_distance, points_obstacle_clearance
-from .reachability import padded_collision_free, padded_goal_contained, project_to_plane
+from .reachability import (
+    compute_reach_set,
+    disturbance_source,
+    init_particles,
+    padded_collision_free,
+    padded_goal_contained,
+    project_to_plane,
+)
 from .planner import plan as run_plan
 from .planner import replay_plan
 
@@ -55,10 +64,13 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
                          m_rollouts, seed, init_mode=None):
     """Execute a plan m_rollouts times under fresh uncertainty draws.
 
-    The plan's commanded controls are applied through the system's own
-    control resolution (feedback stays active); initial states, parameters,
-    and per-sub-step disturbances are drawn from the validation stream
-    domain.  Checks run against the unpadded obstacles and goal.
+    The m rollouts are one particle set, sampled by init_particles and
+    propagated step by step by compute_reach_set, so the plan's commanded
+    controls go through the system's own control resolution (feedback stays
+    active).  Initial states and parameters come from the substreams
+    (seed, DOMAIN_VALIDATE, 0 | 1), the disturbances of step k, sub-step j
+    from (seed, DOMAIN_VALIDATE, 2, k, j).  Checks run against the unpadded
+    obstacles and goal.
     """
     m = int(m_rollouts)
     if m < 1:
@@ -66,47 +78,27 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
     h = plan_obj.meta["h"]
     obstacles = list(obstacles)
     proj = sys.collision_projection
+    if init_mode is None:
+        init_mode = plan_obj.meta.get("init_mode")
 
-    X = init_region.sample(rng.substream(seed, rng.DOMAIN_VALIDATE, 0), m)
-    Th = sys.bounds.param.sample(rng.substream(seed, rng.DOMAIN_VALIDATE, 1), m)
-    modes = None
-    mu_mode = None
-    if sys.hybrid:
-        if init_mode is None:
-            init_mode = plan_obj.meta.get("init_mode")
-        if init_mode is None:
-            raise ValueError("hybrid validation needs the initial mode")
-        modes = np.full(m, int(init_mode), dtype=np.int64)
-        mu_mode = int(init_mode)
-    mu = np.asarray(init_region.center, dtype=float)
-
-    worst = _min_clearance(project_to_plane(X, proj), obstacles)
+    cur = init_particles(sys, init_region, m, seed, init_mode=init_mode,
+                         stream=(rng.DOMAIN_VALIDATE,))
+    worst = _min_clearance(project_to_plane(cur.states, proj), obstacles)
     collided = worst <= 0.0
 
-    box = sys.bounds.disturbance
     for k, step in enumerate(plan_obj.steps):
-
-        def w_source(j, count, _k=k):
-            gen = rng.substream(seed, rng.DOMAIN_VALIDATE, 2, _k, int(j))
-            return box.sample(gen, count)
-
-        r = rollout_batch(sys, X, np.asarray(step.u, dtype=float), step.tau, h,
-                          Th, w_source, mu0=mu, modes0=modes, mu_mode0=mu_mode)
-        if r.diverged:
+        cur, r = compute_reach_set(sys, cur, np.asarray(step.u, dtype=float), step.tau,
+                                   h, seed, k, stream=(rng.DOMAIN_VALIDATE, 2))
+        if cur is None:
             raise RuntimeError("validation rollout diverged")
-        pts = project_to_plane(r.states, proj)          # (S+1, m, 2)
+        # slice 0 repeats the previous step's last slice, already checked
         clear = np.full(m, np.inf)
-        for sl in pts:
+        for sl in project_to_plane(r.states[1:], proj):
             np.minimum(clear, _min_clearance(sl, obstacles), out=clear)
         np.minimum(worst, clear, out=worst)
         collided |= clear <= 0.0
-        X = r.final_states
-        mu = r.mu[-1]
-        if sys.hybrid:
-            modes = r.final_modes
-            mu_mode = int(r.mu_modes[-1])
 
-    in_goal = goal_contains(goal, X, shrink=0.0)
+    in_goal = goal_contains(goal, cur.states, shrink=0.0)
     collisions = int(collided.sum())
     goal_misses = int((~collided & ~in_goal).sum())
     return ValidityRecord(
@@ -157,17 +149,12 @@ def lipschitz_bound_check(sys, K, box, n_trials, tau_max, h, seed):
     U2 = sys.bounds.control.sample(rng.substream(seed, rng.DOMAIN_CHECK, 3), T)
     Th = sys.bounds.param.sample(rng.substream(seed, rng.DOMAIN_CHECK, 4), T)
 
-    wbox = sys.bounds.disturbance
-
-    def w_source(j, count):
-        gen = rng.substream(seed, rng.DOMAIN_CHECK, 5, int(j))
-        return wbox.sample(gen, count)
-
+    w_source = disturbance_source(sys.bounds.disturbance, seed, rng.DOMAIN_CHECK, 5)
     # both rollouts see identical parameter and disturbance realizations;
-    # controls are applied open loop (pass a per-row commanded control by
-    # stepping rows through resolve-free dynamics)
-    r1 = _open_loop_rollout(sys, X1, U1, tau_max, h, Th, w_source)
-    r2 = _open_loop_rollout(sys, X2, U2, tau_max, h, Th, w_source)
+    # the controls are applied open loop, one commanded control per row
+    base = getattr(sys, "base", sys)
+    r1 = rollout_batch(base, X1, U1, tau_max, h, Th, w_source)
+    r2 = rollout_batch(base, X2, U2, tau_max, h, Th, w_source)
 
     times = np.concatenate([[0.0], np.cumsum(r1.lengths)])
     du = np.linalg.norm(U1 - U2, axis=1)
@@ -182,25 +169,6 @@ def lipschitz_bound_check(sys, K, box, n_trials, tau_max, h, seed):
         "violations": int(np.any(bad, axis=0).sum()),
         "worst_ratio": float(ratio.max()),
     }
-
-
-def _open_loop_rollout(sys, X, U_rows, tau, h, Th, w_source):
-    """Rollout applying a different commanded control per row (open loop)."""
-
-    class _PerRow:
-        hybrid = sys.hybrid
-        nominal_param = sys.nominal_param
-        nominal_disturbance = sys.nominal_disturbance
-
-        @staticmethod
-        def resolve_control(nu, X_, mu):
-            return U_rows
-
-        @staticmethod
-        def step_batch(X_, U_, W_, Th_, h_):
-            return sys.step_batch(X_, U_, W_, Th_, h_)
-
-    return rollout_batch(_PerRow, X, U_rows[0], tau, h, Th, w_source)
 
 
 def quadrotor_lipschitz_constant(quad, v_max, h, grid=1000):
@@ -295,7 +263,6 @@ def reachset_lipschitz_check(sys, L, box, n_trials, n_particles, tau_max, h, see
     T = int(n_trials)
     N = int(n_particles)
     gen = rng.substream(seed, rng.DOMAIN_CHECK, 10)
-    wbox = sys.bounds.disturbance
 
     violations = 0
     worst_ratio = 0.0
@@ -313,10 +280,7 @@ def reachset_lipschitz_check(sys, L, box, n_trials, n_particles, tau_max, h, see
                              0.0, tau_max))
         Th = sys.bounds.param.sample(rng.substream(seed, rng.DOMAIN_CHECK, 11, t), N)
 
-        def w_source(j, count, _t=t):
-            g2 = rng.substream(seed, rng.DOMAIN_CHECK, 12, _t, int(j))
-            return wbox.sample(g2, count)
-
+        w_source = disturbance_source(sys.bounds.disturbance, seed, rng.DOMAIN_CHECK, 12, t)
         r1 = rollout_batch(sys, P1, u1, tau1, h, Th, w_source)
         r2 = rollout_batch(sys, P2, u2, tau2, h, Th, w_source)
         lhs = hausdorff_distance(r1.final_states, r2.final_states)

@@ -7,10 +7,12 @@ exactly what the command line runs.
 """
 
 import filecmp
+import hashlib
 import os
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from reachrrt import rng
@@ -309,6 +311,45 @@ def test_rerun_byte_determinism(tmp_path):
                for name in ("plan.json", "stats.json", "tree.svg"))
     _report("rerun determinism", same,
             "plan.json, stats.json, tree.svg byte-identical across two runs")
+
+
+# `run` and `study` with the benchmark workloads' arguments: (run flags, run
+# exit code, study flags, sha256 of each output).  Any change to a planner
+# decision (a draw, a gate, an accepted node) changes these bytes.
+FROZEN_DIGESTS = {
+    "corridor.json": (
+        (), 0, ("--budgets", "500,2000,8000", "--repeats", "5"), {
+            "plan.json": "27eb90f0aef49bfd64c672cc1b42e8de495ed579458b62c7cda86b94e396b5bb",
+            "stats.json": "6da78893ab14ca51d2602e88dba2b5c16d8d31bdea79935e7b05c6b2a9cd6374",
+            "tree.svg": "91abef97eb7789c9cefcc46d388531822c14c28f29a014084aa0b6b7e00f3215",
+            "study.json": "3939d62299187ecb987222c98d44b9dd48a1d7036bf0f97a3e10406b855db569",
+        }),
+    "quadrotor.json": (
+        ("--max-iters", "10"), 2, ("--budgets", "5", "--repeats", "1"), {
+            "stats.json": "dbfd9a16c0a2d09c2ebe2ca6909c6cfcfd1d9e505f339ff5ea28dc147e40ceb3",
+            "tree.svg": "21d0c7c3b0a80575dca8f8b098b4b4bb5215d183bfa604fb836ba31712eb0029",
+            "study.json": "56b99f114cea417775b6ccb10f239ee1746f2590e0c0ba3da49a17bda9ed31d5",
+        }),
+    "jumper.json": (
+        ("--max-iters", "160"), 2, ("--budgets", "20", "--repeats", "1"), {
+            "stats.json": "c74ae495e8bde926a494106707c83584808687a2adac48724e2160bfa4ca487d",
+            "tree.svg": "2a923a04ba25fcb1df4e3f040a03f9263400cee94adc0df96bdfc810adafb98a",
+            "study.json": "72964a454e76020151698c695e77812ef96fd03443d5b371164c97f186285aa1",
+        }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
+def test_decision_digests_are_frozen(tmp_path, capsys, name):
+    run_args, run_exit, study_args, want = FROZEN_DIGESTS[name]
+    scenario = os.path.join(SCENARIOS, name)
+    out = str(tmp_path)
+    assert main(["run", "--scenario", scenario, "--out-dir", out, *run_args]) == run_exit
+    assert main(["study", "--scenario", scenario, "--out-dir", out, *study_args]) == 0
+    capsys.readouterr()
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in want}
+    assert got == want
+    assert sorted(os.listdir(tmp_path)) == sorted(want)
 
 
 # ------------------------------------------------------------ budget trend

@@ -1,9 +1,12 @@
-"""README drift: every repository path and every `reachrrt.cli` subcommand
-that README.md names must exist, and the third-party modules the code
-imports must be the ones pyproject.toml and README's "Requires" line name."""
+"""Drift checks: every repository path and every `reachrrt.cli` subcommand
+that README.md names must exist, the third-party modules the code imports
+must be the ones pyproject.toml and README's "Requires" line name, and
+every function the benchmark's tracer wraps must still exist by name."""
 
 import ast
 import glob
+import importlib
+import importlib.util
 import os
 import re
 import sys
@@ -67,3 +70,21 @@ def test_dependencies_match_imports_and_readme():
     assert m, "README lacks its 'Requires Python ... and ... (... for the tests).' line"
     assert _readme_names(m.group(1)) == runtime
     assert _readme_names(m.group(2)) == dev
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps its targets by module and attribute name; a
+    # rename in src/ would break the benchmark's traced run (`--trace 1`)
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for _, module, attr_path, _ in tracer.TARGETS:
+        obj = importlib.import_module(f"{tracer.PACKAGE}.{module}")
+        for attr in attr_path.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr_path}")
+    assert missing == []

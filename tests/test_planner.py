@@ -195,6 +195,25 @@ def test_extend_accepts_staying_grounded():
     assert np.all(out.reach.modes == Jumper.CONTACT)
 
 
+def test_smooth_extension_is_the_reach_set():
+    # a smooth system has no target mode: the shared extension path draws
+    # what sample_control draws and returns compute_reach_set's arrays
+    sys_ = make_benchmark("linear1d")
+    root = init_particles(sys_, Box([0.0], [0.1]), 40, 11)
+    u, tau = sample_control(sys_.bounds.control, 0.7, rng.substream(3, rng.DOMAIN_PLANNER))
+    u2, tau2, sigma = sample_control_hybrid(sys_, root.mu, root.mu_mode, 0.7, 0.1,
+                                            rng.substream(3, rng.DOMAIN_PLANNER))
+    assert np.array_equal(u, u2) and tau == tau2 and sigma is None
+    out = extend_hybrid(sys_, root, u, tau, None, 0.1, seed=11, ext_id=4)
+    pset, r = compute_reach_set(sys_, root, u, tau, 0.1, 11, 4)
+    assert out.reject is None
+    assert np.array_equal(out.reach.states, pset.states)
+    assert np.array_equal(out.reach.nominal, pset.nominal)
+    assert np.array_equal(out.reach.mu, pset.mu)
+    assert np.array_equal(out.rollout.states, r.states)
+    assert out.reach.modes is None and out.reach.mu_mode is None
+
+
 # ------------------------------------------------------------- parameters
 
 
@@ -263,6 +282,17 @@ def test_trivially_solved_at_root():
     # even with no budget at all
     zero = PlannerParams(**{**params.__dict__, "i_max": 0})
     assert plan(sys_, init, goal, [], sampling, zero).solved
+    # a root inside the goal but within epsilon of (here: on) an obstacle is
+    # no solve: a 0-step plan would fail replay and Monte-Carlo validation
+    init = Box([0.0], [0.05])
+    goal = GoalRegion((0,), (0.0,), 0.3)
+    assert plan(sys_, init, goal, [], sampling, zero).solved
+    pebble = Ball((0.02, 0.0), 0.01)
+    small = PlannerParams(**{**params.__dict__, "i_max": 20})
+    blocked = plan(sys_, init, goal, [pebble], sampling, small)
+    assert not blocked.solved
+    # every extension's trace starts at the colliding root
+    assert blocked.stats.rejected_collision == 20
 
 
 def test_zero_budget_exhausts_without_iterating():

@@ -16,8 +16,8 @@ from reachrrt.geometry import Ball, GoalRegion, convex_hull_2d, point_in_hull
 from reachrrt.reachability import (
     ParticleSet,
     compute_reach_set,
+    disturbance_source,
     exact_interval_reach,
-    extension_w_source,
     init_particles,
     padded_collision_free,
     padded_goal_contained,
@@ -168,11 +168,12 @@ def test_extension_monotone_in_particle_count():
 
 def test_extension_draws_differ_by_id_and_substep():
     sys_ = _linear()
-    src = extension_w_source(sys_, SEED, 5)
+    box = sys_.bounds.disturbance
+    src = disturbance_source(box, SEED, rng.DOMAIN_EXTEND, 5)
     a = src(0, 50)
     b = src(1, 50)
-    c = extension_w_source(sys_, SEED, 6)(0, 50)
-    again = extension_w_source(sys_, SEED, 5)(0, 50)
+    c = disturbance_source(box, SEED, rng.DOMAIN_EXTEND, 6)(0, 50)
+    again = disturbance_source(box, SEED, rng.DOMAIN_EXTEND, 5)(0, 50)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.array_equal(a, again)
@@ -219,7 +220,6 @@ def _point_set(points, t=0.0):
         states=states,
         thetas=np.zeros((len(states), 1)),
         mu=states[0],
-        nominal=states.mean(axis=0),
         t=t,
     )
 

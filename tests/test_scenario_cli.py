@@ -108,6 +108,8 @@ def test_scenario_defaults(tmp_path):
      "planner.tau_max", "planner.tau_max must be finite"),
     ({"planner": {**BASE["planner"], "epsilon": float("nan")}},
      "planner.epsilon", "planner.epsilon must be finite"),
+    ({"baseline_padding": 0.55}, "baseline_padding",
+     "baseline_padding 0.55 must be smaller than the goal radius 0.55"),
 ])
 def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     path = _write(tmp_path, **mods)
@@ -413,6 +415,19 @@ def test_compare_matches_the_retired_script(tmp_path):
     rows = json.loads((tmp_path / "compare.json").read_text())["rows"]
     assert rows == [row(0, "reach-set", 12), row(1, "reach-set", 16),
                     row(0, "baseline", 12), row(1, "baseline", 72)]
+
+
+def test_compare_rejects_baseline_padding_at_goal_radius(tmp_path, capsys):
+    # the baseline's shrunken goal would be empty: refuse at load instead of
+    # reporting every baseline seed UNSOLVED after a full budget
+    path = _write(tmp_path, baseline_padding=0.6)
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", path, "--out-dir", str(out),
+                 "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{_line_of(path, 'baseline_padding')}: ")
+    assert "baseline_padding 0.6" in err and "goal radius 0.55" in err
+    assert not (out / "compare.json").exists()
 
 
 @pytest.mark.parametrize("extra,fragment", [

@@ -1,16 +1,23 @@
 """Validation-harness tests: Monte-Carlo plan checks, deviation-bound
 checks, and the budget study."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from reachrrt import rng
 from reachrrt.benchmarks import Jumper, make_benchmark
-from reachrrt.dynamics import Box
-from reachrrt.geometry import Ball, GoalRegion
+from reachrrt.dynamics import Box, rollout_batch
+from reachrrt.geometry import AxisAlignedBox, Ball, GoalRegion, goal_contains
 from reachrrt.planner import PlannerParams, plan
+from reachrrt.reachability import project_to_plane
+from reachrrt.scenario import load_plan, load_scenario
+from reachrrt.tree import PlanStep
 from reachrrt.validation import (
+    ValidityRecord,
+    _min_clearance,
     lipschitz_bound_check,
     monte_carlo_validate,
     quadrotor_flow_sup,
@@ -112,6 +119,105 @@ def test_replay_validate_round_trip():
     assert not replay_validate(sys_, result.plan, init, goal, [wall])
     assert not replay_validate(sys_, result.plan, init,
                                GoalRegion((0,), (50.0,), 0.1), [])
+
+
+def reference_monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
+                                   m_rollouts, seed, init_mode=None):
+    """The validator as it was before it shared init_particles and
+    compute_reach_set with the planner: its own draws, its own rollout loop,
+    and a clearance check on every slice of every step's trace."""
+    m = int(m_rollouts)
+    h = plan_obj.meta["h"]
+    obstacles = list(obstacles)
+    proj = sys.collision_projection
+
+    X = init_region.sample(rng.substream(seed, rng.DOMAIN_VALIDATE, 0), m)
+    Th = sys.bounds.param.sample(rng.substream(seed, rng.DOMAIN_VALIDATE, 1), m)
+    modes = None
+    mu_mode = None
+    if sys.hybrid:
+        if init_mode is None:
+            init_mode = plan_obj.meta.get("init_mode")
+        modes = np.full(m, int(init_mode), dtype=np.int64)
+        mu_mode = int(init_mode)
+    mu = np.asarray(init_region.center, dtype=float)
+
+    worst = _min_clearance(project_to_plane(X, proj), obstacles)
+    collided = worst <= 0.0
+
+    box = sys.bounds.disturbance
+    for k, step in enumerate(plan_obj.steps):
+
+        def w_source(j, count, _k=k):
+            gen = rng.substream(seed, rng.DOMAIN_VALIDATE, 2, _k, int(j))
+            return box.sample(gen, count)
+
+        r = rollout_batch(sys, X, np.asarray(step.u, dtype=float), step.tau, h,
+                          Th, w_source, mu0=mu, modes0=modes, mu_mode0=mu_mode)
+        assert not r.diverged
+        pts = project_to_plane(r.states, proj)          # (S+1, m, 2)
+        clear = np.full(m, np.inf)
+        for sl in pts:
+            np.minimum(clear, _min_clearance(sl, obstacles), out=clear)
+        np.minimum(worst, clear, out=worst)
+        collided |= clear <= 0.0
+        X = r.final_states
+        mu = r.mu[-1]
+        if sys.hybrid:
+            modes = r.final_modes
+            mu_mode = int(r.mu_modes[-1])
+
+    in_goal = goal_contains(goal, X, shrink=0.0)
+    collisions = int(collided.sum())
+    goal_misses = int((~collided & ~in_goal).sum())
+    return ValidityRecord(
+        rollouts=m,
+        collisions=collisions,
+        goal_misses=goal_misses,
+        valid=(collisions == 0 and goal_misses == 0),
+        worst_clearance=float(worst.min()),
+    )
+
+
+def _colliding_linear():
+    sys_, result, init, goal = _solved_linear()
+    # hit by some rollouts, jumped over by others between sub-steps
+    return sys_, result.plan, init, goal, [Ball((1.0, 0.0), 0.005)], 300, None
+
+
+def _zero_duration_linear():
+    sys_, result, init, goal = _solved_linear()
+    steps = list(result.plan.steps)
+    zero = PlanStep(u=(0.0,), tau=0.0, ext_id=99, node_id=99)
+    steps = [zero, *steps[:3], zero, *steps[3:], zero]
+    obstacles = [AxisAlignedBox((1.0, -0.1), (1.01, 0.1))]
+    return sys_, replace(result.plan, steps=tuple(steps)), init, goal, obstacles, 300, None
+
+
+def _stored(name, scenario):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    sc = load_scenario(os.path.join(root, "scenarios", scenario))
+    plan_obj = load_plan(os.path.join(root, "perfbench", "data", f"{name}.plan.json"))
+    return (sc.build_system(), plan_obj, sc.init_region, sc.goal, sc.obstacles,
+            sc.validation_rollouts, sc.init_mode)
+
+
+@pytest.mark.parametrize("case", [
+    _colliding_linear,
+    _zero_duration_linear,
+    lambda: _stored("quadrotor-gate", "quadrotor.json"),
+    lambda: _stored("jumper-vault", "jumper.json"),
+], ids=["colliding-linear1d", "zero-duration-step", "quadrotor-gate", "jumper-vault"])
+def test_validation_matches_its_reference(case):
+    sys_, plan_obj, init, goal, obstacles, m, init_mode = case()
+    got = monte_carlo_validate(sys_, plan_obj, init, goal, obstacles, m, SEED,
+                               init_mode=init_mode)
+    want = reference_monte_carlo_validate(sys_, plan_obj, init, goal, obstacles, m,
+                                          SEED, init_mode=init_mode)
+    assert got.as_dict() == want.as_dict()
+    # bitwise, not just ==: the clearance is the same float
+    assert np.float64(got.worst_clearance).tobytes() == \
+        np.float64(want.worst_clearance).tobytes()
 
 
 # ------------------------------------------------------- deviation bounds
