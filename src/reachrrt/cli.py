@@ -24,6 +24,7 @@ from .scenario import (
     REPORT_FORMAT,
     STUDY_FORMAT,
     ScenarioError,
+    check_padding,
     error_line,
     load_plan,
     load_scenario,
@@ -81,13 +82,9 @@ def _overridden_params(scenario, args):
         params = params.as_baseline(args.baseline_padding)
     try:
         params = params.validated()
+        check_padding("epsilon", params.epsilon, scenario.goal)
     except ValueError as e:
         print(f"invalid parameters: {e}", file=_sys.stderr)
-        raise SystemExit(1)
-    if params.epsilon >= scenario.goal.radius:
-        # the goal shrunk by epsilon is empty, so no plan could ever be accepted
-        print(f"invalid parameters: epsilon {params.epsilon!r} must be smaller than "
-              f"the goal radius {scenario.goal.radius!r}", file=_sys.stderr)
         raise SystemExit(1)
     return params
 

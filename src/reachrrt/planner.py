@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .dynamics import reachable_modes, rollout
+from .dynamics import rollout
 from .reachability import (
     compute_reach_set,
     init_particles,
@@ -122,38 +122,34 @@ def sample_control(control_box, tau_max, gen):
 
 
 def sample_control_hybrid(sys, x, mode, tau_max, h, gen):
-    """Control draw for any system: (u, tau) from sample_control, then, for
-    a hybrid system, a target mode uniform over the modes a segment from
-    (x, mode) can reach.  A smooth system gets mode None and no further
-    draw.  Mode probing is deterministic and consumes no randomness."""
+    """Hybrid control draw: (u, tau) as in the smooth case, then a target
+    mode uniform over the modes a segment from (x, mode) can reach.  Mode
+    probing is deterministic and consumes no randomness."""
+    from .dynamics import reachable_modes
+
     u, tau = sample_control(sys.bounds.control, tau_max, gen)
-    if not sys.hybrid:
-        return u, tau, None
     sigmas = reachable_modes(sys, x, mode, tau_max, h)
     sigma = int(sigmas[int(gen.integers(len(sigmas)))])
     return u, tau, sigma
 
 
 def extend_hybrid(sys, reach, u, tau, sigma_s, h, seed, ext_id):
-    """One extension attempt, for any system; sigma_s is the target mode, or
-    None for a smooth system.
+    """One hybrid extension attempt against a target mode sigma_s.
 
     Gates in order: the nominal rollout must end in sigma_s (cheap, checked
     before touching particles), the particle rollout must stay finite, and
-    every particle must end in sigma_s (no straddling the guard).  With
-    sigma_s None only the finiteness gate applies.
+    every particle must end in sigma_s (no straddling the guard).
     """
-    if sigma_s is not None:
-        try:
-            _, mtrace = rollout(sys, reach.mu, u, tau, h, mode=reach.mu_mode)
-        except RuntimeError:
-            return ExtendOutcome(None, None, "diverged")
-        if int(mtrace[-1]) != int(sigma_s):
-            return ExtendOutcome(None, None, "nominal_mode")
+    try:
+        _, mtrace = rollout(sys, reach.mu, u, tau, h, mode=reach.mu_mode)
+    except RuntimeError:
+        return ExtendOutcome(None, None, "diverged")
+    if int(mtrace[-1]) != int(sigma_s):
+        return ExtendOutcome(None, None, "nominal_mode")
     pset, r = compute_reach_set(sys, reach, u, tau, h, seed, ext_id)
     if pset is None:
         return ExtendOutcome(None, r, "diverged")
-    if sigma_s is not None and np.any(pset.modes != int(sigma_s)):
+    if np.any(pset.modes != int(sigma_s)):
         return ExtendOutcome(None, r, "mode_straddle")
     return ExtendOutcome(pset, r, None)
 
@@ -204,24 +200,35 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
         nid = sample_node(tree, x_s, params.zeta, gen)
         reach = tree.nodes[nid].reach
 
-        u, tau, sigma = sample_control_hybrid(
-            sys, reach.mu, reach.mu_mode, params.tau_max, params.h, gen)
-        out = extend_hybrid(sys, reach, u, tau, sigma, params.h, params.seed, i)
-        if out.reject == "diverged":
-            stats.rejected_divergence += 1
-            continue
-        if out.reject is not None:
-            stats.rejected_mode += 1
-            continue
+        if sys.hybrid:
+            u, tau, sigma = sample_control_hybrid(
+                sys, reach.mu, reach.mu_mode, params.tau_max, params.h, gen)
+            out = extend_hybrid(sys, reach, u, tau, sigma, params.h,
+                                params.seed, i)
+            if out.reject in ("nominal_mode", "mode_straddle"):
+                stats.rejected_mode += 1
+                continue
+            if out.reject == "diverged":
+                stats.rejected_divergence += 1
+                continue
+            pset, r = out.reach, out.rollout
+            edge_mode = sigma
+        else:
+            u, tau = sample_control(sys.bounds.control, params.tau_max, gen)
+            pset, r = compute_reach_set(sys, reach, u, tau, params.h,
+                                        params.seed, i)
+            if pset is None:
+                stats.rejected_divergence += 1
+                continue
+            edge_mode = None
 
-        pset = out.reach
-        if not padded_collision_free(out.rollout.states, proj, obstacles, params.epsilon):
+        if not padded_collision_free(r.states, proj, obstacles, params.epsilon):
             stats.rejected_collision += 1
             continue
 
         new_id = tree.add_node(nid, pset, Edge(u=np.asarray(u, dtype=float),
                                                tau=float(tau), ext_id=i,
-                                               mode=sigma))
+                                               mode=edge_mode))
         stats.nodes_added += 1
         if padded_goal_contained(pset, goal, params.epsilon):
             plan_obj = build_path(tree, new_id, params.seed, sys.name, meta=meta)

@@ -34,6 +34,14 @@ class ScenarioError(ValueError):
         self.key = key
 
 
+def check_padding(name, value, goal):
+    """Refuse a padding (epsilon, baseline_padding) of at least the goal
+    radius: the goal shrunk by it is empty, so no plan could be accepted."""
+    if value >= goal.radius:
+        raise ScenarioError(f"{name} {value!r} must be smaller than the goal "
+                            f"radius {goal.radius!r}", key=name)
+
+
 @dataclass
 class Scenario:
     name: str
@@ -226,10 +234,7 @@ def load_scenario(path):
                             key="init_mode")
 
     baseline_padding = float(_number(raw, "baseline_padding", 0.0, "", nonneg=True))
-    if baseline_padding >= goal.radius:
-        # the goal shrunk by the padding is empty: the baseline could never solve
-        raise ScenarioError(f"baseline_padding {baseline_padding!r} must be smaller "
-                            f"than the goal radius {goal.radius!r}", key="baseline_padding")
+    check_padding("baseline_padding", baseline_padding, goal)
 
     val = raw.get("validation", {})
     if not isinstance(val, dict):

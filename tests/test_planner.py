@@ -195,25 +195,6 @@ def test_extend_accepts_staying_grounded():
     assert np.all(out.reach.modes == Jumper.CONTACT)
 
 
-def test_smooth_extension_is_the_reach_set():
-    # a smooth system has no target mode: the shared extension path draws
-    # what sample_control draws and returns compute_reach_set's arrays
-    sys_ = make_benchmark("linear1d")
-    root = init_particles(sys_, Box([0.0], [0.1]), 40, 11)
-    u, tau = sample_control(sys_.bounds.control, 0.7, rng.substream(3, rng.DOMAIN_PLANNER))
-    u2, tau2, sigma = sample_control_hybrid(sys_, root.mu, root.mu_mode, 0.7, 0.1,
-                                            rng.substream(3, rng.DOMAIN_PLANNER))
-    assert np.array_equal(u, u2) and tau == tau2 and sigma is None
-    out = extend_hybrid(sys_, root, u, tau, None, 0.1, seed=11, ext_id=4)
-    pset, r = compute_reach_set(sys_, root, u, tau, 0.1, 11, 4)
-    assert out.reject is None
-    assert np.array_equal(out.reach.states, pset.states)
-    assert np.array_equal(out.reach.nominal, pset.nominal)
-    assert np.array_equal(out.reach.mu, pset.mu)
-    assert np.array_equal(out.rollout.states, r.states)
-    assert out.reach.modes is None and out.reach.mu_mode is None
-
-
 # ------------------------------------------------------------- parameters
 
 
@@ -291,8 +272,6 @@ def test_trivially_solved_at_root():
     small = PlannerParams(**{**params.__dict__, "i_max": 20})
     blocked = plan(sys_, init, goal, [pebble], sampling, small)
     assert not blocked.solved
-    # every extension's trace starts at the colliding root
-    assert blocked.stats.rejected_collision == 20
 
 
 def test_zero_budget_exhausts_without_iterating():
