@@ -18,12 +18,14 @@ import sys as _sys
 from dataclasses import replace
 
 from . import __version__
+from .dynamics import Box
 from .planner import plan as run_plan
 from .scenario import (
     COMPARE_FORMAT,
     REPORT_FORMAT,
     STUDY_FORMAT,
     ScenarioError,
+    check_init_clearance,
     check_padding,
     error_line,
     load_plan,
@@ -86,7 +88,24 @@ def _overridden_params(scenario, args):
     except ValueError as e:
         print(f"invalid parameters: {e}", file=_sys.stderr)
         raise SystemExit(1)
+    _check_init(scenario, params)
     return params
+
+
+def _check_init(scenario, params):
+    """Exit 1 when the root set the planner would start from comes within
+    the planning padding of an obstacle."""
+    name, region = "epsilon", scenario.init_region
+    if params.baseline:  # the baseline plans from the region's center alone
+        name, region = "baseline_padding", Box(region.center, region.center)
+    try:
+        check_init_clearance(name, params.epsilon, region,
+                             scenario.build_system().collision_projection,
+                             scenario.obstacles)
+    except ScenarioError as e:
+        line = error_line(scenario.path, e.key)
+        print(f"{scenario.path}:{line}: {e}", file=_sys.stderr)
+        raise SystemExit(1)
 
 
 def cmd_run(args):
@@ -198,6 +217,7 @@ def cmd_study(args):
 def cmd_compare(args):
     scenario = _load(args)
     params = _overridden_params(scenario, args)
+    _check_init(scenario, params.as_baseline(scenario.baseline_padding))
     if args.seeds < 1:
         print("--seeds must be at least 1", file=_sys.stderr)
         return 1

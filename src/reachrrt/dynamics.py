@@ -225,7 +225,12 @@ def constant_w_source(w):
 
 @dataclass
 class Rollout:
-    """Trace of one constant-control segment over a particle batch."""
+    """Trace of one constant-control segment over a particle batch.
+
+    Row k of each trace is the state after k sub-steps.  The traces are
+    preallocated for every sub-step; after a divergence they are the prefix
+    that ends at the bad sub-step.
+    """
 
     states: np.ndarray            # (S+1, N, n)
     modes: np.ndarray | None      # (S+1, N) int, hybrid only
@@ -262,28 +267,41 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         modes0: (N,) initial mode indices for hybrid systems.
         mu_mode0: initial mode of the tracked nominal.
 
-    Returns a Rollout; `diverged` is set if any state leaves the finite range,
-    in which case the trace is truncated at the bad sub-step.
+    Returns a Rollout.  Each sub-step is written into traces preallocated
+    for all of them.  `diverged` is set if any state leaves
+    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] or is not finite, in which case
+    the traces are cut to the prefix that ends at the bad sub-step.  The
+    step functions must not modify their inputs, which are rows of these
+    traces.
     """
-    X = np.array(X0, dtype=float)
-    N = len(X)
+    X0 = np.asarray(X0, dtype=float)
+    N = len(X0)
     nu = np.asarray(nu, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     lengths = substep_lengths(tau, h)
+    S = len(lengths)
 
     track_mu = mu0 is not None
-    mu = np.asarray(mu0, dtype=float).copy() if track_mu else None
     th_hat = sys.nominal_param[None, :]
     w_hat = sys.nominal_disturbance[None, :]
-
     hyb = sys.hybrid
-    modes = np.array(modes0, dtype=np.int64) if hyb else None
-    mu_mode = np.array([mu_mode0], dtype=np.int64) if (hyb and track_mu) else None
 
-    states_trace = [X.copy()]
-    modes_trace = [modes.copy()] if hyb else None
-    mu_trace = [mu.copy()] if track_mu else None
-    mu_modes_trace = [mu_mode.copy()] if mu_mode is not None else None
+    states = np.empty((S + 1,) + X0.shape)
+    states[0] = X0
+    X = states[0]
+    modes_trace = mu_trace = mu_modes_trace = mu = None
+    if hyb:
+        modes_trace = np.empty((S + 1, N), dtype=np.int64)
+        modes_trace[0] = modes0
+        modes = modes_trace[0]
+    if track_mu:
+        mu_trace = np.empty((S + 1, X0.shape[1]))
+        mu_trace[0] = mu0
+        mu = mu_trace[0]
+        if hyb:
+            mu_modes_trace = np.empty(S + 1, dtype=np.int64)
+            mu_modes_trace[0] = mu_mode0
+            mu_mode = mu_modes_trace[:1]
 
     ctx = None
     mu_ctx = None
@@ -298,35 +316,34 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
 
         if hyb:
             X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx)
+            modes_trace[j + 1] = modes
         else:
             X = sys.step_batch(X, U, W, thetas, hj)
+        states[j + 1] = X
 
         if track_mu:
             U_mu = sys.resolve_control(nu, mu[None, :], mu)
             if hyb:
                 mu_b, mu_mode = sys.hybrid_step_batch(
                     mu[None, :], mu_mode, U_mu, w_hat, th_hat, hj, mu_ctx)
-                mu = mu_b[0]
+                mu_trace[j + 1] = mu_b[0]
+                mu_modes_trace[j + 1] = mu_mode[0]
             else:
-                mu = sys.step_batch(mu[None, :], U_mu, w_hat, th_hat, hj)[0]
+                mu_trace[j + 1] = sys.step_batch(mu[None, :], U_mu, w_hat, th_hat, hj)[0]
+            mu = mu_trace[j + 1]
 
-        bad = not np.all(np.isfinite(X)) or np.any(np.abs(X) > DIVERGENCE_LIMIT)
-        states_trace.append(X.copy())
-        if hyb:
-            modes_trace.append(modes.copy())
-        if track_mu:
-            mu_trace.append(mu.copy())
-            if mu_mode is not None:
-                mu_modes_trace.append(mu_mode.copy())
+        # NaN fails both comparisons, so this also catches non-finite states
+        bad = X.size > 0 and not (-DIVERGENCE_LIMIT <= X.min() and X.max() <= DIVERGENCE_LIMIT)
         if bad:
             lengths = lengths[: j + 1]
             break
 
+    rows = len(lengths) + 1
     return Rollout(
-        states=np.stack(states_trace),
-        modes=np.stack(modes_trace) if hyb else None,
-        mu=np.stack(mu_trace) if track_mu else None,
-        mu_modes=np.concatenate(mu_modes_trace) if mu_modes_trace else None,
+        states=states[:rows],
+        modes=modes_trace[:rows] if hyb else None,
+        mu=mu_trace[:rows] if track_mu else None,
+        mu_modes=mu_modes_trace[:rows] if mu_modes_trace is not None else None,
         lengths=lengths,
         diverged=bool(bad),
     )

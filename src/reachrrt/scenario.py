@@ -42,6 +42,43 @@ def check_padding(name, value, goal):
                             f"radius {goal.radius!r}", key=name)
 
 
+def check_init_clearance(name, value, init_region, projection, obstacles):
+    """Refuse an initial region whose collision projection comes within a
+    padding (epsilon, baseline_padding) of an obstacle: every extension's
+    trace starts with the root set, so the planner would reject every
+    extension and burn its budget.
+
+    Region and obstacle are each a box [lo, hi] grown by a radius (zero for
+    a box, a ball's radius for a ball, except that a ball seen through a 1-D
+    projection is the interval it covers); their clearance is the signed
+    distance between the two boxes minus both radii.
+    """
+    proj = list(projection)
+    if isinstance(init_region, BallRegion):
+        c, r = init_region.center[proj], init_region.radius
+        lo, hi = c, c
+        if len(proj) == 1:
+            lo, hi, r = c - r, c + r, 0.0
+    else:
+        lo, hi, r = init_region.lo[proj], init_region.hi[proj], 0.0
+    if len(proj) == 1:  # zero-padded to the plane, as the planner does
+        lo, hi = np.append(lo, 0.0), np.append(hi, 0.0)
+    for i, obstacle in enumerate(obstacles):
+        if isinstance(obstacle, Ball):
+            o_lo = o_hi = obstacle.center
+            o_r = obstacle.radius
+        else:
+            o_lo, o_hi, o_r = obstacle.lo, obstacle.hi, 0.0
+        gap = np.maximum(o_lo - hi, lo - o_hi)
+        boxes = np.linalg.norm(np.maximum(gap, 0.0)) if gap.max() > 0 else gap.max()
+        clearance = float(boxes - r - o_r)
+        if clearance <= value:
+            raise ScenarioError(
+                f"the initial set comes within {name} {value!r} of obstacles[{i}] "
+                f"(clearance {clearance!r}): every extension would be rejected",
+                key="init")
+
+
 @dataclass
 class Scenario:
     name: str

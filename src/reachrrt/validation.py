@@ -174,10 +174,22 @@ def lipschitz_bound_check(sys, K, box, n_trials, tau_max, h, seed):
 def quadrotor_lipschitz_constant(quad, v_max, h, grid=1000):
     """Valid Lipschitz constant of the quadrotor sub-step increment map.
 
-    The (state, control) Jacobian depends only on s_i = 2 a_i |v_i|, so the
-    operator norm is maximized over a grid on the rectangle
-    [0, 2 a_max v_max]^2 and padded by the Jacobian's own per-cell drift,
-    giving an upper bound rather than a sample maximum.  Returns (K, meta).
+    The (state, control) Jacobian J depends only on s_i = 2 a_i |v_i|, and
+    its operator norm is maximized over a g x g grid on the rectangle
+    [0, s_max]^2, s_max = 2 a_max v_max, then padded by the Jacobian's own
+    per-cell drift, giving an upper bound rather than a sample maximum.
+
+    Only the grid's border (s_1 or s_2 in {0, s_max}, 4g matrices) is
+    evaluated, because every maximizer of the full grid lies on it.  J
+    splits into two 2 x 2 blocks, rows {0, 2} and {1, 3}:
+    A_1(s_1) = [[1, h g / 4], [-s_1, g]] and A_2(s_2) = A_1(s_2) diag(1, -1),
+    which has the singular values of A_1(s_2).  So |J| is the larger of
+    |A_1(s_1)| and |A_1(s_2)|.  s -> |A_1(s)| is the norm of an affine map,
+    hence convex, and attains its maximum over [0, s_max] at an endpoint.
+    The result equals the full grid's bit for bit, except where the norm is
+    flat across the grid to within eigvalsh's rounding (s_max below about
+    1e-10): there an interior point can read one ulp above the border.
+    Returns (K, meta).
     """
     base = quad.base if hasattr(quad, "base") else quad
     if not isinstance(base, Quadrotor):
@@ -186,14 +198,16 @@ def quadrotor_lipschitz_constant(quad, v_max, h, grid=1000):
     s_max = 2.0 * a_hi * float(v_max)
     g = int(grid)
     s = np.linspace(0.0, s_max, g)
-    S1, S2 = np.meshgrid(s, s, indexing="ij")
-    G = g * g
+    ends = s[[0, -1]]
+    # border rows (s_1 at an end, every s_2), then border columns
+    S1 = np.concatenate([np.repeat(ends, g), np.tile(s, 2)])
+    S2 = np.concatenate([np.tile(s, 2), np.repeat(ends, g)])
 
-    J = np.zeros((G, 4, 6))
+    J = np.zeros((len(S1), 4, 6))
     J[:, 0, 2] = 1.0
     J[:, 1, 3] = 1.0
-    J[:, 2, 2] = -S1.ravel()
-    J[:, 3, 3] = -S2.ravel()
+    J[:, 2, 2] = -S1
+    J[:, 3, 3] = -S2
     J[:, 0, 4] = h * GRAVITY / 4.0
     J[:, 1, 5] = -h * GRAVITY / 4.0
     J[:, 2, 4] = GRAVITY
@@ -263,6 +277,8 @@ def reachset_lipschitz_check(sys, L, box, n_trials, n_particles, tau_max, h, see
     T = int(n_trials)
     N = int(n_particles)
     gen = rng.substream(seed, rng.DOMAIN_CHECK, 10)
+    # the controls are applied open loop, as in lipschitz_bound_check
+    base = getattr(sys, "base", sys)
 
     violations = 0
     worst_ratio = 0.0
@@ -281,8 +297,8 @@ def reachset_lipschitz_check(sys, L, box, n_trials, n_particles, tau_max, h, see
         Th = sys.bounds.param.sample(rng.substream(seed, rng.DOMAIN_CHECK, 11, t), N)
 
         w_source = disturbance_source(sys.bounds.disturbance, seed, rng.DOMAIN_CHECK, 12, t)
-        r1 = rollout_batch(sys, P1, u1, tau1, h, Th, w_source)
-        r2 = rollout_batch(sys, P2, u2, tau2, h, Th, w_source)
+        r1 = rollout_batch(base, P1, u1, tau1, h, Th, w_source)
+        r2 = rollout_batch(base, P2, u2, tau2, h, Th, w_source)
         lhs = hausdorff_distance(r1.final_states, r2.final_states)
         rhs = L * (hausdorff_distance(P1, P2) + abs(tau1 - tau2)
                    + float(np.linalg.norm(u1 - u2)))

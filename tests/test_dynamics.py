@@ -12,17 +12,21 @@ import numpy as np
 import pytest
 
 from reachrrt import rng
-from reachrrt.benchmarks import GRAVITY, Quadrotor, make_benchmark
+from reachrrt.benchmarks import GRAVITY, Jumper, Quadrotor, make_benchmark
 from reachrrt.dynamics import (
+    DIVERGENCE_LIMIT,
     Box,
     ContinuousSystem,
     FeedbackWrapped,
+    HybridSystem,
+    Rollout,
     constant_w_source,
     rollout,
     rollout_batch,
     step,
     substep_lengths,
 )
+from reachrrt.reachability import disturbance_source
 
 H = 0.1
 
@@ -231,3 +235,190 @@ def test_nonfinite_single_step_raises():
 
     with pytest.raises(RuntimeError, match="dynamics diverged"):
         step(Nan(), np.array([0.0]), np.zeros(1), np.zeros(1), np.zeros(1), 0.1)
+
+
+# ------------------------------------------- in-place trace vs list-and-stack
+
+
+def reference_rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None,
+                            modes0=None, mu_mode0=None):
+    """rollout_batch as it was before the traces were preallocated: every
+    sub-step is copied into a list, the lists are stacked at the end, and
+    divergence is tested with isfinite and abs."""
+    X = np.array(X0, dtype=float)
+    N = len(X)
+    nu = np.asarray(nu, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    lengths = substep_lengths(tau, h)
+
+    track_mu = mu0 is not None
+    mu = np.asarray(mu0, dtype=float).copy() if track_mu else None
+    th_hat = sys.nominal_param[None, :]
+    w_hat = sys.nominal_disturbance[None, :]
+
+    hyb = sys.hybrid
+    modes = np.array(modes0, dtype=np.int64) if hyb else None
+    mu_mode = np.array([mu_mode0], dtype=np.int64) if (hyb and track_mu) else None
+
+    states_trace = [X.copy()]
+    modes_trace = [modes.copy()] if hyb else None
+    mu_trace = [mu.copy()] if track_mu else None
+    mu_modes_trace = [mu_mode.copy()] if mu_mode is not None else None
+
+    ctx = None
+    mu_ctx = None
+    bad = False
+    for j, hj in enumerate(lengths):
+        W = np.asarray(w_source(j, N), dtype=float)
+        if hyb and j == 0:
+            ctx = sys.begin_segment(nu, modes, W)
+            if track_mu:
+                mu_ctx = sys.begin_segment(nu, mu_mode, w_hat)
+        U = sys.resolve_control(nu, X, mu)
+
+        if hyb:
+            X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx)
+        else:
+            X = sys.step_batch(X, U, W, thetas, hj)
+
+        if track_mu:
+            U_mu = sys.resolve_control(nu, mu[None, :], mu)
+            if hyb:
+                mu_b, mu_mode = sys.hybrid_step_batch(
+                    mu[None, :], mu_mode, U_mu, w_hat, th_hat, hj, mu_ctx)
+                mu = mu_b[0]
+            else:
+                mu = sys.step_batch(mu[None, :], U_mu, w_hat, th_hat, hj)[0]
+
+        bad = not np.all(np.isfinite(X)) or np.any(np.abs(X) > DIVERGENCE_LIMIT)
+        states_trace.append(X.copy())
+        if hyb:
+            modes_trace.append(modes.copy())
+        if track_mu:
+            mu_trace.append(mu.copy())
+            if mu_mode is not None:
+                mu_modes_trace.append(mu_mode.copy())
+        if bad:
+            lengths = lengths[: j + 1]
+            break
+
+    return Rollout(
+        states=np.stack(states_trace),
+        modes=np.stack(modes_trace) if hyb else None,
+        mu=np.stack(mu_trace) if track_mu else None,
+        mu_modes=np.concatenate(mu_modes_trace) if mu_modes_trace else None,
+        lengths=lengths,
+        diverged=bool(bad),
+    )
+
+
+def _assert_same_rollout(got, want):
+    assert got.diverged == want.diverged
+    assert got.lengths == want.lengths
+    for name in ("states", "modes", "mu", "mu_modes"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            # equal_nan: a NaN injected into the trace must come back as NaN
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+class Additive(ContinuousSystem):
+    """x+ = x + w on two states: the disturbance source writes the trace."""
+
+    name = "additive"
+    state_dim = 2
+    collision_projection = (0, 1)
+
+    def __init__(self):
+        self.bounds = _scalar_bounds()
+        self.nominal_param = np.array([0.0])
+        self.nominal_disturbance = np.zeros(2)
+
+    def step_batch(self, X, U, W, Th, h):
+        return X + W
+
+
+class AdditiveHybrid(HybridSystem):
+    """x+ = x + w, and every particle flips mode each sub-step."""
+
+    name = "additive-hybrid"
+    state_dim = 2
+    collision_projection = (0, 1)
+    modes = ("a", "b")
+
+    def __init__(self):
+        self.bounds = _scalar_bounds()
+        self.nominal_param = np.array([0.0])
+        self.nominal_disturbance = np.zeros(2)
+
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx):
+        return X + W, 1 - mode_arr
+
+
+def _injecting_source(value):
+    """Zero disturbances, except `value` in one entry at sub-step 3."""
+
+    def source(j, n):
+        W = np.zeros((n, 2))
+        if j == 3:
+            W[1, 1] = value
+        return W
+
+    return source
+
+
+BIG = 1e12
+NEXT = float(np.nextafter(BIG, np.inf))
+
+
+@pytest.mark.parametrize("hybrid", [False, True], ids=["smooth", "hybrid"])
+@pytest.mark.parametrize("value,diverges", [
+    (np.nan, True), (np.inf, True), (-np.inf, True),
+    (BIG, False), (-BIG, False), (NEXT, True), (-NEXT, True),
+], ids=["nan", "+inf", "-inf", "+1e12", "-1e12", "+next", "-next"])
+@pytest.mark.parametrize("tau", [0.75, 0.0], ids=["tau", "tau0"])
+def test_inplace_trace_matches_stacked_reference(hybrid, value, diverges, tau):
+    sys_ = AdditiveHybrid() if hybrid else Additive()
+    X0 = np.zeros((3, 2))
+    kw = {"mu0": np.zeros(2)}
+    if hybrid:
+        kw.update(modes0=np.array([0, 1, 0]), mu_mode0=1)
+    args = (sys_, X0, np.zeros(1), tau, 0.1, np.zeros((3, 1)), _injecting_source(value))
+    got = rollout_batch(*args, **kw)
+    _assert_same_rollout(got, reference_rollout_batch(*args, **kw))
+    assert got.diverged == (diverges and tau > 0)
+    if got.diverged:
+        assert len(got.lengths) == 4 and len(got.states) == 5  # cut at sub-step 3
+    else:
+        assert got.lengths == substep_lengths(tau, 0.1)
+
+
+@pytest.mark.parametrize("name,options,tracked", [
+    ("quadrotor", {}, True),
+    ("quadrotor", {"feedback": False}, False),
+    ("jumper", {}, True),
+    ("jumper", {}, False),
+], ids=["quadrotor", "quadrotor-open-loop", "jumper-tracked", "jumper"])
+@pytest.mark.parametrize("tau", [0.73, 0.0], ids=["tau", "tau0"])
+def test_inplace_trace_matches_stacked_reference_on_benchmarks(name, options, tracked, tau):
+    sys_ = make_benchmark(name, **options)
+    gen = np.random.default_rng(4)
+    n = 50
+    X0 = gen.uniform(-1.0, 1.0, (n, sys_.state_dim))
+    if sys_.hybrid:
+        X0[:, 2:] = 0.0  # on the ground, in contact
+    kw = {"mu0": X0.mean(axis=0)} if tracked else {}
+    if sys_.hybrid:
+        kw["modes0"] = np.full(n, Jumper.CONTACT)
+        if tracked:
+            kw["mu_mode0"] = Jumper.CONTACT
+    args = (sys_, X0, sys_.bounds.control.hi, tau, 0.05,
+            sys_.bounds.param.sample(gen, n),
+            disturbance_source(sys_.bounds.disturbance, 5, rng.DOMAIN_CHECK, 1))
+    got = rollout_batch(*args, **kw)
+    _assert_same_rollout(got, reference_rollout_batch(*args, **kw))
+    if sys_.hybrid and tau > 0:
+        assert (got.modes == Jumper.FLIGHT).any()  # the jump command fired

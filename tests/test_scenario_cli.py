@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from reachrrt.cli import main
+from reachrrt.dynamics import BallRegion, Box
 from reachrrt.geometry import AxisAlignedBox, Ball
-from reachrrt.scenario import load_scenario
+from reachrrt.scenario import ScenarioError, check_init_clearance, load_scenario
 
 BASE = {
     "name": "corridor",
@@ -254,6 +255,104 @@ def test_epsilon_at_least_goal_radius_exits_one(tmp_path, capsys, command, mods,
     err = capsys.readouterr().err
     assert "epsilon" in err and "goal radius 0.55" in err
     assert not out.exists()
+
+
+# the FOUND query: the initial interval [0, 0.05] lies within epsilon = 0.05
+# of a ball, so every extension's trace starts in collision
+NEAR_INIT = {"kind": "box", "lo": [0.0], "hi": [0.05]}
+NEAR_BALL = [{"kind": "ball", "center": [0.02, 0.0], "radius": 0.01}]
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("run", ()),
+    ("study", ("--budgets", "5")),
+    ("compare", ("--seeds", "1")),
+])
+def test_init_within_epsilon_of_obstacle_exits_one(tmp_path, capsys, command, extra):
+    path = _write(tmp_path, init=NEAR_INIT, obstacles=NEAR_BALL)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", path, "--out-dir", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{_line_of(path, 'init')}: ")
+    assert "epsilon 0.05" in err and "obstacles[0]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("init", [
+    {"kind": "box", "lo": [0.0], "hi": [0.1]},
+    {"kind": "ball", "center": [0.05], "radius": 0.05},
+], ids=["box", "ball"])
+@pytest.mark.parametrize("extra,code", [
+    ((), 2),
+    (("--epsilon", "0.08"), 2),
+    (("--epsilon", "0.12"), 1),
+    # the baseline plans from the center, 0.15 from the ball
+    (("--baseline-padding", "0.12"), 2),
+    (("--baseline-padding", "0.16"), 1),
+])
+def test_init_clearance_uses_the_effective_epsilon(tmp_path, capsys, init, extra, code):
+    # the initial interval [0, 0.1] clears the ball by 0.1
+    path = _write(tmp_path, init=init,
+                  obstacles=[{"kind": "ball", "center": [0.25, 0.0], "radius": 0.05}])
+    out = tmp_path / "out"
+    assert _run(path, out, "--max-iters", "2", *extra) == code
+    assert (out / "stats.json").exists() == (code == 2)
+    if code == 1:
+        assert capsys.readouterr().err.startswith(f"{path}:{_line_of(path, 'init')}: ")
+
+
+def test_compare_rejects_baseline_start_within_its_padding(tmp_path, capsys):
+    # the ball is 0.16 off the corridor: clear of epsilon 0.05, but within
+    # the baseline's padding of 0.2, so every baseline seed would burn its
+    # whole budget
+    path = _write(tmp_path, baseline_padding=0.2,
+                  obstacles=[{"kind": "ball", "center": [0.05, 0.18], "radius": 0.02}])
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", path, "--out-dir", str(out),
+                 "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{_line_of(path, 'init')}: ")
+    assert "baseline_padding 0.2" in err
+    assert not out.exists()
+    assert _run(path, out, "--max-iters", "2") == 2
+
+
+@pytest.mark.parametrize("region,proj,obstacle,clearance", [
+    (Box([0.0, 0.0, -9.0, -9.0], [1.0, 1.0, 9.0, 9.0]), (0, 1), Ball([2.0, 2.0], 0.5),
+     2.0 ** 0.5 - 0.5),
+    (Box([0.0, 0.0, -9.0, -9.0], [1.0, 1.0, 9.0, 9.0]), (0, 1),
+     AxisAlignedBox([1.5, -1.0], [3.0, 0.5]), 0.5),
+    (BallRegion([0.0, 0.0, 5.0, 5.0], 1.0), (0, 1),
+     AxisAlignedBox([2.0, -1.0], [3.0, 1.0]), 1.0),
+    (BallRegion([0.0, 0.0, 5.0, 5.0], 1.0), (0, 1), Ball([3.0, 4.0], 1.0), 3.0),
+    # through a 1-D projection a ball is the interval [0, 0.1] on the axis
+    (BallRegion([0.05], 0.05), (0,), Ball([0.05, 0.1], 0.02), 0.08),
+], ids=["box-ball", "box-box", "ball-box", "ball-ball", "1d-ball-ball"])
+def test_init_clearance_is_the_planar_distance(region, proj, obstacle, clearance):
+    check_init_clearance("epsilon", clearance - 1e-9, region, proj, [obstacle])
+    with pytest.raises(ScenarioError, match=r"obstacles\[0\]") as e:
+        check_init_clearance("epsilon", clearance + 1e-9, region, proj, [obstacle])
+    assert e.value.key == "init"
+
+
+def test_init_clearance_tie_is_refused():
+    # the planner rejects a hull whose clearance equals epsilon, so a region
+    # exactly epsilon away is refused too
+    region = Box([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0])
+    obstacle = AxisAlignedBox([1.5, -1.0], [3.0, 0.5])  # 0.5 away, exactly
+    check_init_clearance("epsilon", 0.25, region, (0, 1), [obstacle])
+    with pytest.raises(ScenarioError, match="epsilon 0.5 "):
+        check_init_clearance("epsilon", 0.5, region, (0, 1), [obstacle])
+
+
+@pytest.mark.parametrize("region", [
+    Box([2.2, 0.1, 0.0, 0.0], [2.4, 0.2, 0.0, 0.0]),
+    BallRegion([2.5, 0.0, 0.0, 0.0], 0.1),
+], ids=["box", "ball"])
+def test_init_overlapping_an_obstacle_is_refused_at_zero_epsilon(region):
+    with pytest.raises(ScenarioError):
+        check_init_clearance("epsilon", 0.0, region, (0, 1),
+                             [AxisAlignedBox([2.0, -1.0], [3.0, 1.0])])
 
 
 # -------------------------------------------------------------- validate

@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reachrrt import rng
-from reachrrt.benchmarks import Jumper, make_benchmark
+from reachrrt.benchmarks import GRAVITY, Jumper, make_benchmark
 from reachrrt.dynamics import Box, rollout_batch
 from reachrrt.geometry import AxisAlignedBox, Ball, GoalRegion, goal_contains
 from reachrrt.planner import PlannerParams, plan
@@ -288,6 +289,97 @@ def test_reach_set_bound_holds_for_quadrotor():
     out = reachset_lipschitz_check(quad, L, box, 150, 40, tau_max, 0.1, SEED)
     assert out["trials"] == 150
     assert out["violations"] == 0
+
+
+def test_reach_set_bound_check_runs_on_feedback_wrapped_quadrotor():
+    # the check rolls out the open-loop plant, so the wrapper the planner
+    # uses gives the bare quadrotor's result and meets the same constant
+    wrapped = make_benchmark("quadrotor")
+    bare = make_benchmark("quadrotor", feedback=False)
+    box = Box([-1.0, -1.0, -3.0, -3.0], [1.0, 1.0, 3.0, 3.0])
+    tau_max = 0.5
+    K, _ = quadrotor_lipschitz_constant(wrapped, v_max=6.3, h=0.1, grid=512)
+    L = max(float(trajectory_bound_factor(tau_max, K)),
+            quadrotor_flow_sup(wrapped, box))
+    out = reachset_lipschitz_check(wrapped, L, box, 150, 40, tau_max, 0.1, SEED)
+    assert out["trials"] == 150
+    assert out["violations"] == 0
+    assert out == reachset_lipschitz_check(bare, L, box, 150, 40, tau_max, 0.1, SEED)
+
+
+def reference_quadrotor_lipschitz_constant(quad, v_max, h, grid=1000):
+    """quadrotor_lipschitz_constant as it was before only the border was
+    evaluated: the operator norm on every point of the g x g grid."""
+    base = quad.base if hasattr(quad, "base") else quad
+    a_hi = float(base.bounds.param.hi.max())
+    s_max = 2.0 * a_hi * float(v_max)
+    g = int(grid)
+    s = np.linspace(0.0, s_max, g)
+    S1, S2 = np.meshgrid(s, s, indexing="ij")
+    G = g * g
+
+    J = np.zeros((G, 4, 6))
+    J[:, 0, 2] = 1.0
+    J[:, 1, 3] = 1.0
+    J[:, 2, 2] = -S1.ravel()
+    J[:, 3, 3] = -S2.ravel()
+    J[:, 0, 4] = h * GRAVITY / 4.0
+    J[:, 1, 5] = -h * GRAVITY / 4.0
+    J[:, 2, 4] = GRAVITY
+    J[:, 3, 5] = -GRAVITY
+
+    JJt = J @ np.swapaxes(J, 1, 2)
+    eig = np.linalg.eigvalsh(JJt)[:, -1]
+    k_grid = float(np.sqrt(eig.max()))
+    spacing = s_max / max(g - 1, 1)
+    K = k_grid + spacing
+    return K, {"grid": g, "grid_max": k_grid, "cell_slack": spacing}
+
+
+def _quad(wrapped):
+    return make_benchmark("quadrotor") if wrapped else make_benchmark("quadrotor", feedback=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v_max=st.one_of(st.just(0.0), st.floats(1e-9, 30.0)),
+       h=st.floats(0.005, 2.0), grid=st.integers(1, 400), wrapped=st.booleans())
+def test_border_lipschitz_equals_full_grid(v_max, h, grid, wrapped):
+    quad = _quad(wrapped)
+    # dict equality compares the meta floats with ==
+    assert (quadrotor_lipschitz_constant(quad, v_max, h, grid)
+            == reference_quadrotor_lipschitz_constant(quad, v_max, h, grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(v_max=st.floats(0.0, 1e-9), h=st.floats(0.005, 2.0),
+       grid=st.integers(1, 400), wrapped=st.booleans())
+@example(v_max=2.43e-13, h=1.001, grid=118, wrapped=False)
+def test_border_lipschitz_near_zero_speed_within_rounding(v_max, h, grid, wrapped):
+    # below about 1e-10 the norm is flat across the grid to within eigvalsh's
+    # rounding, and an interior point can read one ulp above the border
+    # (the example above); the bound then differs from the full grid's by
+    # that rounding only
+    quad = _quad(wrapped)
+    K, meta = quadrotor_lipschitz_constant(quad, v_max, h, grid)
+    K_ref, meta_ref = reference_quadrotor_lipschitz_constant(quad, v_max, h, grid)
+    tol = 4 * np.finfo(float).eps
+    assert K == pytest.approx(K_ref, rel=tol, abs=0.0)
+    assert meta["grid_max"] == pytest.approx(meta_ref["grid_max"], rel=tol, abs=0.0)
+    assert (meta["grid"], meta["cell_slack"]) == (meta_ref["grid"], meta_ref["cell_slack"])
+
+
+@pytest.mark.parametrize("grid", [1, 2, 512])
+def test_border_lipschitz_evaluates_only_the_border(monkeypatch, grid):
+    counted = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kw):
+        counted.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    quadrotor_lipschitz_constant(make_benchmark("quadrotor"), 12.3, 0.1, grid)
+    assert 0 < sum(counted) <= 4 * grid
 
 
 def test_flow_sup_dominates_sampled_flow_norms():
