@@ -212,6 +212,27 @@ def points_obstacle_clearance(pts, obstacle):
     raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
 
 
+def box_obstacle_clearance(lo, hi, obstacle, radius=0.0):
+    """Signed clearance from the box [lo, hi] grown by `radius` to an
+    obstacle.
+
+    The box may be flat or a single point.  A ball obstacle is its center
+    grown by its radius, so a positive result is exactly the distance
+    between the two boxes minus both radii; a nonpositive one means they
+    touch or overlap (minus the smallest per-axis overlap).
+    """
+    if isinstance(obstacle, Ball):
+        o_lo = o_hi = obstacle.center
+        o_r = obstacle.radius
+    elif isinstance(obstacle, AxisAlignedBox):
+        o_lo, o_hi, o_r = obstacle.lo, obstacle.hi, 0.0
+    else:
+        raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
+    gap = np.maximum(o_lo - hi, lo - o_hi)
+    boxes = np.linalg.norm(np.maximum(gap, 0.0)) if gap.max() > 0 else gap.max()
+    return float(boxes - radius - o_r)
+
+
 def _project(axis, pts):
     s = pts @ axis if pts.ndim == 2 else np.array([pts @ axis])
     return s.min(), s.max()

@@ -7,8 +7,16 @@ whose hull comes within epsilon of an obstacle at any sub-step are discarded;
 a new node whose particles all reach the shrunken goal solves the query.
 
 Hybrid systems additionally sample a target mode among those reachable from
-the chosen node (found by deterministic probing) and reject extensions whose
-nominal ends in a different mode or whose particles straddle modes.
+the chosen node and reject extensions whose nominal ends in a different mode
+or whose particles straddle modes.  The reachable modes come from
+deterministic probing that depends only on the node, so plan() probes each
+node once, the first time it is selected, and keeps the result for the rest
+of the run.
+
+The collision test drops obstacles that the bounding box of an extension's
+whole trace already clears (see padded_collision_free), so most extensions
+far from every obstacle build no hull at all.  A node keeps a copy of its
+own particle states, not a view into the rollout trace it came from.
 """
 
 import time
@@ -17,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .dynamics import rollout
+from .dynamics import reachable_modes, rollout
 from .reachability import (
     compute_reach_set,
     init_particles,
@@ -121,15 +129,12 @@ def sample_control(control_box, tau_max, gen):
     return u, tau
 
 
-def sample_control_hybrid(sys, x, mode, tau_max, h, gen):
+def sample_control_hybrid(control_box, tau_max, modes, gen):
     """Hybrid control draw: (u, tau) as in the smooth case, then a target
-    mode uniform over the modes a segment from (x, mode) can reach.  Mode
-    probing is deterministic and consumes no randomness."""
-    from .dynamics import reachable_modes
-
-    u, tau = sample_control(sys.bounds.control, tau_max, gen)
-    sigmas = reachable_modes(sys, x, mode, tau_max, h)
-    sigma = int(sigmas[int(gen.integers(len(sigmas)))])
+    mode uniform over `modes`, the modes a segment from the chosen node can
+    reach (dynamics.reachable_modes; probing consumes no randomness)."""
+    u, tau = sample_control(control_box, tau_max, gen)
+    sigma = int(modes[int(gen.integers(len(modes)))])
     return u, tau, sigma
 
 
@@ -193,6 +198,7 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
         return PlanResult("solved", plan_obj, stats, tree)
 
     gen = rng.substream(params.seed, rng.DOMAIN_PLANNER)
+    modes_of = {}   # node id -> its reachable modes, probed on first selection
 
     for i in range(params.i_max):
         stats.iterations = i + 1
@@ -201,8 +207,11 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
         reach = tree.nodes[nid].reach
 
         if sys.hybrid:
+            if nid not in modes_of:
+                modes_of[nid] = reachable_modes(sys, reach.mu, reach.mu_mode,
+                                                params.tau_max, params.h)
             u, tau, sigma = sample_control_hybrid(
-                sys, reach.mu, reach.mu_mode, params.tau_max, params.h, gen)
+                sys.bounds.control, params.tau_max, modes_of[nid], gen)
             out = extend_hybrid(sys, reach, u, tau, sigma, params.h,
                                 params.seed, i)
             if out.reject in ("nominal_mode", "mode_straddle"):
@@ -226,6 +235,9 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
             stats.rejected_collision += 1
             continue
 
+        # the node keeps its own slice, not a view that pins the whole trace
+        pset = replace(pset, states=pset.states.copy(), mu=pset.mu.copy(),
+                       modes=None if pset.modes is None else pset.modes.copy())
         new_id = tree.add_node(nid, pset, Edge(u=np.asarray(u, dtype=float),
                                                tau=float(tau), ext_id=i,
                                                mode=edge_mode))

@@ -15,7 +15,17 @@ import numpy as np
 from . import rng
 from .benchmarks import Linear1D
 from .dynamics import rollout_batch
-from .geometry import convex_hull_2d, goal_contains, hull_obstacle_clearance, points_obstacle_clearance
+from .geometry import (
+    box_obstacle_clearance,
+    convex_hull_2d,
+    goal_contains,
+    hull_obstacle_clearance,
+    points_obstacle_clearance,
+)
+
+# Slack on the bounding-box shortcut of padded_collision_free: an obstacle
+# the box clears by less goes to the exact per-sub-step test.
+BOX_MARGIN = 1e-9
 
 
 def project_to_plane(states, projection):
@@ -145,22 +155,35 @@ def padded_collision_free(traces, projection, obstacles, epsilon):
     """True when the particle hull clears every obstacle by more than epsilon
     at every sub-step of the trace.
 
-    The hull is left alone; the padding inflates obstacles.  A per-point
-    prefilter rejects early (any particle within epsilon of an obstacle puts
-    the hull within epsilon too); surviving traces get the exact hull check,
-    which also covers the region the hull spans between particles.
+    The hull is left alone; the padding inflates obstacles.  Obstacles that
+    the bounding box of the whole projected trace clears by more than
+    epsilon + BOX_MARGIN are dropped first: every particle lies in that box,
+    and so does every sub-step hull, whose vertices are particles, so such an
+    obstacle cannot change the decision.  The margin hands rounding ties to
+    the exact path.  When no obstacle is left the trace is accepted without
+    building a hull.  For the rest, a per-point prefilter rejects early (any
+    particle within epsilon of an obstacle puts the hull within epsilon too);
+    surviving traces get the exact hull check at each sub-step, which also
+    covers the region the hull spans between particles.
     """
     traces = np.asarray(traces, dtype=float)
     if not obstacles:
         return True
     pts = project_to_plane(traces, projection)
     flat = pts.reshape(-1, 2)
-    for obstacle in obstacles:
+    lo, hi = flat.min(axis=0), flat.max(axis=0)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("trace must be finite")
+    near = [o for o in obstacles
+            if box_obstacle_clearance(lo, hi, o) <= epsilon + BOX_MARGIN]
+    if not near:
+        return True
+    for obstacle in near:
         if points_obstacle_clearance(flat, obstacle).min() <= epsilon:
             return False
     for k in range(pts.shape[0]):
         hull = convex_hull_2d(pts[k])
-        for obstacle in obstacles:
+        for obstacle in near:
             if hull_obstacle_clearance(hull, obstacle) <= epsilon:
                 return False
     return True

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import make_benchmark
 from .dynamics import BallRegion, Box
-from .geometry import AxisAlignedBox, Ball, GoalRegion
+from .geometry import AxisAlignedBox, Ball, GoalRegion, box_obstacle_clearance
 from .planner import PlannerParams
 from .tree import Plan, PlanStep
 
@@ -64,14 +64,7 @@ def check_init_clearance(name, value, init_region, projection, obstacles):
     if len(proj) == 1:  # zero-padded to the plane, as the planner does
         lo, hi = np.append(lo, 0.0), np.append(hi, 0.0)
     for i, obstacle in enumerate(obstacles):
-        if isinstance(obstacle, Ball):
-            o_lo = o_hi = obstacle.center
-            o_r = obstacle.radius
-        else:
-            o_lo, o_hi, o_r = obstacle.lo, obstacle.hi, 0.0
-        gap = np.maximum(o_lo - hi, lo - o_hi)
-        boxes = np.linalg.norm(np.maximum(gap, 0.0)) if gap.max() > 0 else gap.max()
-        clearance = float(boxes - r - o_r)
+        clearance = box_obstacle_clearance(lo, hi, obstacle, radius=r)
         if clearance <= value:
             raise ScenarioError(
                 f"the initial set comes within {name} {value!r} of obstacles[{i}] "
@@ -239,6 +232,12 @@ def load_scenario(path):
     if np.any(hi < lo):
         raise ScenarioError("sampling_box needs lo <= hi", key="sampling_box")
     sampling_box = Box(lo, hi)
+    # the tree grows toward samples from this box; a goal that shares no
+    # point with it would burn the budget
+    goal_axes = list(goal.projection)
+    if box_obstacle_clearance(lo[goal_axes], hi[goal_axes], Ball(goal.center, goal.radius)) > 0:
+        raise ScenarioError("the goal ball lies entirely outside the sampling box",
+                            key="goal")
 
     p = _want(raw, "planner", dict)
 

@@ -352,6 +352,18 @@ def test_decision_digests_are_frozen(tmp_path, capsys, name):
     assert sorted(os.listdir(tmp_path)) == sorted(want)
 
 
+def test_full_quadrotor_solve_writes_the_stored_plan(tmp_path, capsys):
+    # the whole 297-iteration seed-0 solve, which reaches extensions that
+    # pass the point prefilter and need the per-sub-step hull test
+    stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data",
+                          "quadrotor-gate.plan.json")
+    scenario = os.path.join(SCENARIOS, "quadrotor.json")
+    assert main(["run", "--scenario", scenario, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(stored, "rb") as f:
+        assert (tmp_path / "plan.json").read_bytes() == f.read()
+
+
 # ------------------------------------------------------------ budget trend
 
 

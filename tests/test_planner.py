@@ -1,6 +1,7 @@
 """Planner tests: node-selection statistics, hybrid extension gates, full
 runs on the 1-D benchmark, and exact replay."""
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy import stats
 
 from reachrrt import rng
 from reachrrt.benchmarks import Jumper, make_benchmark
-from reachrrt.dynamics import Box
+from reachrrt import planner
+from reachrrt.dynamics import Box, reachable_modes
 from reachrrt.geometry import Ball, GoalRegion, convex_hull_2d, hull_obstacle_clearance
 from reachrrt.planner import (
     PlannerParams,
@@ -22,7 +24,10 @@ from reachrrt.planner import (
 )
 from reachrrt.reachability import (compute_reach_set, init_particles, padded_goal_contained,
                                    project_to_plane)
+from reachrrt.scenario import load_scenario
 from reachrrt.tree import DualTree, Edge
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 @dataclass
@@ -134,18 +139,62 @@ def test_duration_independent_of_selected_node():
 
 def test_hybrid_control_draw_appends_mode():
     sys_ = make_benchmark("jumper")
-    x = np.zeros(4)
+    box = sys_.bounds.control
+    modes = reachable_modes(sys_, np.zeros(4), Jumper.CONTACT, 0.21, 0.03)
+    assert modes == [Jumper.CONTACT, Jumper.FLIGHT]
     u, tau, sigma = sample_control_hybrid(
-        sys_, x, Jumper.CONTACT, 0.21, 0.03, rng.substream(7, rng.DOMAIN_PLANNER))
+        box, 0.21, modes, rng.substream(7, rng.DOMAIN_PLANNER))
     assert sigma in (0, 1)
     assert 0.0 <= tau <= 0.21
-    assert sys_.bounds.control.contains(u)
+    assert box.contains(u)
+    # draw order is u, tau, then the mode: (u, tau) match the smooth draw
+    u_s, tau_s = sample_control(box, 0.21, rng.substream(7, rng.DOMAIN_PLANNER))
+    assert np.array_equal(u, u_s) and tau == tau_s
     # mode draw is uniform over the probed set {contact, flight}
     gen = rng.substream(8, rng.DOMAIN_PLANNER)
-    sigmas = [sample_control_hybrid(sys_, x, Jumper.CONTACT, 0.21, 0.03, gen)[2]
-              for _ in range(2000)]
+    sigmas = [sample_control_hybrid(box, 0.21, modes, gen)[2] for _ in range(2000)]
     frac = np.mean(sigmas)
     assert 0.45 < frac < 0.55
+
+
+def _jumper_plan(i_max=160):
+    sc = load_scenario(os.path.join(SCENARIOS, "jumper.json"))
+    params = PlannerParams(**{**sc.params.__dict__, "i_max": i_max})
+    return plan(sc.build_system(), sc.init_region, sc.goal, sc.obstacles,
+                sc.sampling_box, params, init_mode=sc.init_mode)
+
+
+def test_modes_are_probed_once_per_selected_node(monkeypatch):
+    selected, probed = [], []
+
+    def spy_select(*args):
+        nid = sample_node(*args)
+        selected.append(nid)
+        return nid
+
+    def spy_probe(sys_, x, mode, tau_max, h):
+        probed.append((tuple(x), mode))
+        return reachable_modes(sys_, x, mode, tau_max, h)
+
+    monkeypatch.setattr(planner, "sample_node", spy_select)
+    monkeypatch.setattr(planner, "reachable_modes", spy_probe)
+    result = _jumper_plan()
+    assert len(selected) == result.stats.iterations == 160
+    distinct = list(dict.fromkeys(selected))
+    assert len(distinct) < len(selected)
+    reaches = [result.tree.nodes[nid].reach for nid in distinct]
+    assert probed == [(tuple(r.mu), r.mu_mode) for r in reaches]
+
+
+def test_tree_nodes_own_their_states():
+    result = _jumper_plan()
+    assert len(result.tree) > 1
+    for node in result.tree.nodes:
+        reach = node.reach
+        # a view would keep the whole (S+1, N, n) rollout trace alive
+        assert reach.states.base is None
+        assert reach.modes.base is None
+        assert reach.mu.base is None
 
 
 # ------------------------------------------------------------ hybrid gates

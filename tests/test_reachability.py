@@ -7,12 +7,21 @@ from inside as the particle count grows.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from reachrrt import rng
+from reachrrt import reachability, rng
 from reachrrt.benchmarks import Jumper, make_benchmark
 from reachrrt.dynamics import Box
-from reachrrt.geometry import Ball, GoalRegion, convex_hull_2d, point_in_hull
+from reachrrt.geometry import (
+    AxisAlignedBox,
+    Ball,
+    GoalRegion,
+    convex_hull_2d,
+    hull_obstacle_clearance,
+    point_in_hull,
+    points_obstacle_clearance,
+)
 from reachrrt.reachability import (
     ParticleSet,
     compute_reach_set,
@@ -247,6 +256,136 @@ def test_collision_sees_hull_between_particles():
     # two particles straddling the obstacle; segment between them crosses it
     trace = np.array([[[-2.0, 0.0], [2.0, 0.0]]])
     assert not padded_collision_free(trace, (0, 1), [ball], 0.0)
+
+
+def reference_padded_collision_free(traces, projection, obstacles, epsilon):
+    """The collision test without the bounding-box shortcut: the point
+    prefilter, then every sub-step hull, against every obstacle."""
+    traces = np.asarray(traces, dtype=float)
+    if not obstacles:
+        return True
+    pts = project_to_plane(traces, projection)
+    flat = pts.reshape(-1, 2)
+    for obstacle in obstacles:
+        if points_obstacle_clearance(flat, obstacle).min() <= epsilon:
+            return False
+    for k in range(pts.shape[0]):
+        hull = convex_hull_2d(pts[k])
+        for obstacle in obstacles:
+            if hull_obstacle_clearance(hull, obstacle) <= epsilon:
+                return False
+    return True
+
+
+# Offsets from epsilon at which obstacles are placed against the trace's
+# bounding box: rounding ties on either side of the shortcut's margin.
+TIE_OFFSETS = [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]
+
+
+@st.composite
+def _placed_obstacle(draw, lo, hi, eps):
+    """A ball or box whose clearance from the box [lo, hi] is eps plus a
+    tie offset, facing one side or one corner of the box."""
+    d = eps + draw(st.sampled_from(TIE_OFFSETS))
+    signs = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)])
+    if draw(st.booleans()):   # a corner, approached at angle alpha
+        alpha = draw(st.floats(0.05, np.pi / 2 - 0.05))
+        anchor = np.where(signs > 0, hi, lo)
+        direction = signs * np.array([np.cos(alpha), np.sin(alpha)])
+        spans = [1, 1]        # the box extends away from the corner on both axes
+    else:                     # a face: anchor anywhere along it
+        axis = draw(st.integers(0, 1))
+        t = draw(st.floats(0.0, 1.0))
+        anchor = lo + t * (hi - lo)
+        anchor[axis] = hi[axis] if signs[axis] > 0 else lo[axis]
+        direction = np.zeros(2)
+        direction[axis] = signs[axis]
+        spans = [0, 0]
+        spans[axis] = 1
+    if draw(st.booleans()):
+        r = draw(st.floats(0.01, 1.0))
+        return Ball(anchor + (d + r) * direction, r)
+    q = anchor + d * direction
+    size = np.array([draw(st.floats(0.01, 1.0)) for _ in range(2)])
+    b_lo, b_hi = q - size / 2, q + size / 2   # straddles q on a face's axis
+    for i in range(2):
+        if spans[i]:
+            b_lo[i], b_hi[i] = (q[i], q[i] + size[i]) if signs[i] > 0 else (q[i] - size[i], q[i])
+    return AxisAlignedBox(b_lo, b_hi)
+
+
+@st.composite
+def _random_obstacle(draw):
+    c = np.array([draw(st.floats(-4.0, 4.0)) for _ in range(2)])
+    size = draw(st.floats(0.01, 1.5))
+    if draw(st.booleans()):
+        return Ball(c, size)
+    return AxisAlignedBox(c, c + np.array([size, draw(st.floats(0.01, 1.5))]))
+
+
+@st.composite
+def _collision_cases(draw):
+    """(traces, projection, obstacles, epsilon) over single particles, one
+    slice or one sub-step, flat clouds, tiny clouds and 1-D projections."""
+    slices = draw(st.integers(1, 4))        # 1: a root set; 2: one sub-step
+    n = draw(st.integers(1, 6))
+    projection = draw(st.sampled_from([(0, 1), (1, 0), (0, 2), (0,)]))
+    dim = max(projection) + 1
+    coord = st.floats(-2.0, 2.0, allow_subnormal=False)
+    traces = np.array(draw(st.lists(coord, min_size=slices * n * dim,
+                                    max_size=slices * n * dim))).reshape(slices, n, dim)
+    flat_axis = draw(st.sampled_from([None, 0, 1]))
+    if flat_axis is not None and flat_axis < len(projection):
+        traces[..., projection[flat_axis]] = traces[0, 0, projection[flat_axis]]
+    # area below the hull builder's collinearity tolerance
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-5]))
+    traces = traces * scale
+    eps = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    pts = project_to_plane(traces, projection).reshape(-1, 2)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    obstacles = draw(st.lists(st.one_of(_placed_obstacle(lo, hi, eps), _random_obstacle()),
+                              min_size=1, max_size=3))
+    return traces, projection, obstacles, eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_collision_cases())
+# the bounding box of a cloud with area under the hull builder's collinearity
+# tolerance has a degenerate hull (its diagonal), which clears a ball that a
+# particle at the box's corner does not
+@example(case=(np.array([[[0.0, 0.0], [0.0, 3e-5], [3e-5, 0.0]]]), (0, 1),
+               [Ball(np.array([3e-5, 0.0]) + (0.55 - 1e-6) * np.array([1.0, -1.0]) / np.sqrt(2),
+                     0.5)], 0.05))
+def test_collision_decision_matches_reference(case):
+    traces, projection, obstacles, eps = case
+    assert padded_collision_free(traces, projection, obstacles, eps) == \
+        reference_padded_collision_free(traces, projection, obstacles, eps)
+
+
+def test_obstacle_far_from_the_trace_builds_no_hull(monkeypatch):
+    hulled = []
+
+    def spy(points):
+        hulled.append(len(points))
+        return convex_hull_2d(points)
+
+    monkeypatch.setattr(reachability, "convex_hull_2d", spy)
+    diamond = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
+    trace = np.tile(diamond, (5, 1, 1))     # bounding box [0, 1]^2
+    far = [Ball((5.0, 0.5), 1.0), AxisAlignedBox((-3.0, -3.0), (-1.0, 3.0))]
+    assert padded_collision_free(trace, (0, 1), far, 0.35)
+    assert hulled == []
+    # within epsilon of the box's empty corner, clear of every hull: the
+    # shortcut keeps it, and the exact test hulls every sub-step
+    corner = Ball((1.3, 1.3), 0.1)
+    assert padded_collision_free(trace, (0, 1), [*far, corner], 0.35)
+    assert hulled == [4] * 5
+
+
+def test_collision_refuses_a_nonfinite_trace():
+    trace = np.array([[[0.0, 0.0], [np.nan, 0.0]]])
+    with pytest.raises(ValueError):
+        padded_collision_free(trace, (0, 1), [Ball((5.0, 0.0), 1.0)], 0.1)
 
 
 def test_goal_shrink_boundary():

@@ -111,6 +111,8 @@ def test_scenario_defaults(tmp_path):
      "planner.epsilon", "planner.epsilon must be finite"),
     ({"baseline_padding": 0.55}, "baseline_padding",
      "baseline_padding 0.55 must be smaller than the goal radius 0.55"),
+    ({"goal": {"projection": [0], "center": [4.1], "radius": 0.55}},
+     "goal", "the goal ball lies entirely outside the sampling box"),
 ])
 def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     path = _write(tmp_path, **mods)
