@@ -104,7 +104,8 @@ def dlqr_gain(A, B, Q, R, iters=100000, tol=1e-13):
         K = np.linalg.solve(R + BtP @ B, BtP @ A)
         Pn = Q + A.T @ P @ (A - B @ K)
         Pn = 0.5 * (Pn + Pn.T)
-        if np.max(np.abs(Pn - P)) < tol:
+        # converged, or overflowed: the gain then comes out non-finite
+        if not np.all(np.isfinite(Pn)) or np.max(np.abs(Pn - P)) < tol:
             P = Pn
             break
         P = Pn
@@ -114,6 +115,8 @@ def dlqr_gain(A, B, Q, R, iters=100000, tol=1e-13):
 
 
 def quadrotor_tracking_gain(h=0.1, q=1.0, r=0.1):
+    if not h > 0:
+        raise ValueError(f"gain_substep {h!r} must be positive")
     quad = Quadrotor()
     Ad, Bd = quad.linearization(h)
     return dlqr_gain(Ad, Bd, q * np.eye(4), r * np.eye(2))

@@ -144,6 +144,12 @@ def cmd_validate(args):
     except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"{args.plan}: cannot load plan: {e}", file=_sys.stderr)
         return 1
+    made_for = plan_obj.scenario_sha256
+    if made_for is not None and made_for != scenario.sha256 and not args.allow_scenario_mismatch:
+        print(f"{args.plan}: the plan was made for the scenario with sha256 {made_for}, "
+              f"but {args.scenario} has sha256 {scenario.sha256}; pass "
+              f"--allow-scenario-mismatch to validate it anyway", file=_sys.stderr)
+        return 1
     m = sys.bounds.control.dim
     for s in plan_obj.steps:
         if len(s.u) != m:
@@ -264,6 +270,8 @@ def main(argv=None):
     _add_common(p_val)
     p_val.add_argument("--plan", required=True, help="plan JSON file")
     p_val.add_argument("--rollouts", type=int, default=None)
+    p_val.add_argument("--allow-scenario-mismatch", action="store_true",
+                       help="validate a plan made for a different scenario file")
     p_val.set_defaults(fn=cmd_validate)
 
     p_study = sub.add_parser("study", help="success rate vs iteration budget")

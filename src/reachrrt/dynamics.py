@@ -170,8 +170,8 @@ class FeedbackWrapped(System):
         self.base = base
         self.gain = np.asarray(gain, dtype=float)
         m, n = base.bounds.control.dim, base.state_dim
-        if self.gain.shape != (m, n):
-            raise ValueError(f"gain must be ({m}, {n})")
+        if self.gain.shape != (m, n) or not np.all(np.isfinite(self.gain)):
+            raise ValueError(f"gain must be a finite ({m}, {n}) matrix")
         self.name = base.name
         self.state_dim = base.state_dim
         self.bounds = base.bounds
@@ -229,7 +229,9 @@ class Rollout:
 
     Row k of each trace is the state after k sub-steps.  The traces are
     preallocated for every sub-step; after a divergence they are the prefix
-    that ends at the bad sub-step.
+    that ends at the bad sub-step.  A tracked nominal is row N of the
+    batch: `states` and `modes` then view rows :N of the shared traces, and
+    `mu` and `mu_modes` view row N.
     """
 
     states: np.ndarray            # (S+1, N, n)
@@ -256,7 +258,7 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         sys: the system.
         X0: (N, n) initial particle states.
         nu: (m,) commanded control, constant over the segment; an open-loop
-            system also takes (N, m), one control per particle.
+            system without mu0 also takes (N, m), one control per particle.
         tau: segment duration; sub-steps of h with a final partial step.
         h: sub-step length.
         thetas: (N, p) frozen per-particle parameters.
@@ -268,11 +270,15 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         mu_mode0: initial mode of the tracked nominal.
 
     Returns a Rollout.  Each sub-step is written into traces preallocated
-    for all of them.  `diverged` is set if any state leaves
-    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] or is not finite, in which case
-    the traces are cut to the prefix that ends at the bad sub-step.  The
-    step functions must not modify their inputs, which are rows of these
-    traces.
+    for all of them.  The tracked nominal rides along as row N of the batch,
+    with the nominal parameter and disturbance, so each sub-step makes one
+    control resolution and one step call; the step functions act on each
+    row alone, so row N is exactly what a one-row call would compute.
+    `diverged` is set if any particle state (rows :N; the nominal is not
+    tested) leaves [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] or is not finite,
+    in which case the traces are cut to the prefix that ends at the bad
+    sub-step.  The step functions must not modify their inputs, which are
+    rows of these traces.
     """
     X0 = np.asarray(X0, dtype=float)
     N = len(X0)
@@ -282,37 +288,34 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
     S = len(lengths)
 
     track_mu = mu0 is not None
-    th_hat = sys.nominal_param[None, :]
-    w_hat = sys.nominal_disturbance[None, :]
     hyb = sys.hybrid
 
-    states = np.empty((S + 1,) + X0.shape)
-    states[0] = X0
-    X = states[0]
-    modes_trace = mu_trace = mu_modes_trace = mu = None
+    states = np.empty((S + 1, N + track_mu, X0.shape[1]))
+    states[0, :N] = X0
+    modes_trace = W = None
     if hyb:
-        modes_trace = np.empty((S + 1, N), dtype=np.int64)
-        modes_trace[0] = modes0
-        modes = modes_trace[0]
+        modes_trace = np.empty((S + 1, N + track_mu), dtype=np.int64)
+        modes_trace[0, :N] = modes0
     if track_mu:
-        mu_trace = np.empty((S + 1, X0.shape[1]))
-        mu_trace[0] = mu0
-        mu = mu_trace[0]
+        states[0, N] = mu0
+        thetas = np.concatenate([thetas, sys.nominal_param[None, :]])
+        W = np.empty((N + 1, sys.nominal_disturbance.shape[0]))
+        W[N] = sys.nominal_disturbance
         if hyb:
-            mu_modes_trace = np.empty(S + 1, dtype=np.int64)
-            mu_modes_trace[0] = mu_mode0
-            mu_mode = mu_modes_trace[:1]
+            modes_trace[0, N] = mu_mode0
+    X = states[0]
+    modes = modes_trace[0] if hyb else None
 
     ctx = None
-    mu_ctx = None
     bad = False
     for j, hj in enumerate(lengths):
-        W = np.asarray(w_source(j, N), dtype=float)
+        if track_mu:
+            W[:N] = w_source(j, N)
+        else:
+            W = np.asarray(w_source(j, N), dtype=float)
         if hyb and j == 0:
             ctx = sys.begin_segment(nu, modes, W)
-            if track_mu:
-                mu_ctx = sys.begin_segment(nu, mu_mode, w_hat)
-        U = sys.resolve_control(nu, X, mu)
+        U = sys.resolve_control(nu, X, X[N] if track_mu else None)
 
         if hyb:
             X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx)
@@ -321,57 +324,21 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
             X = sys.step_batch(X, U, W, thetas, hj)
         states[j + 1] = X
 
-        if track_mu:
-            U_mu = sys.resolve_control(nu, mu[None, :], mu)
-            if hyb:
-                mu_b, mu_mode = sys.hybrid_step_batch(
-                    mu[None, :], mu_mode, U_mu, w_hat, th_hat, hj, mu_ctx)
-                mu_trace[j + 1] = mu_b[0]
-                mu_modes_trace[j + 1] = mu_mode[0]
-            else:
-                mu_trace[j + 1] = sys.step_batch(mu[None, :], U_mu, w_hat, th_hat, hj)[0]
-            mu = mu_trace[j + 1]
-
         # NaN fails both comparisons, so this also catches non-finite states
-        bad = X.size > 0 and not (-DIVERGENCE_LIMIT <= X.min() and X.max() <= DIVERGENCE_LIMIT)
+        bad = N > 0 and not (-DIVERGENCE_LIMIT <= X[:N].min() and X[:N].max() <= DIVERGENCE_LIMIT)
         if bad:
             lengths = lengths[: j + 1]
             break
 
     rows = len(lengths) + 1
     return Rollout(
-        states=states[:rows],
-        modes=modes_trace[:rows] if hyb else None,
-        mu=mu_trace[:rows] if track_mu else None,
-        mu_modes=mu_modes_trace[:rows] if mu_modes_trace is not None else None,
+        states=states[:rows, :N],
+        modes=modes_trace[:rows, :N] if hyb else None,
+        mu=states[:rows, N] if track_mu else None,
+        mu_modes=modes_trace[:rows, N] if hyb and track_mu else None,
         lengths=lengths,
         diverged=bool(bad),
     )
-
-
-def step(sys, x, u, w, theta, h):
-    """Single-state convenience wrapper around step_batch."""
-    X = np.asarray(x, dtype=float)[None, :]
-    U = np.asarray(u, dtype=float)[None, :]
-    W = np.asarray(w, dtype=float)[None, :]
-    Th = np.asarray(theta, dtype=float)[None, :]
-    out = sys.step_batch(X, U, W, Th, h)[0]
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError("dynamics diverged")
-    return out
-
-
-def hybrid_step(sys, x, mode, u, w, theta, h, ctx=None):
-    """Single-state hybrid step; builds a fresh segment context if none given."""
-    X = np.asarray(x, dtype=float)[None, :]
-    U = np.asarray(u, dtype=float)[None, :]
-    W = np.asarray(w, dtype=float)[None, :]
-    Th = np.asarray(theta, dtype=float)[None, :]
-    M = np.array([int(mode)], dtype=np.int64)
-    if ctx is None:
-        ctx = sys.begin_segment(U[0], M, W)
-    Xn, Mn = sys.hybrid_step_batch(X, M, U, W, Th, h, ctx)
-    return Xn[0], int(Mn[0])
 
 
 def rollout(sys, x0, u, tau, h, theta=None, w=None, mode=None):

@@ -170,20 +170,6 @@ def _hull_edges(hull):
     return v, np.roll(v, -1, axis=0)
 
 
-def point_in_hull(hull, p, tol=DEFAULT_TOL):
-    """Membership with slack: within signed distance `tol` of the hull."""
-    p = np.asarray(p, dtype=float)
-    v = hull.vertices
-    if len(v) < 3:
-        a, b = _hull_edges(hull)
-        return bool(_point_segments_distance(p, a, b).min() <= tol)
-    e = np.roll(v, -1, axis=0) - v
-    w = p[None, :] - v
-    cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-    lengths = np.sqrt((e * e).sum(axis=1))
-    return bool(np.all(cross >= -tol * lengths))
-
-
 def point_hull_distance(hull, p):
     """Euclidean distance from p to the hull (zero inside)."""
     p = np.asarray(p, dtype=float)

@@ -13,7 +13,6 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .benchmarks import Linear1D
 from .dynamics import rollout_batch
 from .geometry import (
     box_obstacle_clearance,
@@ -110,8 +109,14 @@ def disturbance_source(box, seed, *key):
 
     Each sub-step gets its own substream, so draws are independent of how
     many particles other rollouts used and the first m rows of a block are
-    stable as the particle count grows.
+    stable as the particle count grows.  A zero-width box (lo == hi on every
+    axis) creates no substream: a uniform draw is lo + (hi - lo) u, which is
+    lo + 0.0 for every u, and nothing else reads the sub-step's private
+    generator.  Its rows are one read-only broadcast of lo + 0.0.
     """
+    if np.array_equal(box.lo, box.hi) and np.all(np.isfinite(box.lo)):
+        w = box.lo + 0.0
+        return lambda j, count: np.broadcast_to(w, (int(count), box.dim))
 
     def source(j, count):
         return box.sample(rng.substream(seed, *key, j), count)
@@ -193,16 +198,3 @@ def padded_goal_contained(pset, goal, epsilon):
     """True when every particle's projection lies in the goal shrunk by
     epsilon."""
     return bool(np.all(goal_contains(goal, pset.states, shrink=epsilon)))
-
-
-def exact_interval_reach(sys, x0_interval, tau):
-    """Exact reachable interval for the 1-D benchmark.
-
-    Only linear1d admits this closed form; anything else is a usage error.
-    """
-    if not isinstance(sys, Linear1D):
-        raise TypeError("exact interval reach is defined for linear1d only")
-    lo, hi = float(x0_interval[0]), float(x0_interval[1])
-    th = sys.bounds.param
-    w = sys.bounds.disturbance
-    return (lo + (th.lo[0] + w.lo[0]) * tau, hi + (th.hi[0] + w.hi[0]) * tau)

@@ -102,6 +102,21 @@ class Scenario:
         return self.build_system().modes.index(self.init_mode_name)
 
 
+def _finite(x):
+    """math.isfinite, False also for an integer too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _option_ok(v):
+    """System options are booleans, finite numbers and lists of them."""
+    if isinstance(v, list):
+        return all(_option_ok(x) for x in v)
+    return isinstance(v, (bool, int, float)) and _finite(v)
+
+
 def _want(raw, key, types, where=""):
     if key not in raw:
         raise ScenarioError(f"missing required key {where}{key}", key=key)
@@ -109,7 +124,7 @@ def _want(raw, key, types, where=""):
     if not isinstance(v, types):
         names = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise ScenarioError(f"{where}{key} must be {names}", key=key)
-    if isinstance(v, float) and not math.isfinite(v):
+    if isinstance(v, (int, float)) and not _finite(v):
         raise ScenarioError(f"{where}{key} must be finite", key=key)
     return v
 
@@ -122,7 +137,7 @@ def _number(raw, key, default, where, kinds=(int, float), positive=False, nonneg
     if isinstance(v, bool) or not isinstance(v, kinds):
         kind = "an integer" if kinds is int else "a number"
         raise ScenarioError(f"{path} must be {kind}", key=path)
-    if not math.isfinite(v):
+    if not _finite(v):
         raise ScenarioError(f"{path} must be finite", key=path)
     if positive and v <= 0:
         raise ScenarioError(f"{path} must be positive", key=path)
@@ -135,7 +150,7 @@ def _vector(raw, key, where=""):
     v = _want(raw, key, list, where)
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
         raise ScenarioError(f"{where}{key} must be a list of numbers", key=key)
-    if not all(math.isfinite(x) for x in v):
+    if not all(_finite(x) for x in v):
         raise ScenarioError(f"{where}{key} must hold finite numbers", key=key)
     return np.asarray(v, dtype=float)
 
@@ -162,6 +177,8 @@ def _parse_init(raw, dim):
 
 
 def _parse_obstacle(raw, idx):
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"obstacles[{idx}] must be an object", key="obstacles")
     kind = _want(raw, "kind", str, f"obstacles[{idx}].")
     if kind == "ball":
         center = _vector(raw, "center", f"obstacles[{idx}].")
@@ -198,6 +215,10 @@ def load_scenario(path):
     system_options = raw.get("system_options", {})
     if not isinstance(system_options, dict):
         raise ScenarioError("system_options must be an object", key="system_options")
+    for key, value in system_options.items():
+        if not _option_ok(value):
+            raise ScenarioError(f"system_options.{key} must hold finite numbers or booleans",
+                                key=f"system_options.{key}")
 
     try:
         sys = make_benchmark(system_name, **system_options)
@@ -209,7 +230,7 @@ def load_scenario(path):
 
     goal_raw = _want(raw, "goal", dict)
     proj = _want(goal_raw, "projection", list, "goal.")
-    if not all(isinstance(i, int) and 0 <= i < dim for i in proj):
+    if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < dim for i in proj):
         raise ScenarioError(f"goal.projection must index states 0..{dim - 1}", key="goal")
     center = _vector(goal_raw, "center", "goal.")
     radius = _want(goal_raw, "radius", (int, float), "goal.")
@@ -261,6 +282,9 @@ def load_scenario(path):
         seed=num("seed", 0, kinds=int, nonneg=True),
         nn_weights=nn_weights,
     )
+    if params.h > params.tau_max:
+        raise ScenarioError("planner.substep must not exceed planner.tau_max",
+                            key="planner.substep")
 
     init_mode_name = raw.get("init_mode")
     if sys.hybrid and init_mode_name is None:
@@ -387,6 +411,7 @@ def plan_from_dict(raw):
         system=str(raw["system"]),
         solved_node=int(raw["solved_node"]),
         meta=dict(meta),
+        scenario_sha256=raw.get("scenario_sha256"),
     )
 
 

@@ -54,6 +54,7 @@ class Plan:
     system: str
     solved_node: int
     meta: dict = field(default_factory=dict)
+    scenario_sha256: str | None = None   # of the scenario a loaded plan was made for
 
     def __len__(self):
         return len(self.steps)

@@ -19,13 +19,9 @@ from reachrrt import rng
 from reachrrt.benchmarks import Jumper, Linear1D, make_benchmark
 from reachrrt.cli import main
 from reachrrt.dynamics import Box
-from reachrrt.geometry import convex_hull_2d, hausdorff_distance, point_in_hull
+from reachrrt.geometry import convex_hull_2d, hausdorff_distance
 from reachrrt.planner import extend_hybrid, sample_control, sample_node
-from reachrrt.reachability import (
-    compute_reach_set,
-    exact_interval_reach,
-    init_particles,
-)
+from reachrrt.reachability import compute_reach_set, init_particles
 from reachrrt.scenario import load_scenario
 from reachrrt.tree import DualTree, Edge
 from reachrrt.validation import (
@@ -37,6 +33,8 @@ from reachrrt.validation import (
     success_rate_study,
     trajectory_bound_factor,
 )
+
+from oracles import exact_interval_reach, point_in_hull
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 

@@ -1,7 +1,8 @@
 """Drift checks: every repository path and every `reachrrt.cli` subcommand
 that README.md names must exist, the third-party modules the code imports
-must be the ones pyproject.toml and README's "Requires" line name, and
-every function the benchmark's tracer wraps must still exist by name."""
+must be the ones pyproject.toml and README's "Requires" line name, every
+function the benchmark's tracer wraps must still exist by name, and every
+module-level function in src/ must have a caller outside the tests."""
 
 import ast
 import glob
@@ -40,13 +41,15 @@ def test_readme_subcommands_exist(capsys):
 
 def _third_party_imports(directory):
     names = set()
-    for path in glob.glob(os.path.join(ROOT, directory, "**", "*.py"), recursive=True):
+    paths = glob.glob(os.path.join(ROOT, directory, "**", "*.py"), recursive=True)
+    local = {os.path.splitext(os.path.basename(p))[0] for p in paths}
+    for path in paths:
         for node in ast.walk(ast.parse(open(path).read())):
             if isinstance(node, ast.Import):
                 names.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"reachrrt"}
+    return names - set(sys.stdlib_module_names) - {"reachrrt"} - local
 
 
 def _requirement_names(key):
@@ -72,13 +75,18 @@ def test_dependencies_match_imports_and_readme():
     assert _readme_names(m.group(2)) == dev
 
 
-def test_tracer_targets_resolve():
-    # perfbench/tracer.py wraps its targets by module and attribute name; a
-    # rename in src/ would break the benchmark's traced run (`--trace 1`)
+def _load_tracer():
     path = os.path.join(ROOT, "perfbench", "tracer.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps its targets by module and attribute name; a
+    # rename in src/ would break the benchmark's traced run (`--trace 1`)
+    tracer = _load_tracer()
     assert tracer.TARGETS
     missing = []
     for _, module, attr_path, _ in tracer.TARGETS:
@@ -88,3 +96,36 @@ def test_tracer_targets_resolve():
         if not callable(obj):
             missing.append(f"{module}.{attr_path}")
     assert missing == []
+
+
+def _referenced_names(path, skip_own_body=False):
+    """Names and attributes a Python file uses; with skip_own_body, a
+    module-level function's references to itself do not count."""
+    names = set()
+    for top in ast.parse(open(path).read()).body:
+        own = top.name if skip_own_body and isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != own:
+                names.add(name)
+    return names
+
+
+def test_every_src_function_has_a_caller():
+    # code only the tests use belongs in tests/oracles.py, not in the package
+    src = sorted(glob.glob(os.path.join(ROOT, "src", "reachrrt", "*.py")))
+    defined = {node.name: os.path.basename(path) for path in src
+               for node in ast.parse(open(path).read()).body
+               if isinstance(node, ast.FunctionDef)}
+    callers = set()
+    for path in src:
+        callers |= _referenced_names(path, skip_own_body=True)
+    for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
+        callers |= _referenced_names(path)
+    callers |= {attr.split(".")[-1] for _, _, attr, _ in _load_tracer().TARGETS}
+    library = README[README.index("## Library"):]
+    library = library[:library.index("\n## ")]
+    callers |= set(re.findall(r"\w+", library))
+    assert sorted(f"{module}:{name}" for name, module in defined.items()
+                  if name not in callers) == []

@@ -23,10 +23,11 @@ from reachrrt.dynamics import (
     constant_w_source,
     rollout,
     rollout_batch,
-    step,
     substep_lengths,
 )
 from reachrrt.reachability import disturbance_source
+
+from oracles import step
 
 H = 0.1
 
@@ -422,3 +423,85 @@ def test_inplace_trace_matches_stacked_reference_on_benchmarks(name, options, tr
     _assert_same_rollout(got, reference_rollout_batch(*args, **kw))
     if sys_.hybrid and tau > 0:
         assert (got.modes == Jumper.FLIGHT).any()  # the jump command fired
+
+
+# --------------------------------------- the tracked nominal as row N
+
+
+@pytest.mark.parametrize("name,mu0", [
+    ("linear1d", [np.nan]),
+    ("linear1d", [2e12]),
+    ("linear1d-fast", [0.0]),
+    ("jumper", [np.nan, 0.0, 0.0, 0.0]),
+    ("jumper", [-np.inf, 0.0, 0.0, 0.0]),
+    ("jumper", [3e12, 0.0, 0.0, 0.0]),
+], ids=["linear1d-nan", "linear1d-big", "linear1d-fast", "jumper-nan",
+        "jumper-inf", "jumper-big"])
+@pytest.mark.parametrize("tau", [0.73, 0.0], ids=["tau", "tau0"])
+def test_only_the_nominal_diverging_keeps_the_particles(name, mu0, tau):
+    # the nominal runs under the nominal parameter; a huge one sends it past
+    # the limit while the particles, on their own parameters, stay put
+    if name == "linear1d-fast":
+        sys_ = make_benchmark("linear1d", theta_lo=0.0, theta_hi=1e14)
+    else:
+        sys_ = make_benchmark(name)
+    n = 20
+    gen = np.random.default_rng(8)
+    X0 = np.zeros((n, sys_.state_dim))
+    X0[:, 0] = gen.uniform(0.0, 1.0, n)
+    kw = {"mu0": np.array(mu0, dtype=float)}
+    if sys_.hybrid:
+        kw.update(modes0=np.full(n, Jumper.CONTACT), mu_mode0=Jumper.CONTACT)
+    args = (sys_, X0, sys_.bounds.control.hi, tau, 0.05, np.full((n, 1), 0.9),
+            disturbance_source(sys_.bounds.disturbance, 5, rng.DOMAIN_CHECK, 2))
+    got = rollout_batch(*args, **kw)
+    _assert_same_rollout(got, reference_rollout_batch(*args, **kw))
+    assert not got.diverged
+    assert got.lengths == substep_lengths(tau, 0.05)
+    assert np.isfinite(got.states).all()
+    if tau > 0:
+        last = got.mu[-1]
+        assert not (np.isfinite(last).all() and np.abs(last).max() <= DIVERGENCE_LIMIT)
+
+
+@pytest.mark.parametrize("name", ["additive", "additive-hybrid", "quadrotor", "jumper"])
+@pytest.mark.parametrize("tau", [0.73, 0.0], ids=["tau", "tau0"])
+def test_empty_batch_still_tracks_the_nominal(name, tau):
+    if name.startswith("additive"):
+        sys_ = AdditiveHybrid() if name == "additive-hybrid" else Additive()
+    else:
+        sys_ = make_benchmark(name)
+    kw = {"mu0": np.full(sys_.state_dim, 0.25)}
+    if sys_.hybrid:
+        kw.update(modes0=np.zeros(0, dtype=np.int64), mu_mode0=0)
+    args = (sys_, np.zeros((0, sys_.state_dim)), np.ones(2), tau, 0.1,
+            np.zeros((0, len(sys_.nominal_param))),
+            disturbance_source(sys_.bounds.disturbance, 5, rng.DOMAIN_CHECK, 3))
+    got = rollout_batch(*args, **kw)
+    _assert_same_rollout(got, reference_rollout_batch(*args, **kw))
+    assert got.states.shape == (len(got.lengths) + 1, 0, sys_.state_dim)
+    assert not got.diverged
+
+
+class WritesDisturbance(ContinuousSystem):
+    """A faulty step function that scribbles over its disturbance input."""
+
+    name = "writes-disturbance"
+    state_dim = 1
+    collision_projection = (0,)
+
+    def __init__(self):
+        self.bounds = _scalar_bounds()
+        self.nominal_param = np.array([0.0])
+        self.nominal_disturbance = np.array([0.0])
+
+    def flow_batch(self, X, U, W, Th):
+        W[:] = 1.0
+        return W
+
+
+def test_a_shared_zero_width_block_is_read_only():
+    src = disturbance_source(Box([0.5], [0.5]), 5, rng.DOMAIN_CHECK, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        rollout_batch(WritesDisturbance(), np.zeros((3, 1)), np.zeros(1), 0.3, 0.1,
+                      np.zeros((3, 1)), src)

@@ -23,11 +23,12 @@ from reachrrt.geometry import (
     hausdorff_distance,
     hull_obstacle_clearance,
     point_hull_distance,
-    point_in_hull,
     points_obstacle_clearance,
     _hull_edges,
     _point_segments_distance,
 )
+
+from oracles import point_in_hull
 
 
 # ---------------------------------------------------------------- oracles

@@ -1,0 +1,106 @@
+"""Loader fuzz: any JSON object is a scenario or a keyed ScenarioError.
+
+Inputs are arbitrary JSON objects and mutated copies of the shipped
+scenarios: keys dropped, values replaced by nulls, values of the wrong
+type, and huge, negative, subnormal or non-finite numbers (Python's json
+reads and writes NaN and Infinity).  The loader must answer each with a
+Scenario whose system builds, or with a ScenarioError naming the key at
+fault; any other exception is a bug.
+"""
+
+import json
+import math
+import os
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from reachrrt.scenario import Scenario, ScenarioError, load_scenario
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SHIPPED = {}
+for _name in ("corridor.json", "jumper.json", "quadrotor.json"):
+    with open(os.path.join(SCENARIOS, _name)) as _f:
+        SHIPPED[_name] = json.load(_f)
+
+KEYS = sorted({k for raw in SHIPPED.values() for k in raw}
+              | {k for raw in SHIPPED.values() for v in raw.values()
+                 if isinstance(v, dict) for k in v})
+
+numbers = (st.integers(-10, 10) | st.integers() | st.sampled_from([
+    0, -1, 10**400, -10**400, 2**63, 1e308, -1e308, 1e-320, -0.0,
+    math.inf, -math.inf, math.nan]) | st.floats())
+scalars = st.none() | st.booleans() | numbers | st.text(max_size=6) | st.sampled_from(
+    ["box", "ball", "contact", "flight", "linear1d", "quadrotor", "jumper"])
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=6), inner, max_size=5),
+    max_leaves=12)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    raw = json.loads(json.dumps(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        # walk down from the root, one uniformly drawn key or index at a time
+        parent = raw
+        key = draw(st.sampled_from(sorted(raw)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+            parent = parent[key]
+            key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                       else range(len(parent))))
+        old = parent[key]
+        if draw(st.booleans()):
+            new = draw(json_values)
+        elif isinstance(old, (int, float)) and not isinstance(old, bool):
+            scaled = ([old * 10**300, old // 7] if isinstance(old, int)
+                      else [old * 1e300, old * 1e-300])
+            new = draw(st.sampled_from([-old, old * 3, 10**400, -1, 0, None, *scaled]))
+        else:
+            new = draw(st.sampled_from([None, "", [], {}, 0, -1.5, True]))
+        if isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
+            del parent[key]
+        else:
+            parent[key] = new
+        if not raw:
+            break
+    return raw
+
+
+def _check(raw, path):
+    with open(path, "w") as f:
+        json.dump(raw, f)
+    try:
+        sc = load_scenario(path)
+    except ScenarioError as e:
+        assert e.key is not None, str(e)
+        return
+    assert isinstance(sc, Scenario)
+    sys_ = sc.build_system()
+    for box in (sys_.bounds.control, sys_.bounds.disturbance, sys_.bounds.param):
+        assert np.all(np.isfinite(box.lo)) and np.all(np.isfinite(box.hi))
+    sc.params.validated()
+
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                       HealthCheck.too_slow])
+
+
+@FUZZ
+@given(raw=st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=6), json_values,
+                           max_size=8))
+def test_arbitrary_objects_load_or_name_a_key(tmp_path, raw):
+    _check(raw, tmp_path / "fuzz.json")
+
+
+@FUZZ
+@given(raw=mutated_scenarios())
+def test_mutated_scenarios_load_or_name_a_key(tmp_path, raw):
+    _check(raw, tmp_path / "fuzz.json")
+
+
+def test_the_shipped_scenarios_load(tmp_path):
+    for raw in SHIPPED.values():
+        _check(raw, tmp_path / "fuzz.json")

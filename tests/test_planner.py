@@ -186,6 +186,24 @@ def test_modes_are_probed_once_per_selected_node(monkeypatch):
     assert probed == [(tuple(r.mu), r.mu_mode) for r in reaches]
 
 
+def test_zero_width_disturbance_draws_no_substream_per_substep(monkeypatch):
+    # linear1d on the corridor has a zero-width disturbance box
+    keys = []
+    real = rng.substream
+
+    def spy(seed, *key):
+        keys.append(key)
+        return real(seed, *key)
+
+    monkeypatch.setattr(rng, "substream", spy)
+    sc = load_scenario(os.path.join(SCENARIOS, "corridor.json"))
+    result = plan(sc.build_system(), sc.init_region, sc.goal, sc.obstacles,
+                  sc.sampling_box, sc.params)
+    assert result.solved and result.stats.nodes_added > 0
+    assert sorted(set(keys)) == [(rng.DOMAIN_INIT, 0), (rng.DOMAIN_INIT, 1),
+                                 (rng.DOMAIN_PLANNER,)]
+
+
 def test_tree_nodes_own_their_states():
     result = _jumper_plan()
     assert len(result.tree) > 1

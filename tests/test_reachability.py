@@ -19,19 +19,19 @@ from reachrrt.geometry import (
     GoalRegion,
     convex_hull_2d,
     hull_obstacle_clearance,
-    point_in_hull,
     points_obstacle_clearance,
 )
 from reachrrt.reachability import (
     ParticleSet,
     compute_reach_set,
     disturbance_source,
-    exact_interval_reach,
     init_particles,
     padded_collision_free,
     padded_goal_contained,
     project_to_plane,
 )
+
+from oracles import exact_interval_reach, point_in_hull
 
 SEED = 17
 
@@ -187,6 +187,52 @@ def test_extension_draws_differ_by_id_and_substep():
     assert not np.array_equal(a, c)
     assert np.array_equal(a, again)
     assert np.array_equal(a[:10], src(0, 10))
+
+
+# signed zeros, subnormals, huge magnitudes and ordinary values
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                                1e300, -1e300, 1.5, -0.7])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.lists(_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=3),
+       count=st.integers(0, 64), j=st.integers(0, 40), key=st.integers(0, 1000))
+def test_zero_width_source_equals_the_substream_draw(lo, count, j, key):
+    box = Box(lo, lo)
+    got = disturbance_source(box, SEED, rng.DOMAIN_EXTEND, key)(j, count)
+    want = box.sample(rng.substream(SEED, rng.DOMAIN_EXTEND, key, j), count)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def _counting_substreams(monkeypatch):
+    keys = []
+    real = rng.substream
+
+    def spy(seed, *key):
+        keys.append(key)
+        return real(seed, *key)
+
+    monkeypatch.setattr(rng, "substream", spy)
+    return keys
+
+
+def test_zero_width_source_reads_no_substream(monkeypatch):
+    keys = _counting_substreams(monkeypatch)
+    block = disturbance_source(Box([0.25, -0.0], [0.25, -0.0]), SEED, 9)(3, 5)
+    assert keys == []
+    assert np.array_equal(block, np.tile([0.25, 0.0], (5, 1)))
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 1.0
+
+
+def test_one_wide_axis_still_reads_its_substream(monkeypatch):
+    keys = _counting_substreams(monkeypatch)
+    box = Box([0.25, 0.0], [0.25, 1e-300])
+    got = disturbance_source(box, SEED, 9)(3, 5)
+    assert keys == [(9, 3)]
+    assert np.array_equal(got, box.sample(rng.substream(SEED, 9, 3), 5))
 
 
 def test_extension_mean_nominal_is_particle_mean():

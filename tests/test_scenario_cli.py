@@ -1,8 +1,10 @@
 """Scenario files and the command-line front end: schema errors with line
 anchors, exit codes, output files, and byte-determinism."""
 
+import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +115,22 @@ def test_scenario_defaults(tmp_path):
      "baseline_padding 0.55 must be smaller than the goal radius 0.55"),
     ({"goal": {"projection": [0], "center": [4.1], "radius": 0.55}},
      "goal", "the goal ball lies entirely outside the sampling box"),
+    # integers too large for a float, nulls and non-objects (loader fuzz)
+    ({"planner": {**BASE["planner"], "seed": 10**400}},
+     "planner.seed", "planner.seed must be finite"),
+    ({"goal": {"projection": [0], "center": [2.0], "radius": 10**400}},
+     "goal.radius", "goal.radius must be finite"),
+    ({"goal": {"projection": [0], "center": [-10**400], "radius": 0.55}},
+     "goal.center", "goal.center must hold finite numbers"),
+    ({"system_options": {"theta_lo": None, "theta_hi": 0.55}}, "system_options.theta_lo",
+     "system_options.theta_lo must hold finite numbers or booleans"),
+    ({"system_options": {"theta_lo": 10**400, "theta_hi": 0.55}}, "system_options.theta_lo",
+     "system_options.theta_lo must hold finite numbers or booleans"),
+    ({"obstacles": [None]}, "obstacles", "obstacles[0] must be an object"),
+    ({"goal": {"projection": [False], "center": [2.0], "radius": 0.55}},
+     "goal", "goal.projection must index states 0..0"),
+    ({"planner": {**BASE["planner"], "substep": 1.5}},
+     "planner.substep", "planner.substep must not exceed planner.tau_max"),
 ])
 def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     path = _write(tmp_path, **mods)
@@ -120,6 +138,24 @@ def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     err = capsys.readouterr().err
     assert err.startswith(f"{path}:{_line_of(path, key)}: ")
     assert fragment in err
+
+
+@pytest.mark.parametrize("gain_substep,fragment", [
+    (0, "gain_substep 0 must be positive"),
+    (-0.1, "gain_substep -0.1 must be positive"),
+    (1e200, "gain must be a finite (2, 4) matrix"),
+])
+def test_quadrotor_gain_substep_must_give_a_finite_gain(tmp_path, gain_substep, fragment):
+    # without a stored gain the loader solves for one at gain_substep
+    path = _write(
+        tmp_path, name="quad.json", system="quadrotor",
+        system_options={"gain_substep": gain_substep},
+        init={"kind": "box", "lo": [0.0] * 4, "hi": [0.1, 0.1, 0.0, 0.0]},
+        goal={"projection": [0, 1], "center": [5.0, 0.0], "radius": 1.0},
+        sampling_box={"lo": [-1.0, -5.0, -3.0, -3.0], "hi": [8.0, 5.0, 3.0, 3.0]})
+    with pytest.raises(ScenarioError, match=re.escape(fragment)) as e:
+        load_scenario(path)
+    assert e.value.key == "system"
 
 
 def test_bad_json_reports_cleanly(tmp_path, capsys):
@@ -398,7 +434,8 @@ def test_validate_flags_invalid_plan(tmp_path, capsys):
         {"kind": "ball", "center": [1.0, 0.0], "radius": 0.3}])
     capsys.readouterr()
     code = main(["validate", "--scenario", walled, "--plan",
-                 str(out / "plan.json"), "--out-dir", str(out)])
+                 str(out / "plan.json"), "--out-dir", str(out),
+                 "--allow-scenario-mismatch"])
     assert code == 2
     assert "invalid" in capsys.readouterr().out
     report = json.loads((out / "report.json").read_text())
@@ -417,9 +454,37 @@ def test_validate_control_dimension_mismatch(tmp_path, capsys):
         sampling_box={"lo": [-1.0, -5.0, -3.0, -3.0], "hi": [8.0, 5.0, 3.0, 3.0]},
         planner={"i_max": 10, "seed": 1})
     assert main(["validate", "--scenario", quad, "--plan",
-                 str(out / "plan.json"), "--out-dir", str(out)]) == 1
+                 str(out / "plan.json"), "--out-dir", str(out),
+                 "--allow-scenario-mismatch"]) == 1
     err = capsys.readouterr().err
     assert "dimension" in err and "quadrotor" in err
+
+
+def test_validate_refuses_a_plan_made_for_another_scenario(tmp_path, capsys):
+    path = _write(tmp_path)
+    out = tmp_path / "out"
+    assert _run(path, out) == 0
+    made_for = json.loads((out / "plan.json").read_text())["scenario_sha256"]
+    # the same query with one more validation rollout is another file
+    other = _write(tmp_path, name="other.json", validation={"rollouts": 201, "seed": 7})
+    other_sha = hashlib.sha256(open(other, "rb").read()).hexdigest()
+    assert other_sha != made_for
+    capsys.readouterr()
+    val = tmp_path / "val"
+    args = ["validate", "--scenario", other, "--plan", str(out / "plan.json"),
+            "--out-dir", str(val)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert made_for in err and other_sha in err and "--allow-scenario-mismatch" in err
+    assert not val.exists()
+    assert main(args + ["--allow-scenario-mismatch"]) == 0
+    assert json.loads((val / "report.json").read_text())["rollouts"] == 201
+    # a plan without the hash is validated as before
+    plan = json.loads((out / "plan.json").read_text())
+    del plan["scenario_sha256"]
+    (tmp_path / "bare.json").write_text(json.dumps(plan))
+    assert main(["validate", "--scenario", other, "--plan", str(tmp_path / "bare.json"),
+                 "--out-dir", str(val)]) == 0
 
 
 @pytest.mark.parametrize("corrupt", [
