@@ -350,6 +350,38 @@ def test_decision_digests_are_frozen(tmp_path, capsys, name):
     assert sorted(os.listdir(tmp_path)) == sorted(want)
 
 
+PERFBENCH_DATA = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data")
+
+# `validate` of both stored plans and a short `compare`: (scenario, command
+# and flags, output file, its sha256).  The report's and the comparison's
+# headers and rows are frozen with the draws behind them.
+FROZEN_RESULTS = {
+    "quadrotor-validate": (
+        "quadrotor.json",
+        ("validate", "--plan", os.path.join(PERFBENCH_DATA, "quadrotor-gate.plan.json"),
+         "--rollouts", "10000"),
+        "report.json", "674af0972576d1c831a879a6b8c7fda504808bf4a1369214aa366a3239b09d16"),
+    "jumper-validate": (
+        "jumper.json",
+        ("validate", "--plan", os.path.join(PERFBENCH_DATA, "jumper-vault.plan.json")),
+        "report.json", "c0195c640b6afd937533832c9d3c4f4bfcf378023654bfc43469b991f01682fb"),
+    "corridor-compare": (
+        "corridor.json", ("compare", "--seeds", "2"),
+        "compare.json", "a71f46843e0aecd67fdb3b673f4873c4c9e8f8e452d49879fb192408aa845578"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RESULTS))
+def test_result_digests_are_frozen(tmp_path, capsys, name):
+    scenario, argv, output, want = FROZEN_RESULTS[name]
+    command, *flags = argv
+    assert main([command, "--scenario", os.path.join(SCENARIOS, scenario),
+                 "--out-dir", str(tmp_path), *flags]) == 0
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == [output]
+    assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == want
+
+
 def test_full_quadrotor_solve_writes_the_stored_plan(tmp_path, capsys):
     # the whole 297-iteration seed-0 solve, which reaches extensions that
     # pass the point prefilter and need the per-sub-step hull test
