@@ -7,9 +7,11 @@
 
 Exit codes: 0 success (run: solved; validate: plan valid; study, compare:
 finished), 2 honest negative (budget exhausted / plan invalid), 1 usage or
-scenario errors.  Output files are byte-deterministic for a given scenario,
-seed, and flags; they embed the seeds, the scenario content hash, and the
-tool version.
+scenario errors.  validate also exits 1 on a plan file that breaks a rule
+of the plan format: meta.h and meta.tau_max must be positive numbers, each
+step's tau a finite number in [0, meta.tau_max].  Output files are
+byte-deterministic for a given scenario, seed, and flags; they embed the
+seeds, the scenario content hash, and the tool version.
 """
 
 import argparse
@@ -21,9 +23,6 @@ from . import __version__
 from .dynamics import Box
 from .planner import plan as run_plan
 from .scenario import (
-    COMPARE_FORMAT,
-    REPORT_FORMAT,
-    STUDY_FORMAT,
     ScenarioError,
     check_init_clearance,
     check_padding,
@@ -32,7 +31,7 @@ from .scenario import (
     load_scenario,
     plan_to_dict,
     stats_to_dict,
-    write_json,
+    write_result,
 )
 from .svg import render_svg
 from .validation import (
@@ -58,13 +57,17 @@ def _out_dir(args):
     return d
 
 
+def _refuse(path, error):
+    """Exit 1 with a ScenarioError as `path:line: message`."""
+    print(f"{path}:{error_line(path, error.key)}: {error}", file=_sys.stderr)
+    raise SystemExit(1)
+
+
 def _load(args):
     try:
         return load_scenario(args.scenario)
     except ScenarioError as e:
-        line = error_line(args.scenario, e.key)
-        print(f"{args.scenario}:{line}: {e}", file=_sys.stderr)
-        raise SystemExit(1)
+        _refuse(args.scenario, e)
     except OSError as e:
         print(f"{args.scenario}: {e.strerror or e}", file=_sys.stderr)
         raise SystemExit(1)
@@ -103,9 +106,7 @@ def _check_init(scenario, params):
                              scenario.build_system().collision_projection,
                              scenario.obstacles)
     except ScenarioError as e:
-        line = error_line(scenario.path, e.key)
-        print(f"{scenario.path}:{line}: {e}", file=_sys.stderr)
-        raise SystemExit(1)
+        _refuse(scenario.path, e)
 
 
 def cmd_run(args):
@@ -116,18 +117,16 @@ def cmd_run(args):
                       scenario.obstacles, scenario.sampling_box, params,
                       init_mode=scenario.init_mode)
 
-    extra = lipschitz_stats(sys, scenario.sampling_box, params.h)
     out = _out_dir(args)
-    stats_path = os.path.join(out, "stats.json")
-    write_json(stats_path, stats_to_dict(result, params, scenario.sha256, extra))
-    svg_path = os.path.join(out, "tree.svg")
-    with open(svg_path, "w") as f:
+    write_result(out, "stats.json", scenario.sha256, **stats_to_dict(result, params),
+                 **lipschitz_stats(sys, scenario.sampling_box, params.h))
+    with open(os.path.join(out, "tree.svg"), "w") as f:
         f.write(render_svg(result, sys, scenario.goal, scenario.obstacles,
                            scenario.sampling_box, params.epsilon, params.seed,
                            scenario.sha256, __version__))
     if result.plan is not None:
-        plan_path = os.path.join(out, "plan.json")
-        write_json(plan_path, plan_to_dict(result.plan, scenario.sha256))
+        plan_path = write_result(out, "plan.json", scenario.sha256,
+                                 **plan_to_dict(result.plan))
         print(f"solved: {len(result.plan)} steps, {len(result.tree)} nodes, "
               f"{result.stats.iterations} iterations -> {plan_path}")
         return 0
@@ -141,7 +140,7 @@ def cmd_validate(args):
     sys = scenario.build_system()
     try:
         plan_obj = load_plan(args.plan)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError) as e:
         print(f"{args.plan}: cannot load plan: {e}", file=_sys.stderr)
         return 1
     made_for = plan_obj.scenario_sha256
@@ -157,9 +156,6 @@ def cmd_validate(args):
                   f"{len(s.u)}, system {scenario.system_name} expects {m}",
                   file=_sys.stderr)
             return 1
-    if "h" not in plan_obj.meta:
-        print("plan file lacks meta.h (sub-step)", file=_sys.stderr)
-        return 1
 
     seed = args.seed if args.seed is not None else scenario.validation_seed
     rollouts = args.rollouts if args.rollouts is not None else scenario.validation_rollouts
@@ -169,17 +165,8 @@ def cmd_validate(args):
     record = monte_carlo_validate(sys, plan_obj, scenario.init_region,
                                   scenario.goal, scenario.obstacles,
                                   rollouts, seed, init_mode=scenario.init_mode)
-    out = _out_dir(args)
-    report = {
-        "format": REPORT_FORMAT,
-        "version": __version__,
-        "seed": seed,
-        "scenario_sha256": scenario.sha256,
-        "plan_seed": plan_obj.seed,
-        **record.as_dict(),
-    }
-    report_path = os.path.join(out, "report.json")
-    write_json(report_path, report)
+    report_path = write_result(_out_dir(args), "report.json", scenario.sha256, seed=seed,
+                               plan_seed=plan_obj.seed, **record.as_dict())
     word = "valid" if record.valid else "invalid"
     print(f"{word}: {record.collisions} collisions, {record.goal_misses} goal "
           f"misses over {record.rollouts} rollouts -> {report_path}")
@@ -205,16 +192,8 @@ def cmd_study(args):
     rows = success_rate_study(sys, scenario.init_region, scenario.goal,
                               scenario.obstacles, scenario.sampling_box, params,
                               budgets, args.repeats, init_mode=scenario.init_mode)
-    out = _out_dir(args)
-    study_path = os.path.join(out, "study.json")
-    write_json(study_path, {
-        "format": STUDY_FORMAT,
-        "version": __version__,
-        "seed": params.seed,
-        "scenario_sha256": scenario.sha256,
-        "repeats": args.repeats,
-        "rows": rows,
-    })
+    write_result(_out_dir(args), "study.json", scenario.sha256, seed=params.seed,
+                 repeats=args.repeats, rows=rows)
     for row in rows:
         print(f"budget {row['budget']}: {row['successes']}/{row['repeats']} solved")
     return 0
@@ -228,14 +207,7 @@ def cmd_compare(args):
         print("--seeds must be at least 1", file=_sys.stderr)
         return 1
     rows = compare_methods(scenario, range(params.seed, params.seed + args.seeds))
-    out = _out_dir(args)
-    compare_path = os.path.join(out, "compare.json")
-    write_json(compare_path, {
-        "format": COMPARE_FORMAT,
-        "version": __version__,
-        "scenario_sha256": scenario.sha256,
-        "rows": rows,
-    })
+    compare_path = write_result(_out_dir(args), "compare.json", scenario.sha256, rows=rows)
     for row in rows:
         status = "valid" if row["valid"] else "INVALID" if row["solved"] else "UNSOLVED"
         print(f"{row['method']:9s} seed {row['seed']}: {status:8s} "

@@ -41,10 +41,6 @@ class Box:
     def width(self):
         return self.hi - self.lo
 
-    def contains(self, x, tol=0.0):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
     def clip(self, x):
         return np.clip(x, self.lo, self.hi)
 
@@ -71,9 +67,6 @@ class BallRegion:
     @property
     def dim(self):
         return self.center.shape[0]
-
-    def contains(self, x, tol=0.0):
-        return bool(np.linalg.norm(np.asarray(x, float) - self.center) <= self.radius + tol)
 
     def sample(self, gen, n=None):
         # direction from gaussians, radius via d-th root for uniform volume

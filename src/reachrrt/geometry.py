@@ -10,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cross products below this magnitude count as collinear; also the default
-# slack for membership tests.
+# Cross products below this magnitude count as collinear.
 COLLINEAR_TOL = 1e-9
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,10 +94,6 @@ class ConvexHull2D:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-
-    @property
-    def degenerate(self):
-        return len(self.vertices) < 3
 
 
 def _cross(o, a, b):

@@ -56,10 +56,6 @@ class ParticleSet:
     modes: np.ndarray | None = None
     mu_mode: int | None = None
 
-    @property
-    def n_particles(self):
-        return len(self.states)
-
     @cached_property
     def nominal(self):
         # computed on first use: only sets that become tree nodes need it

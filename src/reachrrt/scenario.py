@@ -3,13 +3,16 @@
 A scenario is a JSON file naming a benchmark system and the planning query:
 initial region, goal, obstacles, sampling box, planner parameters.  Loader
 errors carry the offending key and the line it first appears on, so messages
-are actionable.  All writers sort keys and render floats via repr, making
+are actionable.  Every JSON result file is written by write_result, which
+owns the file's format tag and header; plan_from_dict owns the rules a plan
+file must meet.  Writers sort keys and render floats via repr, making
 output files byte-identical for identical inputs.
 """
 
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +24,14 @@ from .geometry import AxisAlignedBox, Ball, GoalRegion, box_obstacle_clearance
 from .planner import PlannerParams
 from .tree import Plan, PlanStep
 
-PLAN_FORMAT = "reachrrt-plan/1"
-STATS_FORMAT = "reachrrt-stats/1"
-REPORT_FORMAT = "reachrrt-validation/1"
-STUDY_FORMAT = "reachrrt-study/1"
-COMPARE_FORMAT = "reachrrt-compare/1"
+# result file name -> format tag written into it
+RESULT_FORMATS = {
+    "plan.json": "reachrrt-plan/1",
+    "stats.json": "reachrrt-stats/1",
+    "report.json": "reachrrt-validation/1",
+    "study.json": "reachrrt-study/1",
+    "compare.json": "reachrrt-compare/1",
+}
 
 
 class ScenarioError(ValueError):
@@ -76,30 +82,22 @@ def check_init_clearance(name, value, init_region, projection, obstacles):
 class Scenario:
     name: str
     system_name: str
-    system_options: dict
     init_region: object
     goal: GoalRegion
     obstacles: list
     sampling_box: Box
     params: PlannerParams
-    init_mode_name: str | None
+    init_mode: int | None        # index into the system's modes
     baseline_padding: float
     validation_rollouts: int
     validation_seed: int
     sha256: str
     path: str
-    _system: object = field(default=None, repr=False)
+    _system: object = field(repr=False)
 
     def build_system(self):
-        if self._system is None:
-            self._system = make_benchmark(self.system_name, **self.system_options)
+        """The system the loader built from `system` and `system_options`."""
         return self._system
-
-    @property
-    def init_mode(self):
-        if self.init_mode_name is None:
-            return None
-        return self.build_system().modes.index(self.init_mode_name)
 
 
 def _finite(x):
@@ -130,10 +128,13 @@ def _want(raw, key, types, where=""):
 
 
 def _number(raw, key, default, where, kinds=(int, float), positive=False, nonneg=False):
-    """Optional numeric entry; kinds=int demands an integer.  The error key
-    is the dotted path, so its line is looked up inside the right block."""
-    v = raw.get(key, default)
+    """Numeric entry, required when default is None; kinds=int demands an
+    integer.  The error key is the dotted path, so its line is looked up
+    inside the right block."""
     path = f"{where}{key}"
+    if default is None and key not in raw:
+        raise ScenarioError(f"missing required key {path}", key=path)
+    v = raw.get(key, default)
     if isinstance(v, bool) or not isinstance(v, kinds):
         kind = "an integer" if kinds is int else "a number"
         raise ScenarioError(f"{path} must be {kind}", key=path)
@@ -286,11 +287,11 @@ def load_scenario(path):
         raise ScenarioError("planner.substep must not exceed planner.tau_max",
                             key="planner.substep")
 
-    init_mode_name = raw.get("init_mode")
-    if sys.hybrid and init_mode_name is None:
+    init_mode = raw.get("init_mode")
+    if sys.hybrid and init_mode is None:
         raise ScenarioError("hybrid system scenarios must set init_mode", key="init_mode")
-    if init_mode_name is not None and init_mode_name not in getattr(sys, "modes", ()):
-        raise ScenarioError(f"init_mode {init_mode_name!r} is not a mode of {system_name}",
+    if init_mode is not None and init_mode not in getattr(sys, "modes", ()):
+        raise ScenarioError(f"init_mode {init_mode!r} is not a mode of {system_name}",
                             key="init_mode")
 
     baseline_padding = float(_number(raw, "baseline_padding", 0.0, "", nonneg=True))
@@ -300,25 +301,23 @@ def load_scenario(path):
     if not isinstance(val, dict):
         raise ScenarioError("validation must be an object", key="validation")
 
-    scenario = Scenario(
+    return Scenario(
         name=name,
         system_name=system_name,
-        system_options=system_options,
         init_region=init_region,
         goal=goal,
         obstacles=obstacles,
         sampling_box=sampling_box,
         params=params,
-        init_mode_name=init_mode_name,
+        init_mode=None if init_mode is None else sys.modes.index(init_mode),
         baseline_padding=baseline_padding,
         validation_rollouts=_number(val, "rollouts", 1000, "validation.",
                                     kinds=int, positive=True),
         validation_seed=_number(val, "seed", 1, "validation.", kinds=int, nonneg=True),
         sha256=sha,
         path=str(path),
+        _system=sys,
     )
-    scenario._system = sys
-    return scenario
 
 
 def error_line(path, key):
@@ -362,12 +361,20 @@ def write_json(path, obj):
         f.write("\n")
 
 
-def plan_to_dict(plan_obj, scenario_sha):
+def write_result(out_dir, name, scenario_sha, **fields):
+    """Write the result file `name` into out_dir: the fields under a header
+    of the file's format tag, the tool version and the content hash of the
+    scenario it was computed from.  Returns the file's path."""
+    path = os.path.join(out_dir, name)
+    write_json(path, {"format": RESULT_FORMATS[name], "version": __version__,
+                      "scenario_sha256": scenario_sha, **fields})
+    return path
+
+
+def plan_to_dict(plan_obj):
+    """plan.json fields of a plan, the header left to write_result."""
     return {
-        "format": PLAN_FORMAT,
-        "version": __version__,
         "seed": plan_obj.seed,
-        "scenario_sha256": scenario_sha,
         "system": plan_obj.system,
         "solved_node": plan_obj.solved_node,
         "meta": dict(plan_obj.meta),
@@ -384,32 +391,43 @@ def plan_to_dict(plan_obj, scenario_sha):
     }
 
 
+def _count(raw, key, where):
+    """Required nonnegative integer entry."""
+    return _number(raw, key, None, where, kinds=int, nonneg=True)
+
+
+def _plan_step(raw, i, tau_max):
+    where = f"steps[{i}]."
+    u = tuple(float(v) for v in _vector(raw, "u", where))
+    tau = _number(raw, "tau", None, where, nonneg=True)
+    if tau > tau_max:
+        # the planner draws tau from [0, tau_max]; a longer step would
+        # replay as an unbounded number of sub-steps
+        raise ScenarioError(f"{where}tau {tau!r} exceeds meta.tau_max {tau_max!r}",
+                            key=f"{where}tau")
+    mode = None if raw.get("mode") is None else _count(raw, "mode", where)
+    return PlanStep(u=u, tau=float(tau), ext_id=_count(raw, "ext_id", where),
+                    node_id=_count(raw, "node_id", where), mode=mode)
+
+
 def plan_from_dict(raw):
+    """Plan of a parsed plan.json.  Every rule a plan file must meet is
+    checked here: a violation raises ScenarioError naming the key."""
     if not isinstance(raw, dict):
         raise ScenarioError("a plan file must hold a JSON object")
-    if raw.get("format") != PLAN_FORMAT:
+    if raw.get("format") != RESULT_FORMATS["plan.json"]:
         raise ScenarioError(f"not a plan file (format {raw.get('format')!r})")
     raw_steps = _want(raw, "steps", list)
     if not all(isinstance(s, dict) for s in raw_steps):
         raise ScenarioError("steps must be a list of objects", key="steps")
-    meta = raw.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ScenarioError("meta must be an object", key="meta")
-    steps = tuple(
-        PlanStep(
-            u=tuple(float(v) for v in _vector(s, "u", f"steps[{i}].")),
-            tau=float(s["tau"]),
-            ext_id=int(s["ext_id"]),
-            node_id=int(s["node_id"]),
-            mode=None if s.get("mode") is None else int(s["mode"]),
-        )
-        for i, s in enumerate(raw_steps)
-    )
+    meta = _want(raw, "meta", dict)
+    _number(meta, "h", None, "meta.", positive=True)
+    tau_max = _number(meta, "tau_max", None, "meta.", positive=True)
     return Plan(
-        steps=steps,
-        seed=int(raw["seed"]),
-        system=str(raw["system"]),
-        solved_node=int(raw["solved_node"]),
+        steps=tuple(_plan_step(s, i, tau_max) for i, s in enumerate(raw_steps)),
+        seed=_count(raw, "seed", ""),
+        system=_want(raw, "system", str),
+        solved_node=_count(raw, "solved_node", ""),
         meta=dict(meta),
         scenario_sha256=raw.get("scenario_sha256"),
     )
@@ -421,12 +439,11 @@ def load_plan(path):
     return plan_from_dict(raw)
 
 
-def stats_to_dict(result, params, scenario_sha, extra=None):
-    out = {
-        "format": STATS_FORMAT,
-        "version": __version__,
+def stats_to_dict(result, params):
+    """stats.json fields of a planner result, the header left to
+    write_result."""
+    return {
         "seed": params.seed,
-        "scenario_sha256": scenario_sha,
         "status": result.status,
         "solved": result.solved,
         "tree_size": len(result.tree),
@@ -434,8 +451,5 @@ def stats_to_dict(result, params, scenario_sha, extra=None):
         "epsilon": params.epsilon,
         "n_particles": params.n_particles,
         "baseline": params.baseline,
+        **result.stats.as_dict(),
     }
-    out.update(result.stats.as_dict())
-    if extra:
-        out.update(extra)
-    return out

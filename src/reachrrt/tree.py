@@ -27,14 +27,6 @@ class Node:
     reach: object              # ParticleSet
     edge: Edge | None          # None at the root
 
-    @property
-    def nominal(self):
-        return self.reach.nominal
-
-    @property
-    def t(self):
-        return self.reach.t
-
 
 @dataclass(frozen=True)
 class PlanStep:

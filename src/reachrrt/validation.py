@@ -171,6 +171,13 @@ def lipschitz_bound_check(sys, K, box, n_trials, tau_max, h, seed):
     }
 
 
+def _open_loop_quadrotor(sys):
+    """The quadrotor plant under sys (a feedback wrapper's open-loop base),
+    or None when sys is no quadrotor."""
+    base = getattr(sys, "base", sys)
+    return base if isinstance(base, Quadrotor) else None
+
+
 def quadrotor_lipschitz_constant(quad, v_max, h, grid=1000):
     """Valid Lipschitz constant of the quadrotor sub-step increment map.
 
@@ -191,8 +198,8 @@ def quadrotor_lipschitz_constant(quad, v_max, h, grid=1000):
     1e-10): there an interior point can read one ulp above the border.
     Returns (K, meta).
     """
-    base = quad.base if hasattr(quad, "base") else quad
-    if not isinstance(base, Quadrotor):
+    base = _open_loop_quadrotor(quad)
+    if base is None:
         raise TypeError("closed-form Lipschitz constant is quadrotor-specific")
     a_hi = float(base.bounds.param.hi.max())
     s_max = 2.0 * a_hi * float(v_max)
@@ -224,8 +231,8 @@ def quadrotor_lipschitz_constant(quad, v_max, h, grid=1000):
 def lipschitz_stats(sys, sampling_box, h):
     """stats.json extras: the quadrotor's Lipschitz constant over every
     speed its trajectories can reach; {} for other systems."""
-    base = sys.base if hasattr(sys, "base") else sys
-    if not isinstance(base, Quadrotor):
+    base = _open_loop_quadrotor(sys)
+    if base is None:
         return {}
     # bound must hold along trajectories: drag self-limits speed where
     # a_lo v^2 = g u_max + w_max, plus one sub-step of forcing overshoot
@@ -248,8 +255,8 @@ def quadrotor_flow_sup(quad, box):
     monotone in the relevant coordinates), so the bound is exact up to the
     conservative combination across components.
     """
-    base = quad.base if hasattr(quad, "base") else quad
-    if not isinstance(base, Quadrotor):
+    base = _open_loop_quadrotor(quad)
+    if base is None:
         raise TypeError("flow sup bound is quadrotor-specific")
     v_abs = np.maximum(np.abs(box.lo), np.abs(box.hi))[2:4]
     u_abs = np.maximum(np.abs(base.bounds.control.lo), np.abs(base.bounds.control.hi))

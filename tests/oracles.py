@@ -8,7 +8,10 @@ and clearances, so these live next to the tests that check it.
 import numpy as np
 
 from reachrrt.benchmarks import Linear1D
-from reachrrt.geometry import DEFAULT_TOL, _hull_edges, _point_segments_distance
+from reachrrt.geometry import _hull_edges, _point_segments_distance
+
+# default slack for membership tests
+DEFAULT_TOL = 1e-9
 
 
 def point_in_hull(hull, p, tol=DEFAULT_TOL):

@@ -5,7 +5,8 @@ scenarios: keys dropped, values replaced by nulls, values of the wrong
 type, and huge, negative, subnormal or non-finite numbers (Python's json
 reads and writes NaN and Infinity).  The loader must answer each with a
 Scenario whose system builds, or with a ScenarioError naming the key at
-fault; any other exception is a bug.
+fault; any other exception is a bug.  Mutated copies of the stored plans
+must likewise load or raise ScenarioError.
 """
 
 import json
@@ -15,13 +16,23 @@ import os
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reachrrt.scenario import Scenario, ScenarioError, load_scenario
+from reachrrt.scenario import Scenario, ScenarioError, load_scenario, plan_from_dict
+from reachrrt.tree import Plan
 
-SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-SHIPPED = {}
-for _name in ("corridor.json", "jumper.json", "quadrotor.json"):
-    with open(os.path.join(SCENARIOS, _name)) as _f:
-        SHIPPED[_name] = json.load(_f)
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def _read(directory, names):
+    out = {}
+    for name in names:
+        with open(os.path.join(ROOT, directory, name)) as f:
+            out[name] = json.load(f)
+    return out
+
+
+SHIPPED = _read("scenarios", ("corridor.json", "jumper.json", "quadrotor.json"))
+PLANS = _read(os.path.join("perfbench", "data"),
+              ("jumper-vault.plan.json", "quadrotor-gate.plan.json"))
 
 KEYS = sorted({k for raw in SHIPPED.values() for k in raw}
               | {k for raw in SHIPPED.values() for v in raw.values()
@@ -40,8 +51,8 @@ json_values = st.recursive(
 
 
 @st.composite
-def mutated_scenarios(draw):
-    raw = json.loads(json.dumps(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))]))
+def mutated(draw, sources):
+    raw = json.loads(json.dumps(sources[draw(st.sampled_from(sorted(sources)))]))
     for _ in range(draw(st.integers(1, 3))):
         # walk down from the root, one uniformly drawn key or index at a time
         parent = raw
@@ -96,9 +107,18 @@ def test_arbitrary_objects_load_or_name_a_key(tmp_path, raw):
 
 
 @FUZZ
-@given(raw=mutated_scenarios())
+@given(raw=mutated(SHIPPED))
 def test_mutated_scenarios_load_or_name_a_key(tmp_path, raw):
     _check(raw, tmp_path / "fuzz.json")
+
+
+@FUZZ
+@given(raw=mutated(PLANS))
+def test_mutated_plans_load_or_raise_a_scenario_error(raw):
+    try:
+        assert isinstance(plan_from_dict(raw), Plan)
+    except ScenarioError:
+        pass
 
 
 def test_the_shipped_scenarios_load(tmp_path):

@@ -146,7 +146,7 @@ def test_hybrid_control_draw_appends_mode():
         box, 0.21, modes, rng.substream(7, rng.DOMAIN_PLANNER))
     assert sigma in (0, 1)
     assert 0.0 <= tau <= 0.21
-    assert box.contains(u)
+    assert np.all((box.lo <= u) & (u <= box.hi))
     # draw order is u, tau, then the mode: (u, tau) match the smooth draw
     u_s, tau_s = sample_control(box, 0.21, rng.substream(7, rng.DOMAIN_PLANNER))
     assert np.array_equal(u, u_s) and tau == tau_s

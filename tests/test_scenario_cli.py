@@ -487,14 +487,31 @@ def test_validate_refuses_a_plan_made_for_another_scenario(tmp_path, capsys):
                  "--out-dir", str(val)]) == 0
 
 
+def _with_step(plan, **fields):
+    return {**plan, "steps": [{**plan["steps"][0], **fields}]}
+
+
+def _with_meta(plan, **fields):
+    return {**plan, "meta": {**plan["meta"], **fields}}
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda plan: [],
     lambda plan: {**plan, "format": "something-else"},
     lambda plan: {**plan, "steps": 3},
     lambda plan: {**plan, "steps": [5]},
-    lambda plan: {**plan, "steps": [{**plan["steps"][0], "u": 5}]},
+    lambda plan: _with_step(plan, u=5),
     lambda plan: {**plan, "meta": 3},
-], ids=["list", "wrong-format", "steps-int", "step-int", "u-int", "meta-int"])
+    lambda plan: _with_step(plan, tau=-1.0),
+    lambda plan: _with_step(plan, tau=float("nan")),
+    lambda plan: _with_step(plan, tau=2 * plan["meta"]["tau_max"]),
+    lambda plan: _with_meta(plan, h=0),
+    lambda plan: _with_meta(plan, h=-0.03),
+    lambda plan: _with_meta(plan, h="0.03"),
+    lambda plan: {**plan, "meta": {k: v for k, v in plan["meta"].items() if k != "h"}},
+], ids=["list", "wrong-format", "steps-int", "step-int", "u-int", "meta-int",
+        "tau-negative", "tau-nan", "tau-above-tau-max", "h-zero", "h-negative",
+        "h-string", "h-missing"])
 def test_validate_rejects_non_plan_file(tmp_path, capsys, corrupt):
     path = _write(tmp_path)
     out = tmp_path / "out"
