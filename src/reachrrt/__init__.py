@@ -9,17 +9,16 @@ unpadded constraints.
 
 __version__ = "0.1.0"
 
-from .dynamics import Box, UncertaintyBounds
-from .geometry import Ball, AxisAlignedBox, GoalRegion, convex_hull_2d, hausdorff_distance
+from .dynamics import UncertaintyBounds
+from .geometry import Ball, Box, GoalRegion, convex_hull_2d, hausdorff_distance
 from .benchmarks import make_benchmark
 from .planner import PlannerParams, plan
 from .validation import monte_carlo_validate
 
 __all__ = [
     "Box",
-    "UncertaintyBounds",
     "Ball",
-    "AxisAlignedBox",
+    "UncertaintyBounds",
     "GoalRegion",
     "convex_hull_2d",
     "hausdorff_distance",

@@ -19,7 +19,8 @@ with controls u = (tan of pitch, tan of roll) and drag coefficients
 
 import numpy as np
 
-from .dynamics import Box, ContinuousSystem, FeedbackWrapped, HybridSystem, System, UncertaintyBounds
+from .dynamics import ContinuousSystem, FeedbackWrapped, HybridSystem, System, UncertaintyBounds
+from .geometry import Box
 
 GRAVITY = 9.81
 

@@ -6,12 +6,12 @@
     reachrrt compare  --scenario FILE --seeds N     robust planner vs padded baseline
 
 Exit codes: 0 success (run: solved; validate: plan valid; study, compare:
-finished), 2 honest negative (budget exhausted / plan invalid), 1 usage or
-scenario errors.  validate also exits 1 on a plan file that breaks a rule
-of the plan format: meta.h and meta.tau_max must be positive numbers, each
-step's tau a finite number in [0, meta.tau_max].  Output files are
-byte-deterministic for a given scenario, seed, and flags; they embed the
-seeds, the scenario content hash, and the tool version.
+finished), 2 honest negative (budget exhausted / plan invalid), 1 usage,
+scenario or plan errors: a scenario or plan file that breaks a rule of
+scenario.load_scenario, plan_from_dict or check_plan_fits is named as
+FILE:LINE: message.  Output files are byte-deterministic for a given
+scenario, seed, and flags; they embed the seeds, the scenario content
+hash, and the tool version.
 """
 
 import argparse
@@ -20,12 +20,13 @@ import sys as _sys
 from dataclasses import replace
 
 from . import __version__
-from .dynamics import Box
+from .geometry import Box
 from .planner import plan as run_plan
 from .scenario import (
     ScenarioError,
     check_init_clearance,
     check_padding,
+    check_plan_fits,
     error_line,
     load_plan,
     load_scenario,
@@ -57,9 +58,9 @@ def _out_dir(args):
     return d
 
 
-def _refuse(path, error):
-    """Exit 1 with a ScenarioError as `path:line: message`."""
-    print(f"{path}:{error_line(path, error.key)}: {error}", file=_sys.stderr)
+def _refuse(path, error, what=""):
+    """Exit 1 with a ScenarioError as `path:line: what message`."""
+    print(f"{path}:{error_line(path, error.key)}: {what}{error}", file=_sys.stderr)
     raise SystemExit(1)
 
 
@@ -140,22 +141,15 @@ def cmd_validate(args):
     sys = scenario.build_system()
     try:
         plan_obj = load_plan(args.plan)
-    except (OSError, ValueError) as e:
-        print(f"{args.plan}: cannot load plan: {e}", file=_sys.stderr)
+    except ScenarioError as e:
+        _refuse(args.plan, e, "cannot load plan: ")
+    except OSError as e:
+        print(f"{args.plan}: cannot load plan: {e.strerror or e}", file=_sys.stderr)
         return 1
-    made_for = plan_obj.scenario_sha256
-    if made_for is not None and made_for != scenario.sha256 and not args.allow_scenario_mismatch:
-        print(f"{args.plan}: the plan was made for the scenario with sha256 {made_for}, "
-              f"but {args.scenario} has sha256 {scenario.sha256}; pass "
-              f"--allow-scenario-mismatch to validate it anyway", file=_sys.stderr)
-        return 1
-    m = sys.bounds.control.dim
-    for s in plan_obj.steps:
-        if len(s.u) != m:
-            print(f"plan/scenario mismatch: step controls have dimension "
-                  f"{len(s.u)}, system {scenario.system_name} expects {m}",
-                  file=_sys.stderr)
-            return 1
+    try:
+        check_plan_fits(plan_obj, scenario, args.allow_scenario_mismatch)
+    except ScenarioError as e:
+        _refuse(args.plan, e)
 
     seed = args.seed if args.seed is not None else scenario.validation_seed
     rollouts = args.rollouts if args.rollouts is not None else scenario.validation_rollouts

@@ -11,73 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import Box
+
 DIVERGENCE_LIMIT = 1e12
 
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box in R^d, possibly degenerate (lo == hi)."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or np.any(hi < lo):
-            raise ValueError("box needs lo <= hi componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self):
-        return self.lo.shape[0]
-
-    @property
-    def center(self):
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    def clip(self, x):
-        return np.clip(x, self.lo, self.hi)
-
-    def sample(self, gen, n=None):
-        """Uniform draws; an (n, dim) block fills row-major, so the first m
-        rows match an m-row block from the same generator state."""
-        if n is None:
-            return gen.uniform(self.lo, self.hi)
-        return gen.uniform(self.lo, self.hi, size=(int(n), self.dim))
-
-
-@dataclass(frozen=True)
-class BallRegion:
-    """Ball in R^d, used for initial-state regions."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius < 0:
-            raise ValueError("ball radius must be nonnegative")
-
-    @property
-    def dim(self):
-        return self.center.shape[0]
-
-    def sample(self, gen, n=None):
-        # direction from gaussians, radius via d-th root for uniform volume
-        single = n is None
-        m = 1 if single else int(n)
-        g = gen.standard_normal((m, self.dim))
-        norms = np.sqrt((g * g).sum(axis=1))
-        norms = np.where(norms == 0, 1.0, norms)
-        r = self.radius * gen.uniform(0.0, 1.0, size=m) ** (1.0 / self.dim)
-        pts = self.center + g / norms[:, None] * r[:, None]
-        return pts[0] if single else pts
+# Most sub-steps a segment of the longest duration may take (tau_max / h):
+# a rollout preallocates a trace row per sub-step.
+MAX_SUBSTEPS = 10_000
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Reachable sets live in full state space but collision and goal checks happen
 on a 2-D (or 1-D, zero-padded) projection, so everything here is planar.
-Obstacles are balls and axis-aligned boxes.  Clearances are signed where it
-matters: a nonpositive clearance means contact or overlap.
+Box and Ball are the shapes of every set in a query: bounds, initial
+regions, the sampling box and obstacles (a planar Box or Ball, possibly
+flat or a point).  Clearances are signed where it matters: a nonpositive
+clearance means contact or overlap.
 """
 
 from dataclasses import dataclass
@@ -15,37 +17,74 @@ COLLINEAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
+class Box:
+    """Axis-aligned box in R^d, possibly degenerate (lo == hi)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
+        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        if lo.shape != hi.shape or np.any(hi < lo):
+            raise ValueError("box needs lo <= hi componentwise")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @property
+    def dim(self):
+        return self.lo.shape[0]
+
+    @property
+    def center(self):
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+    @property
+    def corners(self):
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+
+    def clip(self, x):
+        return np.clip(x, self.lo, self.hi)
+
+    def sample(self, gen, n=None):
+        """Uniform draws; an (n, dim) block fills row-major, so the first m
+        rows match an m-row block from the same generator state."""
+        if n is None:
+            return gen.uniform(self.lo, self.hi)
+        return gen.uniform(self.lo, self.hi, size=(int(n), self.dim))
+
+
+@dataclass(frozen=True)
 class Ball:
-    """Disk obstacle."""
+    """Closed ball in R^d, possibly a point (radius 0)."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not self.radius > 0:
-            raise ValueError("obstacle ball radius must be positive")
-
-
-@dataclass(frozen=True)
-class AxisAlignedBox:
-    """Axis-aligned rectangle obstacle."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != hi.shape or not np.all(hi > lo):
-            raise ValueError("obstacle box needs lo < hi componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if not self.radius >= 0:
+            raise ValueError("ball radius must be nonnegative")
 
     @property
-    def corners(self):
-        (x0, y0), (x1, y1) = self.lo, self.hi
-        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    def dim(self):
+        return self.center.shape[0]
+
+    def sample(self, gen, n=None):
+        # direction from gaussians, radius via d-th root for uniform volume
+        single = n is None
+        m = 1 if single else int(n)
+        g = gen.standard_normal((m, self.dim))
+        norms = np.sqrt((g * g).sum(axis=1))
+        norms = np.where(norms == 0, 1.0, norms)
+        r = self.radius * gen.uniform(0.0, 1.0, size=m) ** (1.0 / self.dim)
+        pts = self.center + g / norms[:, None] * r[:, None]
+        return pts[0] if single else pts
 
 
 @dataclass(frozen=True)
@@ -184,12 +223,10 @@ def points_obstacle_clearance(pts, obstacle):
     if isinstance(obstacle, Ball):
         d = pts - obstacle.center
         return np.sqrt((d * d).sum(axis=1)) - obstacle.radius
-    if isinstance(obstacle, AxisAlignedBox):
-        q = np.maximum(obstacle.lo - pts, pts - obstacle.hi)
-        outside = np.sqrt((np.maximum(q, 0.0) ** 2).sum(axis=1))
-        inside = q.max(axis=1)  # <= 0 iff inside or on the boundary
-        return np.where(inside > 0, outside, inside)
-    raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
+    q = np.maximum(obstacle.lo - pts, pts - obstacle.hi)
+    outside = np.sqrt((np.maximum(q, 0.0) ** 2).sum(axis=1))
+    inside = q.max(axis=1)  # <= 0 iff inside or on the boundary
+    return np.where(inside > 0, outside, inside)
 
 
 def box_obstacle_clearance(lo, hi, obstacle, radius=0.0):
@@ -202,12 +239,9 @@ def box_obstacle_clearance(lo, hi, obstacle, radius=0.0):
     touch or overlap (minus the smallest per-axis overlap).
     """
     if isinstance(obstacle, Ball):
-        o_lo = o_hi = obstacle.center
-        o_r = obstacle.radius
-    elif isinstance(obstacle, AxisAlignedBox):
-        o_lo, o_hi, o_r = obstacle.lo, obstacle.hi, 0.0
+        o_lo, o_hi, o_r = obstacle.center, obstacle.center, obstacle.radius
     else:
-        raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
+        o_lo, o_hi, o_r = obstacle.lo, obstacle.hi, 0.0
     gap = np.maximum(o_lo - hi, lo - o_hi)
     boxes = np.linalg.norm(np.maximum(gap, 0.0)) if gap.max() > 0 else gap.max()
     return float(boxes - radius - o_r)
@@ -244,8 +278,6 @@ def hull_obstacle_clearance(hull, obstacle):
     v = hull.vertices
     if isinstance(obstacle, Ball):
         return point_hull_distance(hull, obstacle.center) - obstacle.radius
-    if not isinstance(obstacle, AxisAlignedBox):
-        raise TypeError(f"unsupported obstacle type {type(obstacle).__name__}")
     if len(v) == 1:
         return float(points_obstacle_clearance(v, obstacle)[0])
     corners = obstacle.corners

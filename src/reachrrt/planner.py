@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .dynamics import reachable_modes, rollout
+from .dynamics import MAX_SUBSTEPS, reachable_modes, rollout
 from .reachability import (
     compute_reach_set,
     init_particles,
@@ -58,8 +58,8 @@ class PlannerParams:
             raise ValueError("need at least one particle")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.h <= 0 or self.h > self.tau_max:
-            raise ValueError("sub-step must lie in (0, tau_max]")
+        if self.h <= 0 or self.h > self.tau_max or self.tau_max / self.h > MAX_SUBSTEPS:
+            raise ValueError(f"sub-step must lie in [tau_max / {MAX_SUBSTEPS}, tau_max]")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         return self

@@ -1,26 +1,29 @@
 """Scenario files and deterministic result serialization.
 
 A scenario is a JSON file naming a benchmark system and the planning query:
-initial region, goal, obstacles, sampling box, planner parameters.  Loader
-errors carry the offending key and the line it first appears on, so messages
-are actionable.  Every JSON result file is written by write_result, which
-owns the file's format tag and header; plan_from_dict owns the rules a plan
-file must meet.  Writers sort keys and render floats via repr, making
-output files byte-identical for identical inputs.
+initial region, goal, obstacles, sampling box, planner parameters.  Every
+loader error is keyed by the full path of the offending entry, and
+error_line finds that entry's line, so messages are actionable.  Every JSON
+result file is written by write_result, which owns the file's format tag
+and header; plan_from_dict owns the rules a plan file must meet, and
+check_plan_fits those a plan must meet to be validated on a scenario.
+Writers sort keys and render floats via repr, making output files
+byte-identical for identical inputs.
 """
 
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .benchmarks import make_benchmark
-from .dynamics import BallRegion, Box
-from .geometry import AxisAlignedBox, Ball, GoalRegion, box_obstacle_clearance
+from .dynamics import MAX_SUBSTEPS
+from .geometry import Ball, Box, GoalRegion, box_obstacle_clearance
 from .planner import PlannerParams
 from .tree import Plan, PlanStep
 
@@ -60,7 +63,7 @@ def check_init_clearance(name, value, init_region, projection, obstacles):
     distance between the two boxes minus both radii.
     """
     proj = list(projection)
-    if isinstance(init_region, BallRegion):
+    if isinstance(init_region, Ball):
         c, r = init_region.center[proj], init_region.radius
         lo, hi = c, c
         if len(proj) == 1:
@@ -115,22 +118,20 @@ def _option_ok(v):
     return isinstance(v, (bool, int, float)) and _finite(v)
 
 
-def _want(raw, key, types, where=""):
+def _want(raw, key, kind, where=""):
+    """Required entry of a kind (str, list, dict).  Like every loader error,
+    a violation is keyed by the entry's full path, e.g. "obstacles[2].lo"."""
+    path = f"{where}{key}"
     if key not in raw:
-        raise ScenarioError(f"missing required key {where}{key}", key=key)
-    v = raw[key]
-    if not isinstance(v, types):
-        names = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise ScenarioError(f"{where}{key} must be {names}", key=key)
-    if isinstance(v, (int, float)) and not _finite(v):
-        raise ScenarioError(f"{where}{key} must be finite", key=key)
-    return v
+        raise ScenarioError(f"missing required key {path}", key=path)
+    if not isinstance(raw[key], kind):
+        raise ScenarioError(f"{path} must be {kind.__name__}", key=path)
+    return raw[key]
 
 
 def _number(raw, key, default, where, kinds=(int, float), positive=False, nonneg=False):
     """Numeric entry, required when default is None; kinds=int demands an
-    integer.  The error key is the dotted path, so its line is looked up
-    inside the right block."""
+    integer."""
     path = f"{where}{key}"
     if default is None and key not in raw:
         raise ScenarioError(f"missing required key {path}", key=path)
@@ -148,66 +149,61 @@ def _number(raw, key, default, where, kinds=(int, float), positive=False, nonneg
 
 
 def _vector(raw, key, where=""):
+    path = f"{where}{key}"
     v = _want(raw, key, list, where)
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-        raise ScenarioError(f"{where}{key} must be a list of numbers", key=key)
+        raise ScenarioError(f"{path} must be a list of numbers", key=path)
     if not all(_finite(x) for x in v):
-        raise ScenarioError(f"{where}{key} must hold finite numbers", key=key)
+        raise ScenarioError(f"{path} must hold finite numbers", key=path)
     return np.asarray(v, dtype=float)
 
 
-def _parse_init(raw, dim):
-    kind = _want(raw, "kind", str, "init.")
+def _shape(raw, where, dim, kinds=("box", "ball")):
+    """The Box or Ball of dimension dim that the object at `where`
+    describes; it names its kind unless only one kind is allowed."""
+    kind = _want(raw, "kind", str, f"{where}.") if len(kinds) > 1 else kinds[0]
+    name = f"{where} {kind}" if len(kinds) > 1 else where
     if kind == "box":
-        lo = _vector(raw, "lo", "init.")
-        hi = _vector(raw, "hi", "init.")
+        lo, hi = _vector(raw, "lo", f"{where}."), _vector(raw, "hi", f"{where}.")
         if lo.shape != (dim,) or hi.shape != (dim,):
-            raise ScenarioError(f"init box must have dimension {dim}", key="init")
+            raise ScenarioError(f"{name} must have dimension {dim}", key=where)
         if np.any(hi < lo):
-            raise ScenarioError("init box needs lo <= hi", key="init")
+            raise ScenarioError(f"{name} needs lo <= hi", key=where)
         return Box(lo, hi)
     if kind == "ball":
-        center = _vector(raw, "center", "init.")
-        radius = _want(raw, "radius", (int, float), "init.")
+        center = _vector(raw, "center", f"{where}.")
+        radius = _number(raw, "radius", None, f"{where}.", nonneg=True)
         if center.shape != (dim,):
-            raise ScenarioError(f"init ball must have dimension {dim}", key="init")
-        if radius < 0:
-            raise ScenarioError("init ball radius must be nonnegative", key="init")
-        return BallRegion(center, float(radius))
-    raise ScenarioError(f"unknown init kind {kind!r}", key="init")
-
-
-def _parse_obstacle(raw, idx):
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"obstacles[{idx}] must be an object", key="obstacles")
-    kind = _want(raw, "kind", str, f"obstacles[{idx}].")
-    if kind == "ball":
-        center = _vector(raw, "center", f"obstacles[{idx}].")
-        radius = _want(raw, "radius", (int, float), f"obstacles[{idx}].")
-        if center.shape != (2,):
-            raise ScenarioError("obstacle ball center must be planar", key="obstacles")
-        if not radius > 0:
-            raise ScenarioError("obstacle radius must be positive", key="obstacles")
+            raise ScenarioError(f"{name} must have dimension {dim}", key=f"{where}.center")
         return Ball(center, float(radius))
-    if kind == "box":
-        lo = _vector(raw, "lo", f"obstacles[{idx}].")
-        hi = _vector(raw, "hi", f"obstacles[{idx}].")
-        if lo.shape != (2,) or hi.shape != (2,):
-            raise ScenarioError("obstacle box must be planar", key="obstacles")
-        if not np.all(hi > lo):
-            raise ScenarioError("obstacle box needs lo < hi", key="obstacles")
-        return AxisAlignedBox(lo, hi)
-    raise ScenarioError(f"unknown obstacle kind {kind!r}", key="obstacles")
+    raise ScenarioError(f"unknown {where} kind {kind!r}", key=f"{where}.kind")
+
+
+def _obstacle(raw, where):
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be an object", key=where)
+    shape = _shape(raw, where, 2)
+    # the planner handles flat and point obstacles, but in a scenario file
+    # an obstacle without interior is a typo
+    if isinstance(shape, Ball) and not shape.radius > 0:
+        raise ScenarioError("obstacle radius must be positive", key=f"{where}.radius")
+    if isinstance(shape, Box) and not np.all(shape.hi > shape.lo):
+        raise ScenarioError("obstacle box needs lo < hi", key=where)
+    return shape
+
+
+def _parse_json(data):
+    try:
+        return json.loads(data)
+    except ValueError as e:  # not JSON, or not text at all
+        raise ScenarioError(f"not valid JSON: {e}") from e
 
 
 def load_scenario(path):
     with open(path, "rb") as f:
         data = f.read()
     sha = hashlib.sha256(data).hexdigest()
-    try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"not valid JSON: {e}") from e
+    raw = _parse_json(data)
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
 
@@ -227,37 +223,30 @@ def load_scenario(path):
         raise ScenarioError(str(e), key="system") from e
     dim = sys.state_dim
 
-    init_region = _parse_init(_want(raw, "init", dict), dim)
+    init_region = _shape(_want(raw, "init", dict), "init", dim)
 
     goal_raw = _want(raw, "goal", dict)
     proj = _want(goal_raw, "projection", list, "goal.")
     if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < dim for i in proj):
-        raise ScenarioError(f"goal.projection must index states 0..{dim - 1}", key="goal")
-    center = _vector(goal_raw, "center", "goal.")
-    radius = _want(goal_raw, "radius", (int, float), "goal.")
-    if not radius > 0:
-        raise ScenarioError("goal.radius must be positive", key="goal")
-    if center.shape != (len(proj),):
-        raise ScenarioError("goal.center must match goal.projection length", key="goal")
-    goal = GoalRegion(tuple(proj), center, float(radius))
+        raise ScenarioError(f"goal.projection must index states 0..{dim - 1}",
+                            key="goal.projection")
+    ball = _shape(goal_raw, "goal", len(proj), kinds=("ball",))
+    if not ball.radius > 0:
+        raise ScenarioError("goal.radius must be positive", key="goal.radius")
+    goal = GoalRegion(tuple(proj), ball.center, ball.radius)
 
     obstacles_raw = raw.get("obstacles", [])
     if not isinstance(obstacles_raw, list):
         raise ScenarioError("obstacles must be a list", key="obstacles")
-    obstacles = [_parse_obstacle(o, i) for i, o in enumerate(obstacles_raw)]
+    obstacles = [_obstacle(o, f"obstacles[{i}]") for i, o in enumerate(obstacles_raw)]
 
-    sb_raw = _want(raw, "sampling_box", dict)
-    lo = _vector(sb_raw, "lo", "sampling_box.")
-    hi = _vector(sb_raw, "hi", "sampling_box.")
-    if lo.shape != (dim,) or hi.shape != (dim,):
-        raise ScenarioError(f"sampling_box must have dimension {dim}", key="sampling_box")
-    if np.any(hi < lo):
-        raise ScenarioError("sampling_box needs lo <= hi", key="sampling_box")
-    sampling_box = Box(lo, hi)
+    sampling_box = _shape(_want(raw, "sampling_box", dict), "sampling_box", dim,
+                          kinds=("box",))
     # the tree grows toward samples from this box; a goal that shares no
     # point with it would burn the budget
     goal_axes = list(goal.projection)
-    if box_obstacle_clearance(lo[goal_axes], hi[goal_axes], Ball(goal.center, goal.radius)) > 0:
+    if box_obstacle_clearance(sampling_box.lo[goal_axes], sampling_box.hi[goal_axes],
+                              ball) > 0:
         raise ScenarioError("the goal ball lies entirely outside the sampling box",
                             key="goal")
 
@@ -286,6 +275,9 @@ def load_scenario(path):
     if params.h > params.tau_max:
         raise ScenarioError("planner.substep must not exceed planner.tau_max",
                             key="planner.substep")
+    if params.tau_max / params.h > MAX_SUBSTEPS:
+        raise ScenarioError(f"planner.substep {params.h!r} makes more than {MAX_SUBSTEPS} "
+                            "sub-steps per planner.tau_max", key="planner.substep")
 
     init_mode = raw.get("init_mode")
     if sys.hybrid and init_mode is None:
@@ -320,24 +312,46 @@ def load_scenario(path):
     )
 
 
+_SEPARATORS = re.compile(r"[\s,:]*")  # between the tokens of a JSON text
+_DECODER = json.JSONDecoder()
+
+
+def _child(text, pos, part):
+    """Offsets of child `part` (a key, or an index) of the JSON object or
+    list at offset pos and of its value; None when there is no such child."""
+    if text[pos] not in "[{":
+        return None
+    is_list, i = text[pos] == "[", 0
+    pos = _SEPARATORS.match(text, pos + 1).end()
+    while text[pos] not in "]}":
+        start = pos
+        if not is_list:
+            name, pos = _DECODER.raw_decode(text, pos)
+            pos = _SEPARATORS.match(text, pos).end()
+        if (i if is_list else name) == part:
+            return start, pos
+        pos = _SEPARATORS.match(text, _DECODER.raw_decode(text, pos)[1]).end()
+        i += 1
+    return None
+
+
 def error_line(path, key):
-    """Line of a key in the file, for error messages.  A dotted key such as
-    "validation.seed" is looked up part by part, each part at or after the
-    line of the one before; the deepest part found gives the line."""
-    if key is None:
-        return 1
+    """Line of the entry a key such as "obstacles[2].radius" names, found by
+    walking the file's JSON, for error messages; when part of the key is
+    missing, the line of the deepest part found."""
+    text, found = "", 0
     try:
         with open(path, "r") as f:
-            lines = f.readlines()
-    except OSError:
-        return 1
-    found, start = 1, 0
-    for part in key.split("."):
-        hit = next((i for i in range(start, len(lines)) if f'"{part}"' in lines[i]), None)
-        if hit is None:
-            break
-        found, start = hit + 1, hit
-    return found
+            text = f.read()
+        pos = _SEPARATORS.match(text).end()
+        for name, index in re.findall(r"([^.\[\]]+)|\[(\d+)\]", key or ""):
+            hit = _child(text, pos, int(index) if index else name)
+            if hit is None:
+                break
+            found, pos = hit
+    except (OSError, ValueError, IndexError):  # unreadable, or changed since loaded
+        pass
+    return text.count("\n", 0, found) + 1
 
 
 def _plain(value):
@@ -373,22 +387,9 @@ def write_result(out_dir, name, scenario_sha, **fields):
 
 def plan_to_dict(plan_obj):
     """plan.json fields of a plan, the header left to write_result."""
-    return {
-        "seed": plan_obj.seed,
-        "system": plan_obj.system,
-        "solved_node": plan_obj.solved_node,
-        "meta": dict(plan_obj.meta),
-        "steps": [
-            {
-                "u": list(s.u),
-                "tau": s.tau,
-                "ext_id": s.ext_id,
-                "node_id": s.node_id,
-                "mode": s.mode,
-            }
-            for s in plan_obj.steps
-        ],
-    }
+    fields = asdict(plan_obj)
+    del fields["scenario_sha256"]  # a header field
+    return fields
 
 
 def _count(raw, key, where):
@@ -416,13 +417,18 @@ def plan_from_dict(raw):
     if not isinstance(raw, dict):
         raise ScenarioError("a plan file must hold a JSON object")
     if raw.get("format") != RESULT_FORMATS["plan.json"]:
-        raise ScenarioError(f"not a plan file (format {raw.get('format')!r})")
+        raise ScenarioError(f"not a plan file (format {raw.get('format')!r})", key="format")
     raw_steps = _want(raw, "steps", list)
     if not all(isinstance(s, dict) for s in raw_steps):
         raise ScenarioError("steps must be a list of objects", key="steps")
     meta = _want(raw, "meta", dict)
-    _number(meta, "h", None, "meta.", positive=True)
+    h = _number(meta, "h", None, "meta.", positive=True)
     tau_max = _number(meta, "tau_max", None, "meta.", positive=True)
+    if tau_max / h > MAX_SUBSTEPS:
+        raise ScenarioError(f"meta.h {h!r} makes more than {MAX_SUBSTEPS} sub-steps "
+                            "per meta.tau_max", key="meta.h")
+    if meta.get("init_mode") is not None:
+        _count(meta, "init_mode", "meta.")
     return Plan(
         steps=tuple(_plan_step(s, i, tau_max) for i, s in enumerate(raw_steps)),
         seed=_count(raw, "seed", ""),
@@ -434,9 +440,39 @@ def plan_from_dict(raw):
 
 
 def load_plan(path):
-    with open(path, "r") as f:
-        raw = json.load(f)
-    return plan_from_dict(raw)
+    with open(path, "rb") as f:
+        return plan_from_dict(_parse_json(f.read()))
+
+
+def check_plan_fits(plan_obj, scenario, allow_mismatch=False):
+    """Refuse a plan the scenario cannot validate: a step control of another
+    dimension than the system's, a step mode or meta.init_mode that is no
+    mode index of the system (a smooth one has none), or, unless
+    allow_mismatch, a plan made for another scenario file or init mode."""
+    system = scenario.build_system()
+    m = system.bounds.control.dim
+    n_modes = len(system.modes) if system.hybrid else 0
+    made_for, plan_mode = plan_obj.scenario_sha256, plan_obj.meta.get("init_mode")
+    if made_for not in (None, scenario.sha256) and not allow_mismatch:
+        raise ScenarioError(f"the plan was made for the scenario with sha256 {made_for}, but "
+                            f"{scenario.path} has sha256 {scenario.sha256}; pass "
+                            "--allow-scenario-mismatch to validate it anyway",
+                            key="scenario_sha256")
+    modes = [("meta.init_mode", plan_mode)]
+    for i, s in enumerate(plan_obj.steps):
+        if len(s.u) != m:
+            raise ScenarioError(f"steps[{i}].u has dimension {len(s.u)}, but {system.name} "
+                                f"controls have dimension {m}", key=f"steps[{i}].u")
+        modes.append((f"steps[{i}].mode", s.mode))
+    for key, mode in modes:
+        if mode is not None and mode >= n_modes:
+            raise ScenarioError(f"{key} {mode!r} is not a mode index of {system.name} "
+                                f"({n_modes} modes)", key=key)
+    if plan_mode != scenario.init_mode and not allow_mismatch:
+        raise ScenarioError(f"meta.init_mode {plan_mode!r} differs from the scenario's "
+                            f"init_mode index {scenario.init_mode!r}; pass "
+                            "--allow-scenario-mismatch to validate it anyway",
+                            key="meta.init_mode")
 
 
 def stats_to_dict(result, params):

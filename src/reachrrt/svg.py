@@ -7,7 +7,7 @@ fixed order (obstacles, goal, hulls, edges, solution path).
 
 import numpy as np
 
-from .geometry import AxisAlignedBox, Ball, convex_hull_2d
+from .geometry import Ball, Box, convex_hull_2d
 from .reachability import project_to_plane
 
 _W = 760.0
@@ -61,14 +61,11 @@ def _obstacle_elems(frame, obstacle, epsilon):
                                "#c0392b", "0.15", "none", "0"))
         out.append(_circle(frame, obstacle.center, obstacle.radius,
                            "#c0392b", "0.55", "#922b21", "1"))
-    elif isinstance(obstacle, AxisAlignedBox):
+    elif isinstance(obstacle, Box):
         if epsilon > 0:
-            lo = obstacle.lo - epsilon
-            hi = obstacle.hi + epsilon
-            pts = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
-            out.append(_polygon(frame, pts, "#c0392b", "0.15", "none", "0"))
-        out.append(_polygon(frame, [tuple(c) for c in obstacle.corners],
-                            "#c0392b", "0.55", "#922b21", "1"))
+            padded = Box(obstacle.lo - epsilon, obstacle.hi + epsilon)
+            out.append(_polygon(frame, padded.corners, "#c0392b", "0.15", "none", "0"))
+        out.append(_polygon(frame, obstacle.corners, "#c0392b", "0.55", "#922b21", "1"))
     return out
 
 

@@ -18,8 +18,7 @@ from scipy import stats
 from reachrrt import rng
 from reachrrt.benchmarks import Jumper, Linear1D, make_benchmark
 from reachrrt.cli import main
-from reachrrt.dynamics import Box
-from reachrrt.geometry import convex_hull_2d, hausdorff_distance
+from reachrrt.geometry import Box, convex_hull_2d, hausdorff_distance
 from reachrrt.planner import extend_hybrid, sample_control, sample_node
 from reachrrt.reachability import compute_reach_set, init_particles
 from reachrrt.scenario import load_scenario

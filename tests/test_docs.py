@@ -1,5 +1,6 @@
 """Drift checks: every repository path and every `reachrrt.cli` subcommand
-that README.md names must exist, the third-party modules the code imports
+that README.md names must exist, every name its examples import and every
+entry of `reachrrt.__all__` must resolve, the third-party modules the code imports
 must be the ones pyproject.toml and README's "Requires" line name, every
 function the benchmark's tracer wraps must still exist by name, and every
 function, method and property in src/ must have a caller outside the tests."""
@@ -37,6 +38,24 @@ def test_readme_subcommands_exist(capsys):
             main([command, "--help"])
         assert e.value.code == 0, f"README names unknown subcommand {command!r}"
     capsys.readouterr()
+
+
+def test_readme_imports_and_package_exports_resolve():
+    # only imports: the examples themselves plan nothing here
+    imported = []
+    for block in re.findall(r"```python\n(.*?)```", README, re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("reachrrt"):
+                imported += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(alias.name, None) for alias in node.names
+                             if alias.name.startswith("reachrrt")]
+    assert imported
+    package = importlib.import_module("reachrrt")
+    imported += [("reachrrt", name) for name in package.__all__]
+    missing = [f"{module}.{name}" for module, name in imported
+               if name is not None and not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def _third_party_imports(directory):

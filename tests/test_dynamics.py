@@ -15,7 +15,6 @@ from reachrrt import rng
 from reachrrt.benchmarks import GRAVITY, Jumper, Quadrotor, make_benchmark
 from reachrrt.dynamics import (
     DIVERGENCE_LIMIT,
-    Box,
     ContinuousSystem,
     FeedbackWrapped,
     HybridSystem,
@@ -25,6 +24,7 @@ from reachrrt.dynamics import (
     rollout_batch,
     substep_lengths,
 )
+from reachrrt.geometry import Box
 from reachrrt.reachability import disturbance_source
 
 from oracles import step

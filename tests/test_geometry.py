@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reachrrt.geometry import (
-    AxisAlignedBox,
     Ball,
+    Box,
     GoalRegion,
     convex_hull_2d,
     goal_contains,
@@ -255,16 +255,16 @@ def test_ball_clearance_tangent_is_zero():
 
 def test_box_clearance_frozen_overlap():
     square = convex_hull_2d(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
-    box = AxisAlignedBox((0.5, 0.0), (1.5, 1.0))
+    box = Box((0.5, 0.0), (1.5, 1.0))
     assert hull_obstacle_clearance(square, box) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_box_clearance_frozen_separated():
     square = convex_hull_2d(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
-    box = AxisAlignedBox((3.0, 0.0), (4.0, 1.0))
+    box = Box((3.0, 0.0), (4.0, 1.0))
     assert hull_obstacle_clearance(square, box) == pytest.approx(2.0, abs=1e-12)
     # diagonal separation: nearest approach is corner to corner
-    far = AxisAlignedBox((4.0, 4.0), (5.0, 5.0))
+    far = Box((4.0, 4.0), (5.0, 5.0))
     assert hull_obstacle_clearance(square, far) == pytest.approx(
         math.sqrt(2) * 3.0, abs=1e-12)
 
@@ -273,7 +273,7 @@ def test_box_clearance_frozen_corner_to_edge():
     # nearest approach from the box corner (2, 2) to the interior of the
     # diamond's edge x + y = 1: (2 + 2 - 1) / sqrt(2)
     diamond = convex_hull_2d(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float))
-    box = AxisAlignedBox((2.0, 2.0), (3.0, 3.0))
+    box = Box((2.0, 2.0), (3.0, 3.0))
     want = oracle_box_clearance(diamond.vertices, box)
     assert want == pytest.approx(3.0 / math.sqrt(2), abs=1e-6)
     assert hull_obstacle_clearance(diamond, box) == pytest.approx(3.0 / math.sqrt(2),
@@ -287,7 +287,7 @@ def test_box_clearance_matches_boundary_sampling_oracle():
         pts = gen.uniform(-3.0, 3.0, size=(int(gen.integers(1, 12)), 2))
         hull = convex_hull_2d(pts)
         lo = gen.uniform(-5.0, 5.0, size=2)
-        box = AxisAlignedBox(lo, lo + gen.uniform(0.1, 3.0, size=2))
+        box = Box(lo, lo + gen.uniform(0.1, 3.0, size=2))
         got = hull_obstacle_clearance(hull, box)
         if got <= 0.0:
             continue
@@ -310,7 +310,7 @@ def test_point_clearance_signs():
     pts = np.array([[2.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
     got = points_obstacle_clearance(pts, ball)
     assert got == pytest.approx([1.0, -0.5, 0.0], abs=1e-12)
-    box = AxisAlignedBox((0.0, 0.0), (2.0, 2.0))
+    box = Box((0.0, 0.0), (2.0, 2.0))
     got = points_obstacle_clearance(np.array([[3.0, 1.0], [1.0, 1.0], [1.0, 1.5]]), box)
     assert got == pytest.approx([1.0, -1.0, -0.5], abs=1e-12)
 
@@ -504,13 +504,39 @@ def test_box_clearance_matches_pairwise_reference(pts, lo, size):
     # quarter-unit coordinates keep every cross product exact, so touching
     # and collinear configurations are decided the same way by both sides
     hull = convex_hull_2d(np.array(pts, dtype=float))
-    box = AxisAlignedBox(lo, (lo[0] + size[0] / 4.0, lo[1] + size[1] / 4.0))
+    box = Box(lo, (lo[0] + size[0] / 4.0, lo[1] + size[1] / 4.0))
     got = hull_obstacle_clearance(hull, box)
     want = reference_box_clearance(hull, box)
     if want > 0.0:
         assert got == want
     else:
         assert got <= 0.0
+
+
+@given(pts=st.lists(st.tuples(quarter, quarter), min_size=1, max_size=8),
+       lo=st.tuples(quarter, quarter),
+       size=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+       r_flat=st.booleans())
+@settings(max_examples=300)
+def test_degenerate_obstacle_clearance_matches_the_references(pts, lo, size, r_flat):
+    # flat boxes, point boxes and zero-radius balls: a library caller may
+    # pass them as obstacles
+    if r_flat:
+        size = (size[0], 0)
+    hull = convex_hull_2d(np.array(pts, dtype=float))
+    box = Box(lo, (lo[0] + size[0] / 4.0, lo[1] + size[1] / 4.0))
+    got = hull_obstacle_clearance(hull, box)
+    want = reference_box_clearance(hull, box)
+    if want > 0.0:
+        assert got == want
+    else:
+        assert got <= 0.0
+    # a zero-radius ball is the point box at its center
+    want = reference_box_clearance(hull, Box(lo, lo))
+    got = hull_obstacle_clearance(hull, Ball(lo, 0.0))
+    assert got == point_hull_distance(hull, lo)
+    assert (got > 0.0) == (want > 0.0)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ------------------------------------------------------------------ goal
@@ -535,16 +561,21 @@ def test_goal_projection_picks_state_dims():
 
 
 def test_region_validation():
+    # a zero radius and a flat box are shapes; the scenario loader refuses
+    # them as obstacles (tests/test_scenario_cli.py)
+    Ball((0.0, 0.0), 0.0)
+    Box((0.0, 0.0), (1.0, 0.0))
+    for radius in (-1e-12, float("nan")):
+        with pytest.raises(ValueError):
+            Ball((0.0, 0.0), radius)
     with pytest.raises(ValueError):
-        Ball((0.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        AxisAlignedBox((0.0, 0.0), (1.0, 0.0))
+        Box((0.0, 0.0), (1.0, -1e-12))
     with pytest.raises(ValueError):
         GoalRegion((0, 1), (0.0, 0.0), 0.0)
 
 
 def test_box_corner_order_is_a_cycle():
-    box = AxisAlignedBox((0.0, 0.0), (2.0, 1.0))
+    box = Box((0.0, 0.0), (2.0, 1.0))
     c = box.corners
     assert len(c) == 4
     # consecutive corners share exactly one coordinate

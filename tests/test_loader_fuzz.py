@@ -6,7 +6,9 @@ type, and huge, negative, subnormal or non-finite numbers (Python's json
 reads and writes NaN and Infinity).  The loader must answer each with a
 Scenario whose system builds, or with a ScenarioError naming the key at
 fault; any other exception is a bug.  Mutated copies of the stored plans
-must likewise load or raise ScenarioError.
+must likewise load or raise ScenarioError.  A sweep sets every field of the
+shipped scenarios and stored plans in turn to a string: each error it
+raises must name the line of that field.
 """
 
 import json
@@ -16,7 +18,14 @@ import os
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reachrrt.scenario import Scenario, ScenarioError, load_scenario, plan_from_dict
+from reachrrt.scenario import (
+    Scenario,
+    ScenarioError,
+    error_line,
+    load_plan,
+    load_scenario,
+    plan_from_dict,
+)
 from reachrrt.tree import Plan
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -124,3 +133,52 @@ def test_mutated_plans_load_or_raise_a_scenario_error(raw):
 def test_the_shipped_scenarios_load(tmp_path):
     for raw in SHIPPED.values():
         _check(raw, tmp_path / "fuzz.json")
+
+
+MARKER = "not-a-value"
+
+
+def _fields(raw, path=""):
+    """Path (as loader error keys spell it) and parent of every object
+    member, at any depth."""
+    if isinstance(raw, dict):
+        for key, value in raw.items():
+            yield f"{path}{key}", raw, key
+            yield from _fields(value, f"{path}{key}.")
+    elif isinstance(raw, list):
+        for i, value in enumerate(raw):
+            yield from _fields(value, f"{path[:-1]}[{i}].")
+
+
+def _sweep(sources, load, tmp_path):
+    """Fields that load with a string value, per source; for every other
+    field, assert that the error names the field's line."""
+    accepted = {}
+    for name, source in sources.items():
+        for path, parent, key in list(_fields(source)):
+            old, parent[key] = parent[key], MARKER
+            text = json.dumps(source, indent=1)
+            parent[key] = old
+            file = tmp_path / name
+            file.write_text(text)
+            try:
+                load(file)
+            except ScenarioError as e:
+                line = text[:text.index(f'"{MARKER}"')].count("\n") + 1
+                assert error_line(file, e.key) == line, (name, path, e.key, str(e))
+                continue
+            accepted.setdefault(name, []).append(path)
+    return accepted
+
+
+def test_every_scenario_error_names_the_line_of_its_field(tmp_path):
+    assert _sweep(SHIPPED, load_scenario, tmp_path) == {
+        name: ["name"] for name in SHIPPED}
+
+
+def test_every_plan_error_names_the_line_of_its_field(tmp_path):
+    unchecked = ["meta.baseline", "meta.epsilon", "meta.n_particles", "meta.nominal_kind",
+                 "meta.zeta", "scenario_sha256", "system", "version"]
+    accepted = _sweep(PLANS, load_plan, tmp_path)
+    assert {name: sorted(paths) for name, paths in accepted.items()} == {
+        name: unchecked for name in PLANS}

@@ -2,7 +2,7 @@
 runs on the 1-D benchmark, and exact replay."""
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from scipy import stats
 from reachrrt import rng
 from reachrrt.benchmarks import Jumper, make_benchmark
 from reachrrt import planner
-from reachrrt.dynamics import Box, reachable_modes
-from reachrrt.geometry import Ball, GoalRegion, convex_hull_2d, hull_obstacle_clearance
+from reachrrt.dynamics import reachable_modes
+from reachrrt.geometry import Ball, Box, GoalRegion, convex_hull_2d, hull_obstacle_clearance
 from reachrrt.planner import (
     PlannerParams,
     extend_hybrid,
@@ -363,6 +363,21 @@ def test_blocked_corridor_exhausts_budget():
     for node in result.tree.nodes:
         hull = convex_hull_2d(project_to_plane(node.reach.states, sys_.collision_projection))
         assert hull_obstacle_clearance(hull, wall) > small.epsilon
+
+
+def test_plan_takes_box_obstacles_and_a_ball_initial_region():
+    # the exported shapes serve every role: a Ball initial region, and Box
+    # obstacles, a flat one and a point among them, beside the corridor
+    sys_, _, goal, sampling, params = _easy_linear()
+    init = Ball([0.05], 0.05)
+    beside = [Box([0.8, 0.2], [1.2, 0.6]), Box([1.5, -0.4], [1.5, -0.2]),
+              Box([2.0, 0.3], [2.0, 0.3])]
+    assert plan(sys_, init, goal, beside, sampling, params).solved
+    # a flat box across the corridor is a wall
+    wall = Box([1.0, -0.5], [1.0, 0.5])
+    blocked = plan(sys_, init, goal, [wall], sampling, replace(params, i_max=150))
+    assert not blocked.solved
+    assert blocked.stats.rejected_collision >= 1
 
 
 def test_every_tree_edge_replays_collision_free():

@@ -12,10 +12,9 @@ from scipy import stats
 
 from reachrrt import reachability, rng
 from reachrrt.benchmarks import Jumper, make_benchmark
-from reachrrt.dynamics import Box
 from reachrrt.geometry import (
-    AxisAlignedBox,
     Ball,
+    Box,
     GoalRegion,
     convex_hull_2d,
     hull_obstacle_clearance,
@@ -328,10 +327,15 @@ def reference_padded_collision_free(traces, projection, obstacles, epsilon):
 TIE_OFFSETS = [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]
 
 
+# axes of a box obstacle flattened to zero width in the degenerate cases
+FLAT_AXES = st.sampled_from([[0], [1], [0, 1]])
+
+
 @st.composite
-def _placed_obstacle(draw, lo, hi, eps):
+def _placed_obstacle(draw, lo, hi, eps, degenerate=False):
     """A ball or box whose clearance from the box [lo, hi] is eps plus a
-    tie offset, facing one side or one corner of the box."""
+    tie offset, facing one side or one corner of the box.  A degenerate one
+    is a zero-radius ball or a box flat on one axis or both."""
     d = eps + draw(st.sampled_from(TIE_OFFSETS))
     signs = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)])
     if draw(st.booleans()):   # a corner, approached at angle alpha
@@ -349,28 +353,33 @@ def _placed_obstacle(draw, lo, hi, eps):
         spans = [0, 0]
         spans[axis] = 1
     if draw(st.booleans()):
-        r = draw(st.floats(0.01, 1.0))
+        r = 0.0 if degenerate else draw(st.floats(0.01, 1.0))
         return Ball(anchor + (d + r) * direction, r)
     q = anchor + d * direction
     size = np.array([draw(st.floats(0.01, 1.0)) for _ in range(2)])
+    if degenerate:
+        size[draw(FLAT_AXES)] = 0.0
     b_lo, b_hi = q - size / 2, q + size / 2   # straddles q on a face's axis
     for i in range(2):
         if spans[i]:
             b_lo[i], b_hi[i] = (q[i], q[i] + size[i]) if signs[i] > 0 else (q[i] - size[i], q[i])
-    return AxisAlignedBox(b_lo, b_hi)
+    return Box(b_lo, b_hi)
 
 
 @st.composite
-def _random_obstacle(draw):
+def _random_obstacle(draw, degenerate=False):
     c = np.array([draw(st.floats(-4.0, 4.0)) for _ in range(2)])
     size = draw(st.floats(0.01, 1.5))
     if draw(st.booleans()):
-        return Ball(c, size)
-    return AxisAlignedBox(c, c + np.array([size, draw(st.floats(0.01, 1.5))]))
+        return Ball(c, 0.0 if degenerate else size)
+    size = np.array([size, draw(st.floats(0.01, 1.5))])
+    if degenerate:
+        size[draw(FLAT_AXES)] = 0.0
+    return Box(c, c + size)
 
 
 @st.composite
-def _collision_cases(draw):
+def _collision_cases(draw, degenerate=False):
     """(traces, projection, obstacles, epsilon) over single particles, one
     slice or one sub-step, flat clouds, tiny clouds and 1-D projections."""
     slices = draw(st.integers(1, 4))        # 1: a root set; 2: one sub-step
@@ -389,7 +398,8 @@ def _collision_cases(draw):
     eps = draw(st.sampled_from([0.0, 0.05, 0.3]))
     pts = project_to_plane(traces, projection).reshape(-1, 2)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    obstacles = draw(st.lists(st.one_of(_placed_obstacle(lo, hi, eps), _random_obstacle()),
+    obstacles = draw(st.lists(st.one_of(_placed_obstacle(lo, hi, eps, degenerate),
+                                        _random_obstacle(degenerate)),
                               min_size=1, max_size=3))
     return traces, projection, obstacles, eps
 
@@ -408,6 +418,16 @@ def test_collision_decision_matches_reference(case):
         reference_padded_collision_free(traces, projection, obstacles, eps)
 
 
+@settings(max_examples=400, deadline=None)
+@given(case=_collision_cases(degenerate=True))
+def test_degenerate_obstacle_decision_matches_reference(case):
+    # flat boxes, point boxes and zero-radius balls: a library caller may
+    # pass them as obstacles
+    traces, projection, obstacles, eps = case
+    assert padded_collision_free(traces, projection, obstacles, eps) == \
+        reference_padded_collision_free(traces, projection, obstacles, eps)
+
+
 def test_obstacle_far_from_the_trace_builds_no_hull(monkeypatch):
     hulled = []
 
@@ -418,7 +438,7 @@ def test_obstacle_far_from_the_trace_builds_no_hull(monkeypatch):
     monkeypatch.setattr(reachability, "convex_hull_2d", spy)
     diamond = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
     trace = np.tile(diamond, (5, 1, 1))     # bounding box [0, 1]^2
-    far = [Ball((5.0, 0.5), 1.0), AxisAlignedBox((-3.0, -3.0), (-1.0, 3.0))]
+    far = [Ball((5.0, 0.5), 1.0), Box((-3.0, -3.0), (-1.0, 3.0))]
     assert padded_collision_free(trace, (0, 1), far, 0.35)
     assert hulled == []
     # within epsilon of the box's empty corner, clear of every hull: the

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from reachrrt import rng
-from reachrrt.dynamics import Box
+from reachrrt.geometry import Box
 
 
 def test_same_key_same_stream():

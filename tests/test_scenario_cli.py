@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from reachrrt.cli import main
-from reachrrt.dynamics import BallRegion, Box
-from reachrrt.geometry import AxisAlignedBox, Ball
+from reachrrt.geometry import Ball, Box
+from reachrrt.planner import PlannerParams
 from reachrrt.scenario import ScenarioError, check_init_clearance, load_scenario
 
 BASE = {
@@ -42,7 +42,10 @@ def _write(tmp_path, name="sc.json", **mods):
 
 def _line_of(path, key):
     """Line of a key; "parent.child" is the first child line after the
-    parent's."""
+    parent's, and "name[0]" the line after name's, where json.dumps with an
+    indent starts a list's first element."""
+    if key.endswith("[0]"):
+        return _line_of(path, key[:-3]) + 1
     parent, _, child = key.rpartition(".")
     lines = open(path).read().splitlines()
     start = _line_of(path, parent) if parent else 1
@@ -64,7 +67,7 @@ def test_scenario_loads_and_hashes(tmp_path):
     assert sc.name == "corridor"
     assert sc.system_name == "linear1d"
     assert isinstance(sc.obstacles[0], Ball)
-    assert isinstance(sc.obstacles[1], AxisAlignedBox)
+    assert isinstance(sc.obstacles[1], Box)
     assert sc.goal.projection == (0,)
     assert sc.params.n_particles == 60
     assert sc.params.h == 0.1
@@ -84,14 +87,14 @@ def test_scenario_defaults(tmp_path):
 
 @pytest.mark.parametrize("mods,key,fragment", [
     ({"goal": {"projection": [0], "center": [2.0], "radius": 0.0}},
-     "goal", "goal.radius must be positive"),
+     "goal.radius", "goal.radius must be positive"),
     ({"planner": None}, "planner", "missing required key planner"),
     ({"sampling_box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}},
      "sampling_box", "sampling_box must have dimension 1"),
     ({"obstacles": [{"kind": "box", "lo": [1.0, 1.0], "hi": [1.0, 2.0]}]},
-     "obstacles", "obstacle box needs lo < hi"),
+     "obstacles[0]", "obstacle box needs lo < hi"),
     ({"init": {"kind": "cone", "lo": [0.0], "hi": [0.1]}},
-     "init", "unknown init kind 'cone'"),
+     "init.kind", "unknown init kind 'cone'"),
     ({"system": "warp_drive"}, "system", "unknown benchmark"),
     ({"validation": {"rollouts": "abc", "seed": 7}},
      "validation.rollouts", "validation.rollouts must be an integer"),
@@ -126,18 +129,27 @@ def test_scenario_defaults(tmp_path):
      "system_options.theta_lo must hold finite numbers or booleans"),
     ({"system_options": {"theta_lo": 10**400, "theta_hi": 0.55}}, "system_options.theta_lo",
      "system_options.theta_lo must hold finite numbers or booleans"),
-    ({"obstacles": [None]}, "obstacles", "obstacles[0] must be an object"),
+    ({"obstacles": [None]}, "obstacles[0]", "obstacles[0] must be an object"),
     ({"goal": {"projection": [False], "center": [2.0], "radius": 0.55}},
-     "goal", "goal.projection must index states 0..0"),
+     "goal.projection", "goal.projection must index states 0..0"),
     ({"planner": {**BASE["planner"], "substep": 1.5}},
      "planner.substep", "planner.substep must not exceed planner.tau_max"),
+    ({"obstacles": [{"kind": "ball", "center": [1.0, 10.0], "radius": 0.0}]},
+     "obstacles[0].radius", "obstacle radius must be positive"),
+    # each rollout would ask for a trace row per sub-step
+    ({"planner": {**BASE["planner"], "substep": 1e-300}},
+     "planner.substep", "planner.substep 1e-300 makes more than 10000 sub-steps"),
+    ({"planner": {**BASE["planner"], "substep": 1e-9}},
+     "planner.substep", "planner.substep 1e-09 makes more than 10000 sub-steps"),
 ])
 def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     path = _write(tmp_path, **mods)
-    assert main(["run", "--scenario", path]) == 1
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{path}:{_line_of(path, key)}: ")
     assert fragment in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("gain_substep,fragment", [
@@ -163,6 +175,15 @@ def test_bad_json_reports_cleanly(tmp_path, capsys):
     path.write_text("{ not json")
     assert main(["run", "--scenario", str(path)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_non_text_scenario_reports_cleanly(tmp_path, capsys):
+    # json.loads raised UnicodeDecodeError, not JSONDecodeError, on this
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    assert main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"{path}:1: not valid JSON: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_reports_cleanly(tmp_path, capsys):
@@ -257,6 +278,18 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("REACHRRT_OUT_DIR", str(target))
     assert main(["run", "--scenario", path]) == 0
     assert (target / "plan.json").exists()
+
+
+def test_a_tau_max_of_too_many_substeps_exits_one(tmp_path, capsys):
+    path = _write(tmp_path)
+    out = tmp_path / "out"
+    assert _run(path, out, "--tau-max", "1e9") == 1
+    assert "invalid parameters: sub-step must lie in [tau_max / 10000, tau_max]" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="sub-step must lie in"):
+        PlannerParams(tau_max=1.0, h=1e-9).validated()
+    assert PlannerParams(tau_max=1.0, h=1e-4).validated().h == 1e-4
 
 
 def test_invalid_flag_values_exit_one(tmp_path, capsys):
@@ -359,12 +392,12 @@ def test_compare_rejects_baseline_start_within_its_padding(tmp_path, capsys):
     (Box([0.0, 0.0, -9.0, -9.0], [1.0, 1.0, 9.0, 9.0]), (0, 1), Ball([2.0, 2.0], 0.5),
      2.0 ** 0.5 - 0.5),
     (Box([0.0, 0.0, -9.0, -9.0], [1.0, 1.0, 9.0, 9.0]), (0, 1),
-     AxisAlignedBox([1.5, -1.0], [3.0, 0.5]), 0.5),
-    (BallRegion([0.0, 0.0, 5.0, 5.0], 1.0), (0, 1),
-     AxisAlignedBox([2.0, -1.0], [3.0, 1.0]), 1.0),
-    (BallRegion([0.0, 0.0, 5.0, 5.0], 1.0), (0, 1), Ball([3.0, 4.0], 1.0), 3.0),
+     Box([1.5, -1.0], [3.0, 0.5]), 0.5),
+    (Ball([0.0, 0.0, 5.0, 5.0], 1.0), (0, 1),
+     Box([2.0, -1.0], [3.0, 1.0]), 1.0),
+    (Ball([0.0, 0.0, 5.0, 5.0], 1.0), (0, 1), Ball([3.0, 4.0], 1.0), 3.0),
     # through a 1-D projection a ball is the interval [0, 0.1] on the axis
-    (BallRegion([0.05], 0.05), (0,), Ball([0.05, 0.1], 0.02), 0.08),
+    (Ball([0.05], 0.05), (0,), Ball([0.05, 0.1], 0.02), 0.08),
 ], ids=["box-ball", "box-box", "ball-box", "ball-ball", "1d-ball-ball"])
 def test_init_clearance_is_the_planar_distance(region, proj, obstacle, clearance):
     check_init_clearance("epsilon", clearance - 1e-9, region, proj, [obstacle])
@@ -377,7 +410,7 @@ def test_init_clearance_tie_is_refused():
     # the planner rejects a hull whose clearance equals epsilon, so a region
     # exactly epsilon away is refused too
     region = Box([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0])
-    obstacle = AxisAlignedBox([1.5, -1.0], [3.0, 0.5])  # 0.5 away, exactly
+    obstacle = Box([1.5, -1.0], [3.0, 0.5])  # 0.5 away, exactly
     check_init_clearance("epsilon", 0.25, region, (0, 1), [obstacle])
     with pytest.raises(ScenarioError, match="epsilon 0.5 "):
         check_init_clearance("epsilon", 0.5, region, (0, 1), [obstacle])
@@ -385,12 +418,12 @@ def test_init_clearance_tie_is_refused():
 
 @pytest.mark.parametrize("region", [
     Box([2.2, 0.1, 0.0, 0.0], [2.4, 0.2, 0.0, 0.0]),
-    BallRegion([2.5, 0.0, 0.0, 0.0], 0.1),
+    Ball([2.5, 0.0, 0.0, 0.0], 0.1),
 ], ids=["box", "ball"])
 def test_init_overlapping_an_obstacle_is_refused_at_zero_epsilon(region):
     with pytest.raises(ScenarioError):
         check_init_clearance("epsilon", 0.0, region, (0, 1),
-                             [AxisAlignedBox([2.0, -1.0], [3.0, 1.0])])
+                             [Box([2.0, -1.0], [3.0, 1.0])])
 
 
 # -------------------------------------------------------------- validate
@@ -509,9 +542,12 @@ def _with_meta(plan, **fields):
     lambda plan: _with_meta(plan, h=-0.03),
     lambda plan: _with_meta(plan, h="0.03"),
     lambda plan: {**plan, "meta": {k: v for k, v in plan["meta"].items() if k != "h"}},
+    lambda plan: _with_meta(plan, h=1e-300),
+    lambda plan: _with_meta(plan, h=1e-9),
+    lambda plan: _with_meta(plan, init_mode="contact"),
 ], ids=["list", "wrong-format", "steps-int", "step-int", "u-int", "meta-int",
         "tau-negative", "tau-nan", "tau-above-tau-max", "h-zero", "h-negative",
-        "h-string", "h-missing"])
+        "h-string", "h-missing", "h-1e-300", "h-1e-9", "init-mode-string"])
 def test_validate_rejects_non_plan_file(tmp_path, capsys, corrupt):
     path = _write(tmp_path)
     out = tmp_path / "out"
@@ -522,8 +558,57 @@ def test_validate_rejects_non_plan_file(tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert main(["validate", "--scenario", path, "--plan", str(bogus),
                  "--out-dir", str(out)]) == 1
-    assert "cannot load plan" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.match(rf"{re.escape(str(bogus))}:\d+: cannot load plan: ", err)
     assert not (out / "report.json").exists()
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CORRIDOR = os.path.join(ROOT, "scenarios", "corridor.json")
+JUMPER = os.path.join(ROOT, "scenarios", "jumper.json")
+JUMPER_PLAN = os.path.join(ROOT, "perfbench", "data", "jumper-vault.plan.json")
+
+
+def _smooth_step(plan, mode):
+    """One linear1d step of the given mode in place of the jumper steps."""
+    plan.update(system="linear1d", steps=[
+        {"u": [0.0], "tau": 0.1, "ext_id": 1, "node_id": 1, "mode": mode}])
+
+
+@pytest.mark.parametrize("scenario,edit,marker,fragment", [
+    (JUMPER, lambda plan: plan["steps"][0].update(mode=7), '"mode": 7',
+     "steps[0].mode 7 is not a mode index of jumper (2 modes)"),
+    (JUMPER, lambda plan: plan["meta"].update(init_mode=9), '"init_mode": 9',
+     "meta.init_mode 9 is not a mode index of jumper (2 modes)"),
+    (JUMPER, lambda plan: plan["meta"].update(init_mode=1), '"init_mode": 1',
+     "meta.init_mode 1 differs from the scenario's init_mode index 0"),
+    (JUMPER, lambda plan: plan["meta"].pop("init_mode"), '"meta"',
+     "meta.init_mode None differs from the scenario's init_mode index 0"),
+    (CORRIDOR, lambda plan: _smooth_step(plan, None), '"init_mode": 0',
+     "meta.init_mode 0 is not a mode index of linear1d (0 modes)"),
+    (CORRIDOR, lambda plan: (plan["meta"].pop("init_mode"), _smooth_step(plan, 0)),
+     '"mode": 0', "steps[0].mode 0 is not a mode index of linear1d (0 modes)"),
+], ids=["step-mode-7", "init-mode-9", "init-mode-other", "init-mode-missing",
+        "smooth-init-mode", "smooth-step-mode"])
+def test_validate_refuses_plan_modes_the_system_lacks(tmp_path, capsys, scenario, edit,
+                                                      marker, fragment):
+    plan = json.loads(open(JUMPER_PLAN).read())
+    edit(plan)
+    plan["scenario_sha256"] = hashlib.sha256(open(scenario, "rb").read()).hexdigest()
+    bogus = tmp_path / "plan.json"
+    text = json.dumps(plan, indent=2)
+    bogus.write_text(text)
+    line = 1 + text[:text.index(marker)].count("\n")
+    out = tmp_path / "out"
+    args = ["validate", "--scenario", scenario, "--plan", str(bogus), "--out-dir", str(out),
+            "--rollouts", "10"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bogus}:{line}: {fragment}")
+    assert not out.exists()
+    if "differs" in fragment:
+        assert main(args + ["--allow-scenario-mismatch"]) in (0, 2)
+        assert (out / "report.json").exists()
 
 
 # ----------------------------------------------------------------- study
@@ -563,9 +648,6 @@ def test_study_rejects_bad_budgets(tmp_path, capsys):
 
 
 # --------------------------------------------------------------- compare
-
-CORRIDOR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
-                        "corridor.json")
 
 
 def _compare(out, *extra):

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from reachrrt import rng
 from reachrrt.benchmarks import GRAVITY, Jumper, make_benchmark
-from reachrrt.dynamics import Box, rollout_batch
-from reachrrt.geometry import AxisAlignedBox, Ball, GoalRegion, goal_contains
+from reachrrt.dynamics import rollout_batch
+from reachrrt.geometry import Ball, Box, GoalRegion, goal_contains
 from reachrrt.planner import PlannerParams, plan
 from reachrrt.reachability import project_to_plane
 from reachrrt.scenario import load_plan, load_scenario
@@ -191,7 +191,7 @@ def _zero_duration_linear():
     steps = list(result.plan.steps)
     zero = PlanStep(u=(0.0,), tau=0.0, ext_id=99, node_id=99)
     steps = [zero, *steps[:3], zero, *steps[3:], zero]
-    obstacles = [AxisAlignedBox((1.0, -0.1), (1.01, 0.1))]
+    obstacles = [Box((1.0, -0.1), (1.01, 0.1))]
     return sys_, replace(result.plan, steps=tuple(steps)), init, goal, obstacles, 300, None
 
 
