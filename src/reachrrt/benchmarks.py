@@ -92,35 +92,39 @@ class Quadrotor(System):
         return Ad, Bd
 
 
-def dlqr_gain(A, B, Q, R, iters=100000, tol=1e-13):
+def dlqr_gain(A, B, Q, R):
     """Tracking gain K for u = nu + K (x - mu) via Riccati iteration.
 
     Returned with the sign folded in, so K is what the feedback wrapper
-    consumes directly.
+    consumes directly.  Raises ValueError when the iterates neither settle
+    to within 1e-13 nor overflow in 100 000 steps.
     """
     P = np.array(Q, dtype=float)
-    K = np.zeros((B.shape[1], A.shape[0]))
-    for _ in range(iters):
+    for _ in range(100000):
         BtP = B.T @ P
         K = np.linalg.solve(R + BtP @ B, BtP @ A)
         Pn = Q + A.T @ P @ (A - B @ K)
         Pn = 0.5 * (Pn + Pn.T)
         # converged, or overflowed: the gain then comes out non-finite
-        if not np.all(np.isfinite(Pn)) or np.max(np.abs(Pn - P)) < tol:
+        if not np.all(np.isfinite(Pn)) or np.max(np.abs(Pn - P)) < 1e-13:
             P = Pn
             break
         P = Pn
+    else:
+        raise ValueError("Riccati iteration did not converge in 100000 steps")
     BtP = B.T @ P
     K = np.linalg.solve(R + BtP @ B, BtP @ A)
     return -K
 
 
-def quadrotor_tracking_gain(h=0.1, q=1.0, r=0.1):
+def quadrotor_tracking_gain(h=0.1):
     if not h > 0:
         raise ValueError(f"gain_substep {h!r} must be positive")
-    quad = Quadrotor()
-    Ad, Bd = quad.linearization(h)
-    return dlqr_gain(Ad, Bd, q * np.eye(4), r * np.eye(2))
+    Ad, Bd = Quadrotor().linearization(h)
+    try:
+        return dlqr_gain(Ad, Bd, np.eye(4), 0.1 * np.eye(2))
+    except ValueError as e:
+        raise ValueError(f"gain_substep {h!r}: {e}") from e
 
 
 class Jumper(HybridSystem):

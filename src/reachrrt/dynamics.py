@@ -274,14 +274,12 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
     )
 
 
-def rollout(sys, x0, u, tau, h, theta=None, w=None, mode=None):
-    """Single-trace rollout under constant disturbance (nominal by default).
+def rollout(sys, x0, u, tau, h, mode=None):
+    """Single-trace rollout at the nominal parameter and disturbance.
 
     Returns the (S+1, n) state trace, with S = ceil(tau / h) sub-steps and the
     final partial sub-step included; hybrid systems also return the mode trace.
     """
-    theta = sys.nominal_param if theta is None else np.asarray(theta, dtype=float)
-    w = sys.nominal_disturbance if w is None else np.asarray(w, dtype=float)
     modes0 = None
     if sys.hybrid:
         if mode is None:
@@ -293,8 +291,8 @@ def rollout(sys, x0, u, tau, h, theta=None, w=None, mode=None):
         u,
         tau,
         h,
-        theta[None, :],
-        constant_w_source(w),
+        sys.nominal_param[None, :],
+        constant_w_source(sys.nominal_disturbance),
         modes0=modes0,
     )
     if r.diverged:

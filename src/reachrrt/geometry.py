@@ -76,7 +76,9 @@ class Ball:
         return self.center.shape[0]
 
     def sample(self, gen, n=None):
-        # direction from gaussians, radius via d-th root for uniform volume
+        # direction from gaussians, radius via d-th root for uniform volume;
+        # all directions precede all radii, so unlike Box.sample no prefix of
+        # an n-row block matches a shorter block from the same state
         single = n is None
         m = 1 if single else int(n)
         g = gen.standard_normal((m, self.dim))
@@ -120,30 +122,17 @@ def goal_contains(goal, x, shrink=0.0):
     return out if d.ndim else bool(out)
 
 
-@dataclass(frozen=True)
-class ConvexHull2D:
-    """Convex polygon with counterclockwise vertices.
-
-    One or two vertices mark a degenerate hull (a point or a segment); those
-    come up routinely, e.g. a singleton initial set or 1-D dynamics embedded
-    in the plane, and every operation here accepts them.
-    """
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-
-
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def convex_hull_2d(points):
-    """Convex hull of a planar point cloud (monotone chain).
-
-    Collinear points along an edge are dropped, so the vertex list has no
-    three collinear entries.  Duplicate input points are fine.
+    """Convex hull of a planar point cloud (monotone chain) as its (k, 2)
+    float vertex array: counterclockwise, with no three rows collinear
+    (points along an edge are dropped).  One or two rows mark a degenerate
+    hull (a point or a segment); those come up routinely, e.g. a singleton
+    initial set or 1-D dynamics embedded in the plane, and every hull
+    function here accepts them.  Duplicate input points are fine.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -154,7 +143,7 @@ def convex_hull_2d(points):
         raise ValueError("hull input must be finite")
     uniq = np.unique(pts, axis=0)  # lexicographically sorted, exact dedupe
     if len(uniq) <= 2:
-        return ConvexHull2D(uniq)
+        return uniq
 
     rows = [(float(p[0]), float(p[1])) for p in uniq]
     lower = []
@@ -170,8 +159,8 @@ def convex_hull_2d(points):
     verts = lower[:-1] + upper[:-1]
     if len(verts) < 3:
         # everything within collinearity tolerance of one line
-        return ConvexHull2D(np.array([rows[0], rows[-1]]))
-    return ConvexHull2D(np.array(verts))
+        return np.array([rows[0], rows[-1]])
+    return np.array(verts)
 
 
 def _point_segments_distance(p, a, b):
@@ -192,10 +181,9 @@ def _point_segments_distance(p, a, b):
     return np.sqrt((d * d).sum(axis=-1))
 
 
-def _hull_edges(hull):
-    """Hull boundary as (starts, ends) segment arrays; a point maps to a
-    zero-length segment."""
-    v = hull.vertices
+def _hull_edges(v):
+    """Boundary of the hull with vertex array v as (starts, ends) segment
+    arrays; a point maps to a zero-length segment."""
     if len(v) == 1:
         return v, v
     if len(v) == 2:
@@ -203,17 +191,16 @@ def _hull_edges(hull):
     return v, np.roll(v, -1, axis=0)
 
 
-def point_hull_distance(hull, p):
-    """Euclidean distance from p to the hull (zero inside)."""
+def point_hull_distance(v, p):
+    """Euclidean distance from p to the hull with vertices v (zero inside)."""
     p = np.asarray(p, dtype=float)
-    v = hull.vertices
     if len(v) >= 3:
         e = np.roll(v, -1, axis=0) - v
         w = p[None, :] - v
         cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
         if np.all(cross >= 0.0):
             return 0.0
-    a, b = _hull_edges(hull)
+    a, b = _hull_edges(v)
     return float(_point_segments_distance(p, a, b).min())
 
 
@@ -268,21 +255,20 @@ def _sat_overlap(hull_pts, box_pts, axes):
     return best
 
 
-def hull_obstacle_clearance(hull, obstacle):
-    """Signed clearance between a hull and an obstacle.
+def hull_obstacle_clearance(v, obstacle):
+    """Signed clearance between the hull with vertex array v and an obstacle.
 
     Positive when disjoint, and <= 0 exactly when they touch or overlap.  The
     negative branch is a penetration proxy (smallest separating-axis overlap
     for boxes, center depth for balls), good enough for reject decisions.
     """
-    v = hull.vertices
     if isinstance(obstacle, Ball):
-        return point_hull_distance(hull, obstacle.center) - obstacle.radius
+        return point_hull_distance(v, obstacle.center) - obstacle.radius
     if len(v) == 1:
         return float(points_obstacle_clearance(v, obstacle)[0])
     corners = obstacle.corners
     axes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    a, b = _hull_edges(hull)
+    a, b = _hull_edges(v)
     for s, e in zip(a, b):
         d = e - s
         axes.append(np.array([-d[1], d[0]]))

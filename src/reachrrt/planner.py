@@ -32,7 +32,7 @@ from .reachability import (
     padded_collision_free,
     padded_goal_contained,
 )
-from .tree import DualTree, Edge, build_path
+from .tree import DualTree, PlanStep, build_path
 
 
 @dataclass(frozen=True)
@@ -191,16 +191,15 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
 
     obstacles = list(obstacles)
     proj = sys.collision_projection
-    if (padded_goal_contained(root, goal, params.epsilon)
-            and padded_collision_free(root.states[None], proj, obstacles, params.epsilon)):
-        plan_obj = build_path(tree, 0, params.seed, sys.name, meta=meta)
-        stats.wall_time = time.perf_counter() - t0
-        return PlanResult("solved", plan_obj, stats, tree)
+    root_solved = (padded_goal_contained(root, goal, params.epsilon)
+                   and padded_collision_free(root.states[None], proj, obstacles,
+                                             params.epsilon))
+    solved_id = 0 if root_solved else None
 
     gen = rng.substream(params.seed, rng.DOMAIN_PLANNER)
     modes_of = {}   # node id -> its reachable modes, probed on first selection
 
-    for i in range(params.i_max):
+    for i in range(0 if root_solved else params.i_max):
         stats.iterations = i + 1
         x_s = sampling_box.sample(gen)
         nid = sample_node(tree, x_s, params.zeta, gen)
@@ -238,17 +237,19 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
         # the node keeps its own slice, not a view that pins the whole trace
         pset = replace(pset, states=pset.states.copy(), mu=pset.mu.copy(),
                        modes=None if pset.modes is None else pset.modes.copy())
-        new_id = tree.add_node(nid, pset, Edge(u=np.asarray(u, dtype=float),
-                                               tau=float(tau), ext_id=i,
-                                               mode=edge_mode))
+        new_id = tree.add_node(nid, pset, PlanStep(
+            u=tuple(float(v) for v in u), tau=float(tau), ext_id=i,
+            node_id=len(tree), mode=edge_mode))
         stats.nodes_added += 1
         if padded_goal_contained(pset, goal, params.epsilon):
-            plan_obj = build_path(tree, new_id, params.seed, sys.name, meta=meta)
-            stats.wall_time = time.perf_counter() - t0
-            return PlanResult("solved", plan_obj, stats, tree)
+            solved_id = new_id
+            break
 
+    plan_obj = (None if solved_id is None else
+                build_path(tree, solved_id, params.seed, sys.name, meta=meta))
     stats.wall_time = time.perf_counter() - t0
-    return PlanResult("budget_exhausted", None, stats, tree)
+    return PlanResult("budget_exhausted" if plan_obj is None else "solved",
+                      plan_obj, stats, tree)
 
 
 def replay_plan(sys, plan_obj, init_region):

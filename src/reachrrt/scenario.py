@@ -429,6 +429,9 @@ def plan_from_dict(raw):
                             "per meta.tau_max", key="meta.h")
     if meta.get("init_mode") is not None:
         _count(meta, "init_mode", "meta.")
+    _number(meta, "n_particles", None, "meta.", kinds=int, positive=True)
+    if "baseline" in meta:
+        _want(meta, "baseline", bool, "meta.")
     return Plan(
         steps=tuple(_plan_step(s, i, tau_max) for i, s in enumerate(raw_steps)),
         seed=_count(raw, "seed", ""),
@@ -445,10 +448,14 @@ def load_plan(path):
 
 
 def check_plan_fits(plan_obj, scenario, allow_mismatch=False):
-    """Refuse a plan the scenario cannot validate: a step control of another
-    dimension than the system's, a step mode or meta.init_mode that is no
-    mode index of the system (a smooth one has none), or, unless
-    allow_mismatch, a plan made for another scenario file or init mode."""
+    """Refuse a plan the scenario cannot validate: a plan made for another
+    system, a step control of another dimension than the system's, a step
+    mode or meta.init_mode that is no mode index of the system (a smooth one
+    has none), or, unless allow_mismatch, a plan made for another scenario
+    file or init mode."""
+    if plan_obj.system != scenario.system_name:
+        raise ScenarioError(f"the plan was made for system {plan_obj.system!r}, but "
+                            f"{scenario.path} runs {scenario.system_name!r}", key="system")
     system = scenario.build_system()
     m = system.bounds.control.dim
     n_modes = len(system.modes) if system.hybrid else 0

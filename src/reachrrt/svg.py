@@ -103,7 +103,7 @@ def render_svg(result, sys, goal, obstacles, sampling_box, epsilon, seed,
 
     tree = result.tree
     for node in tree.nodes:
-        v = convex_hull_2d(project_to_plane(node.reach.states, proj)).vertices
+        v = convex_hull_2d(project_to_plane(node.reach.states, proj))
         if len(v) >= 3:
             parts.append(_polygon(frame, [tuple(p) for p in v],
                                   "#2e86c1", "0.14", "#2e86c1", "0.4"))

@@ -11,30 +11,21 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Edge:
+class PlanStep:
     """Segment from parent to child: commanded control held for tau."""
 
-    u: np.ndarray
+    u: tuple
     tau: float
     ext_id: int
+    node_id: int
     mode: int | None = None   # commanded mode, hybrid systems only
 
 
 @dataclass
 class Node:
-    id: int
     parent: int | None
     reach: object              # ParticleSet
-    edge: Edge | None          # None at the root
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    u: tuple
-    tau: float
-    ext_id: int
-    node_id: int
-    mode: int | None = None
+    step: PlanStep | None      # the plan step that reaches this node; None at the root
 
 
 @dataclass(frozen=True)
@@ -76,11 +67,11 @@ class DualTree:
         x = np.asarray(x, dtype=float)
         return x if self.weights is None else x * self.weights
 
-    def add_node(self, parent_id, reach, edge):
+    def add_node(self, parent_id, reach, step):
         if parent_id is not None and not (0 <= parent_id < len(self.nodes)):
             raise ValueError(f"parent {parent_id} not in tree")
         nid = len(self.nodes)
-        node = Node(id=nid, parent=parent_id, reach=reach, edge=edge)
+        node = Node(parent=parent_id, reach=reach, step=step)
         self.nodes.append(node)
         if nid >= len(self._scaled):
             grown = np.empty((2 * len(self._scaled), self._scaled.shape[1]))
@@ -117,18 +108,8 @@ def build_path(tree, leaf_id, seed, system_name, meta=None):
         chain.append(node)
         nid = node.parent
     chain.reverse()
-    steps = []
-    for node in chain[1:]:
-        e = node.edge
-        steps.append(PlanStep(
-            u=tuple(float(v) for v in e.u),
-            tau=float(e.tau),
-            ext_id=int(e.ext_id),
-            node_id=int(node.id),
-            mode=None if e.mode is None else int(e.mode),
-        ))
     return Plan(
-        steps=tuple(steps),
+        steps=tuple(node.step for node in chain[1:]),
         seed=int(seed),
         system=system_name,
         solved_node=int(leaf_id),

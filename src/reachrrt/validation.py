@@ -272,14 +272,15 @@ def quadrotor_flow_sup(quad, box):
     return float(np.sqrt(f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4))
 
 
-def reachset_lipschitz_check(sys, L, box, n_trials, n_particles, tau_max, h, seed,
-                             shift_scale=0.1, du_scale=0.1, dtau_scale=0.1):
+def reachset_lipschitz_check(sys, L, box, n_trials, n_particles, tau_max, h, seed):
     """Empirical check of the set-level deviation bound.
 
     Paired particle clouds share every uncertainty draw; the second cloud is
-    a translate of the first with a perturbed control and duration.  The
-    Hausdorff distances are computed on the particle sets themselves (full
-    state), which is the quantity the planner's sets approximate.
+    a translate of the first by up to 0.1 per coordinate, with the control
+    perturbed by up to 0.1 per coordinate and the duration by up to
+    0.1 tau_max.  The Hausdorff distances are computed on the particle sets
+    themselves (full state), which is the quantity the planner's sets
+    approximate.
     """
     T = int(n_trials)
     N = int(n_particles)
@@ -293,13 +294,13 @@ def reachset_lipschitz_check(sys, L, box, n_trials, n_particles, tau_max, h, see
         c = box.sample(gen)
         rho = gen.uniform(0.0, 0.05 * box.width + 1e-12)
         P1 = c + gen.uniform(-rho, rho, size=(N, box.dim))
-        shift = gen.uniform(-shift_scale, shift_scale, size=box.dim)
+        shift = gen.uniform(-0.1, 0.1, size=box.dim)
         P2 = P1 + shift
         u1 = sys.bounds.control.sample(gen)
-        du = gen.uniform(-du_scale, du_scale, size=u1.shape[0])
+        du = gen.uniform(-0.1, 0.1, size=u1.shape[0])
         u2 = sys.bounds.control.clip(u1 + du)
         tau1 = float(gen.uniform(0.25 * tau_max, tau_max))
-        tau2 = float(np.clip(tau1 + gen.uniform(-dtau_scale, dtau_scale) * tau_max,
+        tau2 = float(np.clip(tau1 + gen.uniform(-0.1, 0.1) * tau_max,
                              0.0, tau_max))
         Th = sys.bounds.param.sample(rng.substream(seed, rng.DOMAIN_CHECK, 11, t), N)
 

@@ -14,12 +14,12 @@ from reachrrt.geometry import _hull_edges, _point_segments_distance
 DEFAULT_TOL = 1e-9
 
 
-def point_in_hull(hull, p, tol=DEFAULT_TOL):
-    """Membership with slack: within signed distance `tol` of the hull."""
+def point_in_hull(v, p, tol=DEFAULT_TOL):
+    """Membership with slack: within signed distance `tol` of the hull with
+    vertex array v."""
     p = np.asarray(p, dtype=float)
-    v = hull.vertices
     if len(v) < 3:
-        a, b = _hull_edges(hull)
+        a, b = _hull_edges(v)
         return bool(_point_segments_distance(p, a, b).min() <= tol)
     e = np.roll(v, -1, axis=0) - v
     w = p[None, :] - v

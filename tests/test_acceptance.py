@@ -22,7 +22,7 @@ from reachrrt.geometry import Box, convex_hull_2d, hausdorff_distance
 from reachrrt.planner import extend_hybrid, sample_control, sample_node
 from reachrrt.reachability import compute_reach_set, init_particles
 from reachrrt.scenario import load_scenario
-from reachrrt.tree import DualTree, Edge
+from reachrrt.tree import DualTree, PlanStep
 from reachrrt.validation import (
     compare_methods,
     lipschitz_bound_check,
@@ -230,7 +230,7 @@ def _tree(points):
     tree = DualTree(_FakeReach(np.asarray(points[0], dtype=float)))
     for i, p in enumerate(points[1:], start=1):
         tree.add_node(0, _FakeReach(np.asarray(p, dtype=float)),
-                      Edge(u=np.zeros(1), tau=0.0, ext_id=i))
+                      PlanStep(u=(0.0,), tau=0.0, ext_id=i, node_id=i))
     return tree
 
 

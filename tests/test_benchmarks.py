@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import solve_discrete_are
 
 from reachrrt.benchmarks import GRAVITY, Jumper, Quadrotor, dlqr_gain, make_benchmark, quadrotor_tracking_gain
-from reachrrt.dynamics import constant_w_source, reachable_modes, rollout, rollout_batch
+from reachrrt.dynamics import constant_w_source, reachable_modes, rollout_batch
 
 from oracles import hybrid_step
 
@@ -32,9 +32,19 @@ def euler_jump_apex(mass, h=H, steps=64):
     return apex
 
 
+def _disturbed(sys_, x, mode, u, tau, theta, w):
+    """Hybrid trace under a given parameter and constant disturbance
+    (dynamics.rollout holds both at their nominal values)."""
+    r = rollout_batch(sys_, np.array(x, dtype=float)[None, :], np.array(u, dtype=float),
+                      tau, H, np.asarray(theta, dtype=float)[None, :],
+                      constant_w_source(np.asarray(w, dtype=float)),
+                      modes0=np.array([int(mode)], dtype=np.int64))
+    assert not r.diverged
+    return r.states[:, 0, :], r.modes[:, 0]
+
+
 def _jump(sys_, x, mode, u, tau, w):
-    return rollout(sys_, np.array(x, dtype=float), np.array(u, dtype=float),
-                   tau, H, w=np.array([w]), mode=mode)
+    return _disturbed(sys_, x, mode, u, tau, sys_.nominal_param, [w])
 
 
 def test_contact_pd_step_frozen():
@@ -128,9 +138,8 @@ def test_apex_heights_match_scalar_replay():
         want = euler_jump_apex(mass)
         assert want == pytest.approx(frozen, abs=1e-9)
         sys_ = Jumper()
-        trace, modes = rollout(sys_, np.zeros(4), np.array([0.0, 1.0]), 1.5, H,
-                               theta=np.array([mass]), w=np.array([0.0]),
-                               mode=Jumper.CONTACT)
+        trace, modes = _disturbed(sys_, np.zeros(4), Jumper.CONTACT, [0.0, 1.0], 1.5,
+                                  [mass], [0.0])
         assert trace[:, 2].max() == pytest.approx(want, abs=1e-9)
         # lighter mass jumps higher
     assert euler_jump_apex(0.8) > euler_jump_apex(1.0) > euler_jump_apex(1.2)
@@ -169,11 +178,13 @@ def test_tracking_gain_matches_riccati_oracle():
     want = -np.linalg.solve(R + Bd.T @ P @ Bd, Bd.T @ P @ Ad)
     got = dlqr_gain(Ad, Bd, Q, R)
     assert got == pytest.approx(want, abs=1e-9)
+    # the shipped gain, bit for bit (signed zeros included), as it was before
+    # dlqr_gain refused an unconverged iteration
     frozen = np.array([
-        [-0.886647, 0.0, -1.00573, 0.0],
-        [0.0, 0.886647, 0.0, 1.00573],
+        [-0.8866465102497785, -0.0, -1.0057296774493483, -0.0],
+        [-0.0, 0.8866465102497785, -0.0, 1.0057296774493483],
     ])
-    assert quadrotor_tracking_gain() == pytest.approx(frozen, abs=1e-3)
+    assert quadrotor_tracking_gain(0.1).tobytes() == frozen.tobytes()
 
 
 def test_tracking_gain_stabilizes_hover():

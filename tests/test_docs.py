@@ -2,8 +2,9 @@
 that README.md names must exist, every name its examples import and every
 entry of `reachrrt.__all__` must resolve, the third-party modules the code imports
 must be the ones pyproject.toml and README's "Requires" line name, every
-function the benchmark's tracer wraps must still exist by name, and every
-function, method and property in src/ must have a caller outside the tests."""
+function the benchmark's tracer wraps must still exist by name, every
+function, method and property in src/ must have a caller outside the tests,
+and every defaulted parameter in src/ must be set by one of those callers."""
 
 import ast
 import glob
@@ -143,19 +144,84 @@ def _defined(path):
                     yield f"{top.name}.{item.name}", item.name
 
 
+SRC = sorted(glob.glob(os.path.join(ROOT, "src", "reachrrt", "*.py")))
+LIBRARY = README[README.index("## Library"):]
+LIBRARY = LIBRARY[:LIBRARY.index("\n## ")]
+
+
 def test_every_src_function_has_a_caller():
     # code only the tests use belongs in tests/oracles.py, not in the package;
     # a method counts as called when any src/ or perfbench/ file, a tracer
     # target or README's library section uses an attribute of its name
-    src = sorted(glob.glob(os.path.join(ROOT, "src", "reachrrt", "*.py")))
     callers = set()
-    for path in src:
+    for path in SRC:
         callers |= _referenced_names(path, skip_own_body=True)
     for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
         callers |= _referenced_names(path)
     callers |= {attr.split(".")[-1] for _, _, attr, _ in _load_tracer().TARGETS}
-    library = README[README.index("## Library"):]
-    library = library[:library.index("\n## ")]
-    callers |= set(re.findall(r"\w+", library))
-    assert sorted(f"{os.path.basename(path)}:{label}" for path in src
+    callers |= set(re.findall(r"\w+", LIBRARY))
+    assert sorted(f"{os.path.basename(path)}:{label}" for path in SRC
                   for label, name in _defined(path) if name not in callers) == []
+
+
+def _options(path):
+    """(label, names a call may use, defaulted parameters with their
+    positional index or None when keyword-only) of each module-level
+    function and each method of a module-level class; a call of the class
+    name reaches its __init__."""
+    for top in ast.parse(open(path).read()).body:
+        if isinstance(top, ast.FunctionDef):
+            items, skip = [(top.name, {top.name}, top)], 0
+        elif isinstance(top, ast.ClassDef):
+            items, skip = [(f"{top.name}.{f.name}",
+                            {top.name, f.name} if f.name == "__init__" else {f.name}, f)
+                           for f in top.body if isinstance(f, ast.FunctionDef)], 1
+        else:
+            continue
+        for label, names, f in items:
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in f.decorator_list)
+            a = f.args
+            positional = (a.posonlyargs + a.args)[0 if static else skip:]
+            defaulted = [(p.arg, i) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            if defaulted:
+                yield label, names, defaulted
+
+
+def _calls(source):
+    """Called name -> list of (positional count, keywords, passes * or **)."""
+    calls = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            spread = (any(isinstance(x, ast.Starred) for x in node.args)
+                      or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, spread))
+    return calls
+
+
+def test_every_src_option_is_set_by_a_caller():
+    # a defaulted parameter that no caller sets is a constant in disguise;
+    # the callers are the same as for test_every_src_function_has_a_caller
+    sources = [open(p).read() for p in SRC + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", LIBRARY, re.S)
+    calls = {}
+    for source in sources:
+        for name, found in _calls(source).items():
+            calls.setdefault(name, []).extend(found)
+    unset = []
+    for path in SRC:
+        for label, names, defaulted in _options(path):
+            seen = [c for name in names for c in calls.get(name, [])]
+            for param, index in defaulted:
+                if not any(spread or param in keywords
+                           or (index is not None and index < n)
+                           for n, keywords, spread in seen):
+                    unset.append(f"{os.path.basename(path)}:{label}({param})")
+    assert sorted(unset) == []

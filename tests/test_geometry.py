@@ -197,12 +197,11 @@ def _segment_segment_distance(p1, p2, q1, q2):
     return float(min(cands))
 
 
-def reference_box_clearance(hull, box):
+def reference_box_clearance(v, box):
     """Slow reference for hull/box clearance: the closest approach over every
     (hull edge, box edge) pair, with 0.0 when a pair intersects or one
     polygon holds the other; a point hull uses the per-point clearance, as
     the library does.  Positive exactly when the two are disjoint."""
-    v = hull.vertices
     if len(v) == 1:
         return float(points_obstacle_clearance(v, box)[0])
     if np.all((box.lo <= v[0]) & (v[0] <= box.hi)):
@@ -214,7 +213,7 @@ def reference_box_clearance(hull, box):
             return 0.0
     corners = box.corners
     best = np.inf
-    for s, e in zip(*_hull_edges(hull)):
+    for s, e in zip(*_hull_edges(v)):
         for bs, be in zip(corners, np.roll(corners, -1, axis=0)):
             best = min(best, _segment_segment_distance(s, e, bs, be))
     return float(best)
@@ -242,7 +241,7 @@ def test_ball_clearance_frozen_unit_square():
     # unit square with a corner at the origin vs a far disk
     square = convex_hull_2d(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
     ball = Ball((5.0, 0.0), 1.0)
-    want = oracle_ball_clearance(square.vertices, ball.center, ball.radius)
+    want = oracle_ball_clearance(square, ball.center, ball.radius)
     assert want == pytest.approx(3.0, abs=1e-12)
     assert hull_obstacle_clearance(square, ball) == pytest.approx(3.0, abs=1e-6)
 
@@ -274,7 +273,7 @@ def test_box_clearance_frozen_corner_to_edge():
     # diamond's edge x + y = 1: (2 + 2 - 1) / sqrt(2)
     diamond = convex_hull_2d(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float))
     box = Box((2.0, 2.0), (3.0, 3.0))
-    want = oracle_box_clearance(diamond.vertices, box)
+    want = oracle_box_clearance(diamond, box)
     assert want == pytest.approx(3.0 / math.sqrt(2), abs=1e-6)
     assert hull_obstacle_clearance(diamond, box) == pytest.approx(3.0 / math.sqrt(2),
                                                                   abs=1e-12)
@@ -285,14 +284,13 @@ def test_box_clearance_matches_boundary_sampling_oracle():
     separated = 0
     for _ in range(200):
         pts = gen.uniform(-3.0, 3.0, size=(int(gen.integers(1, 12)), 2))
-        hull = convex_hull_2d(pts)
+        v = convex_hull_2d(pts)
         lo = gen.uniform(-5.0, 5.0, size=2)
         box = Box(lo, lo + gen.uniform(0.1, 3.0, size=2))
-        got = hull_obstacle_clearance(hull, box)
+        got = hull_obstacle_clearance(v, box)
         if got <= 0.0:
             continue
         separated += 1
-        v = hull.vertices
         longest = float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).max())
         # sampled boundary points lie within half a spacing of any boundary point
         tol = 0.5 * longest / 4096 + 1e-12
@@ -335,15 +333,15 @@ def test_vertices_agree_with_leave_one_out_oracle():
     gen = np.random.default_rng(11)
     for trial in range(20):
         pts = gen.uniform(-5.0, 5.0, size=(gen.integers(3, 40), 2))
-        got = {tuple(p) for p in convex_hull_2d(pts).vertices}
+        got = {tuple(p) for p in convex_hull_2d(pts)}
         assert got == oracle_vertices(pts)
 
 
 def test_collinear_points_reduce_to_extremes():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     hull = convex_hull_2d(pts)
-    assert len(hull.vertices) == 2
-    assert {tuple(v) for v in hull.vertices} == {(0.0, 0.0), (3.0, 3.0)}
+    assert len(hull) == 2
+    assert {tuple(v) for v in hull} == {(0.0, 0.0), (3.0, 3.0)}
     assert point_in_hull(hull, np.array([1.5, 1.5]))
     assert not point_in_hull(hull, np.array([1.5, 1.6]))
     assert not point_in_hull(hull, np.array([4.0, 4.0]))
@@ -352,11 +350,11 @@ def test_collinear_points_reduce_to_extremes():
 
 def test_singleton_and_pair_hulls():
     one = convex_hull_2d(np.array([[2.0, 3.0]]))
-    assert len(one.vertices) == 1
+    assert len(one) == 1
     assert point_in_hull(one, np.array([2.0, 3.0]))
     assert point_hull_distance(one, np.array([2.0, 0.0])) == pytest.approx(3.0)
     two = convex_hull_2d(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
-    assert len(two.vertices) == 2
+    assert len(two) == 2
     assert point_in_hull(two, np.array([0.5, 0.0]))
 
 
@@ -378,7 +376,7 @@ def test_hausdorff_input_validation():
 
 def test_mid_edge_point_is_not_a_vertex():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
-    got = {tuple(v) for v in convex_hull_2d(pts).vertices}
+    got = {tuple(v) for v in convex_hull_2d(pts)}
     assert got == {(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)}
 
 
@@ -432,7 +430,7 @@ def test_hull_contains_all_inputs(pts):
 def test_hull_vertices_are_inputs(pts):
     pts = np.array(pts, dtype=float)
     rows = {tuple(p) for p in pts}
-    for v in convex_hull_2d(pts).vertices:
+    for v in convex_hull_2d(pts):
         assert tuple(v) in rows
 
 
@@ -441,7 +439,7 @@ def test_hull_monotone_under_union(pts, extra):
     pts = np.array(pts, dtype=float)
     both = np.concatenate([pts, np.array(extra, dtype=float)])
     big = convex_hull_2d(both)
-    for v in convex_hull_2d(pts).vertices:
+    for v in convex_hull_2d(pts):
         assert point_in_hull(big, v)
 
 
@@ -449,8 +447,8 @@ def test_hull_monotone_under_union(pts, extra):
 def test_hull_permutation_invariance(pts, seed):
     pts = np.array(pts, dtype=float)
     perm = np.random.default_rng(seed).permutation(len(pts))
-    a = {tuple(v) for v in convex_hull_2d(pts).vertices}
-    b = {tuple(v) for v in convex_hull_2d(pts[perm]).vertices}
+    a = {tuple(v) for v in convex_hull_2d(pts)}
+    b = {tuple(v) for v in convex_hull_2d(pts[perm])}
     assert a == b
 
 
@@ -458,13 +456,13 @@ def test_hull_permutation_invariance(pts, seed):
 def test_hull_idempotent(pts):
     pts = np.array(pts, dtype=float)
     first = convex_hull_2d(pts)
-    again = convex_hull_2d(first.vertices)
-    assert {tuple(v) for v in first.vertices} == {tuple(v) for v in again.vertices}
+    again = convex_hull_2d(first)
+    assert {tuple(v) for v in first} == {tuple(v) for v in again}
 
 
 @given(pts=point_sets)
 def test_hull_orientation_is_counterclockwise(pts):
-    v = convex_hull_2d(np.array(pts, dtype=float)).vertices
+    v = convex_hull_2d(np.array(pts, dtype=float))
     if len(v) < 3:
         return
     nxt = np.roll(v, -1, axis=0)
@@ -477,7 +475,7 @@ def test_hull_orientation_is_counterclockwise(pts):
 def test_hull_clearance_bounded_by_vertex_clearance(pts, cx, cy, r):
     hull = convex_hull_2d(np.array(pts, dtype=float))
     ball = Ball((cx, cy), r)
-    per_vertex = points_obstacle_clearance(hull.vertices, ball).min()
+    per_vertex = points_obstacle_clearance(hull, ball).min()
     assert hull_obstacle_clearance(hull, ball) <= per_vertex + 1e-9
 
 

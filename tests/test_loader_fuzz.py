@@ -177,8 +177,8 @@ def test_every_scenario_error_names_the_line_of_its_field(tmp_path):
 
 
 def test_every_plan_error_names_the_line_of_its_field(tmp_path):
-    unchecked = ["meta.baseline", "meta.epsilon", "meta.n_particles", "meta.nominal_kind",
-                 "meta.zeta", "scenario_sha256", "system", "version"]
+    unchecked = ["meta.epsilon", "meta.nominal_kind", "meta.zeta", "scenario_sha256",
+                 "system", "version"]
     accepted = _sweep(PLANS, load_plan, tmp_path)
     assert {name: sorted(paths) for name, paths in accepted.items()} == {
         name: unchecked for name in PLANS}

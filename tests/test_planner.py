@@ -25,7 +25,7 @@ from reachrrt.planner import (
 from reachrrt.reachability import (compute_reach_set, init_particles, padded_goal_contained,
                                    project_to_plane)
 from reachrrt.scenario import load_scenario
-from reachrrt.tree import DualTree, Edge
+from reachrrt.tree import DualTree, PlanStep
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -40,7 +40,7 @@ def _tree(points):
     tree = DualTree(FakeReach(np.asarray(points[0], dtype=float)))
     for i, p in enumerate(points[1:], start=1):
         tree.add_node(0, FakeReach(np.asarray(p, dtype=float)),
-                      Edge(u=np.zeros(1), tau=0.0, ext_id=i))
+                      PlanStep(u=(0.0,), tau=0.0, ext_id=i, node_id=i))
     return tree
 
 
@@ -389,13 +389,13 @@ def test_every_tree_edge_replays_collision_free():
 
     for node in result.tree.nodes[1:]:
         parent = result.tree.nodes[node.parent].reach
-        pset, r = compute_reach_set(sys_, parent, np.asarray(node.edge.u),
-                                    node.edge.tau, params.h, params.seed,
-                                    node.edge.ext_id)
+        pset, r = compute_reach_set(sys_, parent, np.asarray(node.step.u),
+                                    node.step.tau, params.h, params.seed,
+                                    node.step.ext_id)
         assert np.array_equal(pset.states, node.reach.states)
         assert padded_collision_free(r.states, sys_.collision_projection,
                                      [wall], params.epsilon)
-        assert node.reach.t == pytest.approx(parent.t + node.edge.tau)
+        assert node.reach.t == pytest.approx(parent.t + node.step.tau)
 
 
 def test_replay_reconstructs_the_plan_exactly():

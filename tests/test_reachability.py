@@ -170,7 +170,7 @@ def test_extension_monotone_in_particle_count():
     small_hull, large_hull = (
         convex_hull_2d(project_to_plane(s.states, sys_.collision_projection))
         for s in (small, large))
-    for v in small_hull.vertices:
+    for v in small_hull:
         assert point_in_hull(large_hull, v)
 
 

@@ -156,6 +156,7 @@ def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     (0, "gain_substep 0 must be positive"),
     (-0.1, "gain_substep -0.1 must be positive"),
     (1e200, "gain must be a finite (2, 4) matrix"),
+    (1e50, "gain_substep 1e+50: Riccati iteration did not converge"),
 ])
 def test_quadrotor_gain_substep_must_give_a_finite_gain(tmp_path, gain_substep, fragment):
     # without a stored gain the loader solves for one at gain_substep
@@ -486,9 +487,12 @@ def test_validate_control_dimension_mismatch(tmp_path, capsys):
         goal={"projection": [0, 1], "center": [5.0, 0.0], "radius": 1.0},
         sampling_box={"lo": [-1.0, -5.0, -3.0, -3.0], "hi": [8.0, 5.0, 3.0, 3.0]},
         planner={"i_max": 10, "seed": 1})
-    assert main(["validate", "--scenario", quad, "--plan",
-                 str(out / "plan.json"), "--out-dir", str(out),
-                 "--allow-scenario-mismatch"]) == 1
+    # relabelled, so the system check passes and the control dimension is judged
+    plan = json.loads((out / "plan.json").read_text())
+    relabelled = tmp_path / "relabelled.json"
+    relabelled.write_text(json.dumps({**plan, "system": "quadrotor"}))
+    assert main(["validate", "--scenario", quad, "--plan", str(relabelled),
+                 "--out-dir", str(out), "--allow-scenario-mismatch"]) == 1
     err = capsys.readouterr().err
     assert "dimension" in err and "quadrotor" in err
 
@@ -545,9 +549,12 @@ def _with_meta(plan, **fields):
     lambda plan: _with_meta(plan, h=1e-300),
     lambda plan: _with_meta(plan, h=1e-9),
     lambda plan: _with_meta(plan, init_mode="contact"),
+    lambda plan: _with_meta(plan, n_particles="x"),
+    lambda plan: _with_meta(plan, baseline="no"),
 ], ids=["list", "wrong-format", "steps-int", "step-int", "u-int", "meta-int",
         "tau-negative", "tau-nan", "tau-above-tau-max", "h-zero", "h-negative",
-        "h-string", "h-missing", "h-1e-300", "h-1e-9", "init-mode-string"])
+        "h-string", "h-missing", "h-1e-300", "h-1e-9", "init-mode-string",
+        "n-particles-string", "baseline-string"])
 def test_validate_rejects_non_plan_file(tmp_path, capsys, corrupt):
     path = _write(tmp_path)
     out = tmp_path / "out"
@@ -567,6 +574,7 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CORRIDOR = os.path.join(ROOT, "scenarios", "corridor.json")
 JUMPER = os.path.join(ROOT, "scenarios", "jumper.json")
 JUMPER_PLAN = os.path.join(ROOT, "perfbench", "data", "jumper-vault.plan.json")
+QUADROTOR_PLAN = os.path.join(ROOT, "perfbench", "data", "quadrotor-gate.plan.json")
 
 
 def _smooth_step(plan, mode):
@@ -588,8 +596,10 @@ def _smooth_step(plan, mode):
      "meta.init_mode 0 is not a mode index of linear1d (0 modes)"),
     (CORRIDOR, lambda plan: (plan["meta"].pop("init_mode"), _smooth_step(plan, 0)),
      '"mode": 0', "steps[0].mode 0 is not a mode index of linear1d (0 modes)"),
+    (JUMPER, lambda plan: plan.update(json.loads(open(QUADROTOR_PLAN).read())),
+     '"system"', "the plan was made for system 'quadrotor', but"),
 ], ids=["step-mode-7", "init-mode-9", "init-mode-other", "init-mode-missing",
-        "smooth-init-mode", "smooth-step-mode"])
+        "smooth-init-mode", "smooth-step-mode", "other-system"])
 def test_validate_refuses_plan_modes_the_system_lacks(tmp_path, capsys, scenario, edit,
                                                       marker, fragment):
     plan = json.loads(open(JUMPER_PLAN).read())
@@ -609,6 +619,9 @@ def test_validate_refuses_plan_modes_the_system_lacks(tmp_path, capsys, scenario
     if "differs" in fragment:
         assert main(args + ["--allow-scenario-mismatch"]) in (0, 2)
         assert (out / "report.json").exists()
+    else:
+        assert main(args + ["--allow-scenario-mismatch"]) == 1
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------- study

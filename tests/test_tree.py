@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reachrrt import rng
-from reachrrt.tree import DualTree, Edge, build_path
+from reachrrt.tree import DualTree, PlanStep, build_path
 
 
 @dataclass
@@ -32,7 +32,7 @@ def scan_range(points, weights, x, radius):
 def _grow(points, weights=None):
     tree = DualTree(FakeReach(points[0]), weights=weights)
     for i, p in enumerate(points[1:], start=1):
-        tree.add_node(i - 1, FakeReach(p), Edge(u=np.zeros(1), tau=0.0, ext_id=i))
+        tree.add_node(i - 1, FakeReach(p), PlanStep(u=(0.0,), tau=0.0, ext_id=i, node_id=i))
     return tree
 
 
@@ -64,7 +64,8 @@ def test_queries_exact_while_growing_through_rebuilds():
     pts = gen.uniform(-5, 5, size=(300, 2))
     tree = DualTree(FakeReach(pts[0]))
     for i in range(1, 300):
-        tree.add_node(i - 1, FakeReach(pts[i]), Edge(u=np.zeros(1), tau=0.0, ext_id=i))
+        tree.add_node(i - 1, FakeReach(pts[i]),
+                      PlanStep(u=(0.0,), tau=0.0, ext_id=i, node_id=i))
         x = gen.uniform(-6, 6, size=2)
         assert tree.nearest_nominal(x) == scan_nearest(pts[: i + 1], None, x)
 
@@ -115,7 +116,8 @@ def test_weights_shape_checked():
 def test_parent_ids_validated():
     tree = DualTree(FakeReach(np.zeros(2)))
     with pytest.raises(ValueError):
-        tree.add_node(5, FakeReach(np.ones(2)), Edge(u=np.zeros(1), tau=0.0, ext_id=0))
+        tree.add_node(5, FakeReach(np.ones(2)),
+                      PlanStep(u=(0.0,), tau=0.0, ext_id=0, node_id=1))
 
 
 def test_child_ids_follow_parents():
@@ -124,7 +126,7 @@ def test_child_ids_follow_parents():
     for i in range(1, 120):
         parent = int(gen.integers(0, i))
         nid = tree.add_node(parent, FakeReach(gen.uniform(size=2)),
-                            Edge(u=np.zeros(1), tau=0.1, ext_id=i))
+                            PlanStep(u=(0.0,), tau=0.1, ext_id=i, node_id=i))
         assert nid == i
         assert tree.nodes[nid].parent == parent
         assert tree.nodes[nid].parent < nid
@@ -133,9 +135,9 @@ def test_child_ids_follow_parents():
 def test_build_path_walks_root_to_leaf():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
     tree = DualTree(FakeReach(pts[0], t=0.0))
-    tree.add_node(0, FakeReach(pts[1], t=0.4), Edge(u=np.array([0.5]), tau=0.4, ext_id=2))
-    tree.add_node(1, FakeReach(pts[2], t=0.9), Edge(u=np.array([-0.5]), tau=0.5, ext_id=7))
-    tree.add_node(0, FakeReach(pts[3], t=0.1), Edge(u=np.array([0.0]), tau=0.1, ext_id=9))
+    tree.add_node(0, FakeReach(pts[1], t=0.4), PlanStep(u=(0.5,), tau=0.4, ext_id=2, node_id=1))
+    tree.add_node(1, FakeReach(pts[2], t=0.9), PlanStep(u=(-0.5,), tau=0.5, ext_id=7, node_id=2))
+    tree.add_node(0, FakeReach(pts[3], t=0.1), PlanStep(u=(0.0,), tau=0.1, ext_id=9, node_id=3))
 
     plan = build_path(tree, 2, seed=33, system_name="linear1d", meta={"h": 0.1})
     assert plan.solved_node == 2
