@@ -100,20 +100,23 @@ def dlqr_gain(A, B, Q, R):
     to within 1e-13 nor overflow in 100 000 steps.
     """
     P = np.array(Q, dtype=float)
-    for _ in range(100000):
+    # overflowing iterates end the loop with a non-finite gain, which the
+    # caller refuses; numpy's warnings on the way there say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100000):
+            BtP = B.T @ P
+            K = np.linalg.solve(R + BtP @ B, BtP @ A)
+            Pn = Q + A.T @ P @ (A - B @ K)
+            Pn = 0.5 * (Pn + Pn.T)
+            # converged, or overflowed: the gain then comes out non-finite
+            if not np.all(np.isfinite(Pn)) or np.max(np.abs(Pn - P)) < 1e-13:
+                P = Pn
+                break
+            P = Pn
+        else:
+            raise ValueError("Riccati iteration did not converge in 100000 steps")
         BtP = B.T @ P
         K = np.linalg.solve(R + BtP @ B, BtP @ A)
-        Pn = Q + A.T @ P @ (A - B @ K)
-        Pn = 0.5 * (Pn + Pn.T)
-        # converged, or overflowed: the gain then comes out non-finite
-        if not np.all(np.isfinite(Pn)) or np.max(np.abs(Pn - P)) < 1e-13:
-            P = Pn
-            break
-        P = Pn
-    else:
-        raise ValueError("Riccati iteration did not converge in 100000 steps")
-    BtP = B.T @ P
-    K = np.linalg.solve(R + BtP @ B, BtP @ A)
     return -K
 
 
@@ -139,6 +142,7 @@ class Jumper(HybridSystem):
     """
 
     name = "jumper"
+    reads_substep_disturbance = False
     state_dim = 4
     collision_projection = (0, 2)
     modes = ("contact", "flight")
@@ -164,39 +168,46 @@ class Jumper(HybridSystem):
         self.nominal_disturbance = np.array([0.0])
 
     def begin_segment(self, nu, mode_arr, W0):
-        commanded = float(nu[1]) >= 0.5
-        if commanded:
-            lat = np.minimum(2, np.floor(3.0 * W0[:, 0]).astype(np.int64))
-            countdown = np.where(mode_arr == self.CONTACT, lat, -1)
-        else:
-            countdown = np.full(len(mode_arr), -1, dtype=np.int64)
-        return {"countdown": countdown}
+        commanded = nu[..., 1] >= 0.5
+        lat = np.minimum(2, np.floor(3.0 * W0[:, 0]).astype(np.int64))
+        return {"countdown": np.where(commanded & (mode_arr == self.CONTACT), lat, -1)}
 
     def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx):
+        # W is read only by begin_segment; masks are built only for rows
+        # that fire, fly or land, and mode_arr comes back unchanged (not a
+        # copy) when no row switches mode
         x, xdot, y, ydot = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
         mass = Th[:, 0]
         cd = ctx["countdown"]
 
-        modes = mode_arr.copy()
-        fire = (modes == self.CONTACT) & (cd == 0)
-        ydot = np.where(fire, self.v_takeoff / mass, ydot)
-        modes[fire] = self.FLIGHT
-        cd[cd >= 0] -= 1  # in place: views must observe the burn
+        modes = mode_arr
+        fire = (cd == 0) & (mode_arr == self.CONTACT)
+        if fire.any():
+            ydot = np.where(fire, self.v_takeoff / mass, ydot)
+            modes = np.where(fire, self.FLIGHT, mode_arr)
+        counting = cd >= 0
+        if counting.any():
+            cd[counting] -= 1  # in place: views must observe the burn
 
-        accel = np.clip(self.kp * (U[:, 0] - x) - self.kd * xdot,
-                        -self.a_max, self.a_max) / mass
+        accel = np.minimum(np.maximum(self.kp * (U[:, 0] - x) - self.kd * xdot,
+                                      -self.a_max), self.a_max) / mass
         flight = modes == self.FLIGHT
 
         out = np.empty_like(X)
         out[:, 0] = x + h * xdot
         out[:, 1] = xdot + h * accel
+        if not flight.any():
+            out[:, 2] = y
+            out[:, 3] = 0.0
+            return out, modes
         out[:, 2] = np.where(flight, y + h * ydot, y)
         out[:, 3] = np.where(flight, ydot - h * GRAVITY, 0.0)
 
         landed = flight & (out[:, 2] <= self.ground) & (out[:, 3] <= 0.0)
-        out[landed, 2] = self.ground
-        out[landed, 3] = 0.0
-        modes[landed] = self.CONTACT
+        if landed.any():
+            out[landed, 2] = self.ground
+            out[landed, 3] = 0.0
+            modes = np.where(landed, self.CONTACT, modes)
         return out, modes
 
     def probe_controls(self, x, mode):

@@ -3,8 +3,9 @@
 A system exposes a one-sub-step transition on a batch of states.  Rollouts
 hold a piecewise-constant commanded control for a duration tau, integrating
 in sub-steps of length h with a final partial sub-step when tau is not a
-multiple of h.  Disturbances are redrawn every sub-step; the parameter vector
-theta is frozen per particle for the whole rollout.
+multiple of h.  Disturbances are redrawn every sub-step for a system whose
+step reads them; the parameter vector theta is frozen per particle for the
+whole rollout.
 """
 
 from dataclasses import dataclass, field
@@ -33,11 +34,16 @@ class System:
     """Base class: uncertain discrete-sub-step dynamics on state batches.
 
     Subclasses set name, dims, bounds, nominal_param, nominal_disturbance,
-    collision_projection, and implement step_batch.
+    collision_projection, and implement step_batch.  A system whose step
+    functions read the disturbance only at sub-step 0 (in begin_segment)
+    sets reads_substep_disturbance = False, and rollout_batch then draws no
+    disturbance for the later sub-steps; each sub-step has its own keyed
+    substream, so skipping a draw moves no other draw.
     """
 
     name = "system"
     hybrid = False
+    reads_substep_disturbance = True
 
     def step_batch(self, X, U, W, Th, h):
         """Advance an (N, n) batch one sub-step of length h.
@@ -84,6 +90,10 @@ class HybridSystem(System):
     modes = ()
 
     def begin_segment(self, nu, mode_arr, W0):
+        """Per-segment context from the commanded control and the sub-step 0
+        draws.  nu is one (m,) control for the whole batch or an (N, m)
+        block, one control per row (see rollout_batch), so read its
+        channels per row, as nu[..., i]."""
         return None
 
     def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx):
@@ -196,7 +206,8 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         h: sub-step length.
         thetas: (N, p) frozen per-particle parameters.
         w_source: callable (substep_index, count) -> (count, dw) disturbance
-            draws for the whole batch.
+            draws for the whole batch; called for sub-step 0 only when
+            sys.reads_substep_disturbance is false.
         mu0: tracked nominal state, advanced under nominal parameter and
             disturbance alongside the batch (required by feedback systems).
         modes0: (N,) initial mode indices for hybrid systems.
@@ -239,13 +250,15 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
     X = states[0]
     modes = modes_trace[0] if hyb else None
 
+    redraw = sys.reads_substep_disturbance
     ctx = None
     bad = False
     for j, hj in enumerate(lengths):
-        if track_mu:
-            W[:N] = w_source(j, N)
-        else:
-            W = np.asarray(w_source(j, N), dtype=float)
+        if j == 0 or redraw:
+            if track_mu:
+                W[:N] = w_source(j, N)
+            else:
+                W = np.asarray(w_source(j, N), dtype=float)
         if hyb and j == 0:
             ctx = sys.begin_segment(nu, modes, W)
         U = sys.resolve_control(nu, X, X[N] if track_mu else None)
@@ -305,18 +318,27 @@ def rollout(sys, x0, u, tau, h, mode=None):
 def reachable_modes(sys, x, mode, tau_max, h):
     """Mode indices a segment from (x, mode) can visit, found by probing.
 
-    Runs a nominal rollout of length tau_max for each of the system's probe
-    controls and unions the visited modes.  Deterministic, no random draws.
-    A diverging probe still contributes the modes seen before truncation.
+    Rolls every probe control out for tau_max at the nominal parameter and
+    disturbance, as the rows of one batch, and unions the visited modes.
+    Deterministic, no random draws.  A diverging probe still contributes the
+    modes seen before truncation: a diverged batch is cut for every row, so
+    the probes are then rolled out one at a time.
     """
-    out = {int(mode)}
-    x0 = np.asarray(x, dtype=float)[None, :]
-    th = sys.nominal_param[None, :]
-    for nu in sys.probe_controls(x, int(mode)):
-        r = rollout_batch(
-            sys, x0, nu, tau_max, h, th,
-            constant_w_source(sys.nominal_disturbance),
-            modes0=np.array([int(mode)], dtype=np.int64),
+    nus = np.array(sys.probe_controls(x, int(mode)), dtype=float)
+    w = constant_w_source(sys.nominal_disturbance)
+
+    def probe(rows):
+        k = len(rows)
+        return rollout_batch(
+            sys, np.tile(np.asarray(x, dtype=float), (k, 1)), rows, tau_max, h,
+            np.tile(sys.nominal_param, (k, 1)), w,
+            modes0=np.full(k, int(mode), dtype=np.int64),
         )
-        out.update(int(v) for v in r.modes[:, 0])
+
+    runs = [probe(nus)]
+    if runs[0].diverged:
+        runs = [probe(nu[None, :]) for nu in nus]
+    out = {int(mode)}
+    for r in runs:
+        out.update(np.unique(r.modes).tolist())
     return sorted(out)

@@ -53,10 +53,15 @@ class Box:
 
     def sample(self, gen, n=None):
         """Uniform draws; an (n, dim) block fills row-major, so the first m
-        rows match an m-row block from the same generator state."""
-        if n is None:
-            return gen.uniform(self.lo, self.hi)
-        return gen.uniform(self.lo, self.hi, size=(int(n), self.dim))
+        rows match an m-row block from the same generator state.
+
+        The same bytes as gen.uniform(lo, hi, size), which computes
+        lo + (hi - lo) * u from the same doubles u, without its broadcasting
+        cost; like it, refuses a width that is not finite."""
+        width = self.hi - self.lo
+        if not np.isfinite(width).all():
+            raise OverflowError("Range exceeds valid bounds")
+        return self.lo + width * gen.random(self.dim if n is None else (int(n), self.dim))
 
 
 @dataclass(frozen=True)
@@ -122,10 +127,6 @@ def goal_contains(goal, x, shrink=0.0):
     return out if d.ndim else bool(out)
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def convex_hull_2d(points):
     """Convex hull of a planar point cloud (monotone chain) as its (k, 2)
     float vertex array: counterclockwise, with no three rows collinear
@@ -145,17 +146,25 @@ def convex_hull_2d(points):
     if len(uniq) <= 2:
         return uniq
 
-    rows = [(float(p[0]), float(p[1])) for p in uniq]
-    lower = []
-    for p in rows:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= COLLINEAR_TOL:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(rows):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= COLLINEAR_TOL:
-            upper.pop()
-        upper.append(p)
+    # the cross product (a - o) x (p - o) of the chain's last two points o, a
+    # and the new point p is inlined: a call per point costs more than the
+    # arithmetic
+    rows = uniq.tolist()
+    chains = []
+    for seq in (rows, rows[::-1]):
+        chain = []
+        for p in seq:
+            px, py = p
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                # pop unless strictly left; a NaN cross (from overflow) keeps
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= COLLINEAR_TOL:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        chains.append(chain)
+    lower, upper = chains
     verts = lower[:-1] + upper[:-1]
     if len(verts) < 3:
         # everything within collinearity tolerance of one line

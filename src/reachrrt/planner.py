@@ -8,10 +8,11 @@ a new node whose particles all reach the shrunken goal solves the query.
 
 Hybrid systems additionally sample a target mode among those reachable from
 the chosen node and reject extensions whose nominal ends in a different mode
-or whose particles straddle modes.  The reachable modes come from
-deterministic probing that depends only on the node, so plan() probes each
-node once, the first time it is selected, and keeps the result for the rest
-of the run.
+or whose particles straddle modes.  The nominal rides along as row N of the
+particle rollout, so one rollout answers both gates.  The reachable modes
+come from deterministic probing that depends only on the node, so plan()
+probes each node once, the first time it is selected, and keeps the result
+for the rest of the run.
 
 The collision test drops obstacles that the bounding box of an extension's
 whole trace already clears (see padded_collision_free), so most extensions
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .dynamics import MAX_SUBSTEPS, reachable_modes, rollout
+from .dynamics import DIVERGENCE_LIMIT, MAX_SUBSTEPS, reachable_modes, rollout
 from .reachability import (
     compute_reach_set,
     init_particles,
@@ -141,17 +142,25 @@ def sample_control_hybrid(control_box, tau_max, modes, gen):
 def extend_hybrid(sys, reach, u, tau, sigma_s, h, seed, ext_id):
     """One hybrid extension attempt against a target mode sigma_s.
 
-    Gates in order: the nominal rollout must end in sigma_s (cheap, checked
-    before touching particles), the particle rollout must stay finite, and
-    every particle must end in sigma_s (no straddling the guard).
+    Gates in order: the nominal rollout must end in sigma_s, the particle
+    rollout must stay finite, and every particle must end in sigma_s (no
+    straddling the guard).  The nominal is row N of the particle rollout,
+    so the first gate reads its final mode there.  Only when the particles
+    diverged (which cuts the trace) or the nominal left
+    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] is the nominal rolled out alone,
+    so that each reject keeps its reason.
     """
-    try:
-        _, mtrace = rollout(sys, reach.mu, u, tau, h, mode=reach.mu_mode)
-    except RuntimeError:
-        return ExtendOutcome(None, None, "diverged")
-    if int(mtrace[-1]) != int(sigma_s):
-        return ExtendOutcome(None, None, "nominal_mode")
     pset, r = compute_reach_set(sys, reach, u, tau, h, seed, ext_id)
+    if pset is not None and -DIVERGENCE_LIMIT <= r.mu.min() and r.mu.max() <= DIVERGENCE_LIMIT:
+        end_mode = r.mu_modes[-1]
+    else:
+        try:
+            _, mtrace = rollout(sys, reach.mu, u, tau, h, mode=reach.mu_mode)
+        except RuntimeError:
+            return ExtendOutcome(None, None, "diverged")
+        end_mode = mtrace[-1]
+    if int(end_mode) != int(sigma_s):
+        return ExtendOutcome(None, None, "nominal_mode")
     if pset is None:
         return ExtendOutcome(None, r, "diverged")
     if np.any(pset.modes != int(sigma_s)):

@@ -1,14 +1,17 @@
 """Reference helpers that only the tests use.
 
-Single-state stepping wrappers, hull membership with slack, and the closed
-form reachable interval of linear1d.  The package itself works on batches
-and clearances, so these live next to the tests that check it.
+Single-state stepping wrappers, hull membership with slack, the closed
+form reachable interval of linear1d, and the straightforward forms of code
+that the package runs in a faster form (the monotone chain with a function
+call per point, the jumper step with every mask built on every call).  The
+package itself works on batches and clearances, so these live next to the
+tests that check it.
 """
 
 import numpy as np
 
-from reachrrt.benchmarks import Linear1D
-from reachrrt.geometry import _hull_edges, _point_segments_distance
+from reachrrt.benchmarks import GRAVITY, Linear1D
+from reachrrt.geometry import COLLINEAR_TOL, _hull_edges, _point_segments_distance
 
 # default slack for membership tests
 DEFAULT_TOL = 1e-9
@@ -64,3 +67,63 @@ def exact_interval_reach(sys, x0_interval, tau):
     th = sys.bounds.param
     w = sys.bounds.disturbance
     return (lo + (th.lo[0] + w.lo[0]) * tau, hi + (th.hi[0] + w.hi[0]) * tau)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def reference_convex_hull_2d(points):
+    """geometry.convex_hull_2d with one _cross call per chain test; the
+    package inlines the same float operations in the same order."""
+    pts = np.asarray(points, dtype=float)
+    uniq = np.unique(pts, axis=0)
+    if len(uniq) <= 2:
+        return uniq
+
+    rows = [(float(p[0]), float(p[1])) for p in uniq]
+    lower = []
+    for p in rows:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= COLLINEAR_TOL:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(rows):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= COLLINEAR_TOL:
+            upper.pop()
+        upper.append(p)
+    verts = lower[:-1] + upper[:-1]
+    if len(verts) < 3:
+        return np.array([rows[0], rows[-1]])
+    return np.array(verts)
+
+
+def reference_jumper_step(sys, X, mode_arr, U, W, Th, h, ctx):
+    """Jumper.hybrid_step_batch building every mask on every call and
+    returning a fresh copy of the modes; burns the countdown in ctx in
+    place, as the package's step does."""
+    x, xdot, y, ydot = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
+    mass = Th[:, 0]
+    cd = ctx["countdown"]
+
+    modes = mode_arr.copy()
+    fire = (modes == sys.CONTACT) & (cd == 0)
+    ydot = np.where(fire, sys.v_takeoff / mass, ydot)
+    modes[fire] = sys.FLIGHT
+    cd[cd >= 0] -= 1
+
+    accel = np.clip(sys.kp * (U[:, 0] - x) - sys.kd * xdot,
+                    -sys.a_max, sys.a_max) / mass
+    flight = modes == sys.FLIGHT
+
+    out = np.empty_like(X)
+    out[:, 0] = x + h * xdot
+    out[:, 1] = xdot + h * accel
+    out[:, 2] = np.where(flight, y + h * ydot, y)
+    out[:, 3] = np.where(flight, ydot - h * GRAVITY, 0.0)
+
+    landed = flight & (out[:, 2] <= sys.ground) & (out[:, 3] <= 0.0)
+    out[landed, 2] = sys.ground
+    out[landed, 3] = 0.0
+    modes[landed] = sys.CONTACT
+    return out, modes

@@ -8,12 +8,13 @@ oracles.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
 from reachrrt.benchmarks import GRAVITY, Jumper, Quadrotor, dlqr_gain, make_benchmark, quadrotor_tracking_gain
 from reachrrt.dynamics import constant_w_source, reachable_modes, rollout_batch
 
-from oracles import hybrid_step
+from oracles import hybrid_step, reference_jumper_step
 
 H = 0.03
 
@@ -165,6 +166,79 @@ def test_probing_finds_reachable_modes():
     assert reachable_modes(sys_, high, Jumper.FLIGHT, tau, H) == [1]
     descending = np.array([0.0, 0.0, 0.05, -2.0])
     assert reachable_modes(sys_, descending, Jumper.FLIGHT, tau, H) == [0, 1]
+
+
+# ------------------------------------------- lean step vs its reference
+
+
+def _jumper_batch(case, n, gen):
+    """A batch of n rows, all in one situation: resting in contact, in
+    flight, firing this sub-step (countdown 0, some rows later), landing
+    this sub-step, or a mix of all four."""
+    X = np.zeros((n, 4))
+    X[:, 0] = gen.uniform(-0.5, 5.5, n)
+    X[:, 1] = gen.uniform(-2.0, 2.0, n)
+    modes = np.full(n, Jumper.CONTACT, dtype=np.int64)
+    cd = np.full(n, -1, dtype=np.int64)
+    if case in ("flight", "landing", "mixed"):
+        air = np.ones(n, bool) if case != "mixed" else gen.random(n) < 0.5
+        modes[air] = Jumper.FLIGHT
+        X[air, 2] = gen.uniform(0.5, 2.0, air.sum()) if case == "flight" else gen.uniform(0.0, 0.02, air.sum())
+        X[air, 3] = gen.uniform(-1.0, 3.0, air.sum()) if case == "flight" else gen.uniform(-3.0, -1.0, air.sum())
+    if case in ("firing", "mixed"):
+        cd = np.where(modes == Jumper.CONTACT, gen.integers(0, 3, n), -1)
+        if case == "firing" and n:
+            cd[0] = 0
+    return X, modes, cd
+
+
+@pytest.mark.parametrize("case", ["contact", "flight", "firing", "landing", "mixed"])
+@pytest.mark.parametrize("n", [0, 1, 41])
+def test_lean_jumper_step_matches_the_reference(case, n):
+    sys_ = Jumper()
+    gen = np.random.default_rng(11)
+    X, modes, cd = _jumper_batch(case, n, gen)
+    U = np.column_stack([gen.uniform(-0.5, 5.5, n), np.ones(n)])
+    W = gen.random((n, 1))
+    Th = sys_.bounds.param.sample(gen, n)
+    ctx, ref_ctx = {"countdown": cd.copy()}, {"countdown": cd.copy()}
+    ref_X, ref_modes = X, modes
+    for _ in range(3):  # the countdown burns across sub-steps
+        X_in, modes_in = X.copy(), modes.copy()
+        X_out, modes_out = sys_.hybrid_step_batch(X, modes, U, W, Th, H, ctx)
+        # the inputs are rows of a rollout trace: the step must leave them be
+        assert X.tobytes() == X_in.tobytes() and modes.tobytes() == modes_in.tobytes()
+        X, modes = X_out, modes_out
+        ref_X, ref_modes = reference_jumper_step(sys_, ref_X, ref_modes, U, W, Th, H, ref_ctx)
+        assert X.dtype == ref_X.dtype and X.tobytes() == ref_X.tobytes()
+        assert modes.dtype == ref_modes.dtype and modes.tobytes() == ref_modes.tobytes()
+        assert ctx["countdown"].tobytes() == ref_ctx["countdown"].tobytes()
+    if case == "firing" and n:
+        assert (ref_modes == Jumper.FLIGHT).any()
+    if case == "landing" and n:
+        assert (ref_modes == Jumper.CONTACT).any()
+
+
+@given(W=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=5, max_size=5),
+       step=st.integers(1, 4))
+@settings(max_examples=200)
+def test_jumper_steps_ignore_the_substep_draws(W, step):
+    # Jumper declares reads_substep_disturbance = False: after begin_segment
+    # a sub-step's bytes must not depend on its W
+    sys_ = Jumper()
+    assert not sys_.reads_substep_disturbance
+    gen = np.random.default_rng(step)
+    X, modes, cd = _jumper_batch("mixed", 5, gen)
+    U = np.column_stack([gen.uniform(-0.5, 5.5, 5), np.ones(5)])
+    Th = sys_.bounds.param.sample(gen, 5)
+    outs = []
+    for w in (np.zeros((5, 1)), np.array(W)[:, None]):
+        ctx = {"countdown": cd.copy()}
+        Xk, mk = X, modes
+        for _ in range(step):
+            Xk, mk = sys_.hybrid_step_batch(Xk, mk, U, w, Th, H, ctx)
+        outs.append((Xk.tobytes(), mk.tobytes(), ctx["countdown"].tobytes()))
+    assert outs[0] == outs[1]
 
 
 # ------------------------------------------------------------------ gain

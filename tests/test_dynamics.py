@@ -20,6 +20,7 @@ from reachrrt.dynamics import (
     HybridSystem,
     Rollout,
     constant_w_source,
+    reachable_modes,
     rollout,
     rollout_batch,
     substep_lengths,
@@ -505,3 +506,100 @@ def test_a_shared_zero_width_block_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         rollout_batch(WritesDisturbance(), np.zeros((3, 1)), np.zeros(1), 0.3, 0.1,
                       np.zeros((3, 1)), src)
+
+
+# ------------------------------------------ sub-step draws only when read
+
+
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "untracked"])
+@pytest.mark.parametrize("tau", [0.73, 0.05, 0.0], ids=["tau", "one-substep", "tau0"])
+def test_skipping_unread_draws_keeps_the_bytes(tracked, tau):
+    # Jumper reads W only in begin_segment, so rollout_batch draws sub-step 0
+    # alone; forcing every draw must give the same trace
+    sys_ = make_benchmark("jumper")
+    gen = np.random.default_rng(6)
+    n = 30
+    X0 = np.zeros((n, 4))
+    X0[:, 0] = gen.uniform(0.0, 5.0, n)
+    kw = {"modes0": np.full(n, Jumper.CONTACT)}
+    if tracked:
+        kw.update(mu0=X0.mean(axis=0), mu_mode0=Jumper.CONTACT)
+    calls = []
+
+    def source(j, count):
+        calls.append(j)
+        return disturbance_source(sys_.bounds.disturbance, 5, rng.DOMAIN_CHECK, 6)(j, count)
+
+    args = (X0, np.array([3.0, 1.0]), tau, 0.05, sys_.bounds.param.sample(gen, n), source)
+    got = rollout_batch(sys_, *args, **kw)
+    assert calls == ([0] if tau > 0 else [])
+    calls.clear()
+    sys_.reads_substep_disturbance = True
+    want = rollout_batch(sys_, *args, **kw)
+    assert calls == list(range(len(substep_lengths(tau, 0.05))))
+    _assert_same_rollout(got, want)
+
+
+# ----------------------------------------------------- probing in one batch
+
+
+def reference_reachable_modes(sys, x, mode, tau_max, h):
+    """reachable_modes with one single-row rollout per probe control."""
+    out = {int(mode)}
+    x0 = np.asarray(x, dtype=float)[None, :]
+    th = sys.nominal_param[None, :]
+    for nu in sys.probe_controls(x, int(mode)):
+        r = rollout_batch(
+            sys, x0, nu, tau_max, h, th,
+            constant_w_source(sys.nominal_disturbance),
+            modes0=np.array([int(mode)], dtype=np.int64),
+        )
+        out.update(int(v) for v in r.modes[:, 0])
+    return sorted(out)
+
+
+class ProbeBlow(HybridSystem):
+    """x+ = x + h + 1e13 u: probe control 1 leaves the finite range at the
+    first sub-step in mode a; probe control 0 enters mode b once x passes
+    0.25."""
+
+    name = "probe-blow"
+    state_dim = 1
+    collision_projection = (0,)
+    modes = ("a", "b")
+
+    def __init__(self):
+        self.bounds = _scalar_bounds()
+        self.nominal_param = np.array([0.0])
+        self.nominal_disturbance = np.array([0.0])
+
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx):
+        out = X + h + 1e13 * U[:, :1]
+        return out, np.where((out[:, 0] > 0.25) & (out[:, 0] < 1.0), 1, mode_arr)
+
+    def probe_controls(self, x, mode):
+        return [np.array([0.0]), np.array([1.0])]
+
+
+def test_a_diverging_probe_keeps_the_modes_of_the_others():
+    sys_ = ProbeBlow()
+    batch = rollout_batch(sys_, np.zeros((2, 1)), np.array([[0.0], [1.0]]), 0.5, H,
+                          np.zeros((2, 1)), constant_w_source(np.zeros(1)),
+                          modes0=np.zeros(2, dtype=np.int64))
+    assert batch.diverged and (batch.modes == 0).all()  # cut before the switch
+    want = reference_reachable_modes(sys_, np.zeros(1), 0, 0.5, H)
+    assert want == [0, 1]
+    assert reachable_modes(sys_, np.zeros(1), 0, 0.5, H) == want
+
+
+def test_batched_probes_match_one_probe_at_a_time():
+    sys_ = make_benchmark("jumper")
+    gen = np.random.default_rng(12)
+    for _ in range(40):
+        mode = int(gen.integers(2))
+        x = np.array([gen.uniform(-0.5, 5.5), gen.uniform(-2.0, 2.0),
+                      0.0 if mode == Jumper.CONTACT else gen.uniform(0.0, 1.0),
+                      0.0 if mode == Jumper.CONTACT else gen.uniform(-3.0, 3.0)])
+        tau_max = float(gen.uniform(0.0, 1.5))
+        assert (reachable_modes(sys_, x, mode, tau_max, 0.05)
+                == reference_reachable_modes(sys_, x, mode, tau_max, 0.05))

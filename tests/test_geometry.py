@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reachrrt.geometry import (
+    COLLINEAR_TOL,
     Ball,
     Box,
     GoalRegion,
@@ -28,7 +29,7 @@ from reachrrt.geometry import (
     _point_segments_distance,
 )
 
-from oracles import point_in_hull
+from oracles import point_in_hull, reference_convex_hull_2d
 
 
 # ---------------------------------------------------------------- oracles
@@ -535,6 +536,54 @@ def test_degenerate_obstacle_clearance_matches_the_references(pts, lo, size, r_f
     assert got == point_hull_distance(hull, lo)
     assert (got > 0.0) == (want > 0.0)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# ------------------------------------------- monotone chain vs its reference
+
+
+@st.composite
+def chain_cases(draw):
+    """Point sets that stress the chain's pop test: repeats, collinear runs
+    on an integer grid, runs within COLLINEAR_TOL of a line, cross products
+    of exactly COLLINEAR_TOL, and coordinates so large that a cross product
+    overflows to NaN."""
+    kind = draw(st.sampled_from(["duplicates", "grid-line", "near-line", "at-tol", "huge"]))
+    if kind == "duplicates":
+        pool = draw(st.lists(point, min_size=1, max_size=6))
+        idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+        return np.array([pool[i] for i in idx], dtype=float)
+    if kind == "grid-line":
+        ox, oy, dx, dy = draw(st.tuples(*[st.integers(-20, 20)] * 4))
+        ts = draw(st.lists(st.integers(-15, 15), min_size=1, max_size=30))
+        extra = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=3))
+        pts = [(ox + t * dx, oy + t * dy) for t in ts] + extra
+        return np.array(pts, dtype=float)
+    if kind == "near-line":
+        # offsets across the line of 0 to 10 COLLINEAR_TOL put cross products
+        # on both sides of the tolerance
+        ang = draw(st.floats(0.0, 2.0 * np.pi))
+        ts = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=30))
+        offs = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(ts), max_size=len(ts)))
+        d = np.array([np.cos(ang), np.sin(ang)])
+        nrm = np.array([-d[1], d[0]])
+        return (np.array(ts)[:, None] * d + COLLINEAR_TOL * np.array(offs)[:, None] * nrm)
+    if kind == "at-tol":
+        # integer x and y in {-tol, 0, tol}: many cross products are exactly
+        # COLLINEAR_TOL, where the chain must pop
+        ys = st.sampled_from([-COLLINEAR_TOL, 0.0, COLLINEAR_TOL])
+        return np.array(draw(st.lists(st.tuples(st.integers(-3, 3), ys),
+                                      min_size=1, max_size=12)), dtype=float)
+    big = st.floats(-1.7e308, 1.7e308)
+    return np.array(draw(st.lists(st.tuples(big, big), min_size=1, max_size=12)), dtype=float)
+
+
+@given(pts=chain_cases())
+@settings(max_examples=1000)
+def test_hull_vertices_equal_the_reference_chain(pts):
+    want = reference_convex_hull_2d(pts)
+    got = convex_hull_2d(pts)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------ goal

@@ -11,9 +11,10 @@ from scipy import stats
 from reachrrt import rng
 from reachrrt.benchmarks import Jumper, make_benchmark
 from reachrrt import planner
-from reachrrt.dynamics import reachable_modes
+from reachrrt.dynamics import reachable_modes, rollout
 from reachrrt.geometry import Ball, Box, GoalRegion, convex_hull_2d, hull_obstacle_clearance
 from reachrrt.planner import (
+    ExtendOutcome,
     PlannerParams,
     extend_hybrid,
     plan,
@@ -260,6 +261,68 @@ def test_extend_accepts_staying_grounded():
                         0.03, seed=11, ext_id=4)
     assert out.reject is None
     assert np.all(out.reach.modes == Jumper.CONTACT)
+
+
+def reference_extend_hybrid(sys, reach, u, tau, sigma_s, h, seed, ext_id):
+    """extend_hybrid with the nominal-mode gate on its own rollout of the
+    nominal, run before the particles."""
+    try:
+        _, mtrace = rollout(sys, reach.mu, u, tau, h, mode=reach.mu_mode)
+    except RuntimeError:
+        return ExtendOutcome(None, None, "diverged")
+    if int(mtrace[-1]) != int(sigma_s):
+        return ExtendOutcome(None, None, "nominal_mode")
+    pset, r = compute_reach_set(sys, reach, u, tau, h, seed, ext_id)
+    if pset is None:
+        return ExtendOutcome(None, r, "diverged")
+    if np.any(pset.modes != int(sigma_s)):
+        return ExtendOutcome(None, r, "mode_straddle")
+    return ExtendOutcome(pset, r, None)
+
+
+def _assert_same_outcome(got, want):
+    assert got.reject == want.reject
+    assert (got.rollout is None) == (want.rollout is None)
+    assert (got.reach is None) == (want.reach is None)
+    if want.reach is not None:
+        for name in ("states", "thetas", "mu", "modes"):
+            assert getattr(got.reach, name).tobytes() == getattr(want.reach, name).tobytes()
+        assert got.reach.mu_mode == want.reach.mu_mode and got.reach.t == want.reach.t
+
+
+def test_diverging_particles_keep_the_nominal_mode_reject():
+    sys_, root = _jumper_root()
+    # a tiny mass sends every particle past the limit at the first sub-step,
+    # when the nominal has just taken off; by the end it has landed again
+    root = replace(root, thetas=np.full_like(root.thetas, 1e-30))
+    args = (sys_, root, np.array([3.0, 1.0]), 1.2, Jumper.FLIGHT, 0.03, 11, 5)
+    out = extend_hybrid(*args)
+    assert out.reject == "nominal_mode" and out.rollout is None
+    _assert_same_outcome(out, reference_extend_hybrid(*args))
+
+
+def test_a_diverging_nominal_is_a_divergence_reject():
+    sys_, root = _jumper_root()
+    # the particles stay put; the nominal alone starts past the limit
+    root = replace(root, mu=np.array([3e12, 0.0, 0.0, 0.0]))
+    args = (sys_, root, np.array([1.0, 0.0]), 0.15, Jumper.CONTACT, 0.03, 11, 6)
+    out = extend_hybrid(*args)
+    assert out.reject == "diverged" and out.rollout is None
+    _assert_same_outcome(out, reference_extend_hybrid(*args))
+
+
+def test_extend_matches_the_two_rollout_gate():
+    sys_, root = _jumper_root()
+    gen = np.random.default_rng(13)
+    seen = set()
+    for ext_id in range(60):
+        u, tau = sample_control(sys_.bounds.control, 1.0, gen)
+        sigma = int(gen.integers(2))
+        args = (sys_, root, u, tau, sigma, 0.03, 11, ext_id)
+        out = extend_hybrid(*args)
+        _assert_same_outcome(out, reference_extend_hybrid(*args))
+        seen.add(out.reject)
+    assert seen == {None, "nominal_mode", "mode_straddle"}
 
 
 # ------------------------------------------------------------- parameters

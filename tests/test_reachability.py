@@ -246,6 +246,7 @@ def test_divergent_extension_returns_none():
     class Blow:
         name = "blow"
         hybrid = False
+        reads_substep_disturbance = True
         state_dim = 1
         collision_projection = (0,)
         bounds = make_benchmark("linear1d").bounds

@@ -1,7 +1,8 @@
 """Stream derivation tests: reproducibility, independence, prefix stability."""
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from reachrrt import rng
 from reachrrt.geometry import Box
@@ -38,6 +39,41 @@ def test_degenerate_box_samples_are_constant():
     box = Box([0.0, -1.0], [0.0, -1.0])
     got = box.sample(rng.substream(0, 1), 8)
     assert np.array_equal(got, np.tile([0.0, -1.0], (8, 1)))
+
+
+# widths 0, 1e-12, O(1) and 1e6, each axis on its own
+widths = st.sampled_from([0.0, 1e-12]) | st.floats(0.25, 4.0) | st.just(1e6)
+
+
+@given(seed=st.integers(0, 2**63 - 1),
+       axes=st.lists(st.tuples(st.floats(-1e3, 1e3), widths), min_size=1, max_size=4),
+       n=st.sampled_from([None, 1, 40, 10_000]))
+@settings(max_examples=300)
+def test_box_sample_is_the_uniform_draw(seed, axes, n):
+    # Box.sample computes lo + (hi - lo) * u itself; numpy's uniform does the
+    # same arithmetic on the same doubles, so the bytes must agree
+    lo = np.array([a for a, _ in axes])
+    hi = lo + np.array([w for _, w in axes])
+    box = Box(lo, hi)
+    got = box.sample(rng.substream(seed, rng.DOMAIN_CHECK), n)
+    size = None if n is None else (n, box.dim)
+    want = rng.substream(seed, rng.DOMAIN_CHECK).uniform(box.lo, box.hi, size=size)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lo,hi", [
+    ([0.0], [np.inf]), ([-np.inf], [0.0]), ([np.nan], [1.0]), ([-1e308], [1e308]),
+], ids=["inf-hi", "inf-lo", "nan", "overflow"])
+def test_box_sample_refuses_a_width_uniform_refuses(lo, hi):
+    box = Box(lo, hi)
+    with np.errstate(over="ignore"):
+        with pytest.raises(OverflowError):
+            rng.substream(0, 1).uniform(box.lo, box.hi)
+        with pytest.raises(OverflowError):
+            box.sample(rng.substream(0, 1))
+        with pytest.raises(OverflowError):
+            box.sample(rng.substream(0, 1), 3)
 
 
 @given(seed=st.integers(0, 2**63 - 1), key=st.lists(st.integers(0, 2**31), min_size=1, max_size=4))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,23 @@ def test_quadrotor_gain_substep_must_give_a_finite_gain(tmp_path, gain_substep, 
     with pytest.raises(ScenarioError, match=re.escape(fragment)) as e:
         load_scenario(path)
     assert e.value.key == "system"
+
+
+def test_an_overflowing_gain_is_refused_without_numpy_warnings(tmp_path, capsys):
+    # the Riccati iterates overflow at gain_substep 1e200; the refusal is the
+    # keyed error alone, with no RuntimeWarning printed on the way
+    path = _write(
+        tmp_path, name="quad.json", system="quadrotor",
+        system_options={"gain_substep": 1e200},
+        init={"kind": "box", "lo": [0.0] * 4, "hi": [0.1, 0.1, 0.0, 0.0]},
+        goal={"projection": [0, 1], "center": [5.0, 0.0], "radius": 1.0},
+        sampling_box={"lo": [-1.0, -5.0, -3.0, -3.0], "hi": [8.0, 5.0, 3.0, 3.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{_line_of(path, 'system')}: ")
+    assert "gain must be a finite (2, 4) matrix" in err
 
 
 def test_bad_json_reports_cleanly(tmp_path, capsys):
