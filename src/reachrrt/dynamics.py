@@ -124,16 +124,32 @@ class FeedbackWrapped(System):
         self.hybrid = base.hybrid
 
     def resolve_control(self, nu, X, mu):
+        """One commanded (m,) control for the whole batch; control j is
+        clip(nu[j] + K[j, 0] e_0 + K[j, 1] e_1 + ..., lo[j], hi[j]) with
+        e = x - mu, summed left to right, the same on any BLAS."""
         if mu is None:
             raise ValueError("feedback wrapper needs a tracked nominal state")
-        U = np.tile(np.asarray(nu, dtype=float), (len(X), 1))
-        err = X - mu[None, :]
-        # explicit expansion keeps summation order fixed regardless of BLAS
-        for j in range(self.gain.shape[0]):
-            for i in range(self.gain.shape[1]):
-                U[:, j] += self.gain[j, i] * err[:, i]
-        np.clip(U, self.bounds.control.lo, self.bounds.control.hi, out=U)
-        return U
+        nu = np.asarray(nu, dtype=float)
+        m = self.gain.shape[0]
+        if nu.shape != (m,):
+            raise ValueError(f"feedback wrapper takes one commanded control of "
+                             f"shape ({m},), got shape {nu.shape}")
+        # one row of numbers per state and per control, transposed back at
+        # the end: a (d,) vector broadcast across (N, d) rows makes numpy run
+        # its inner loop once per row
+        err = np.empty((X.shape[1], len(X)))
+        for e, x, c in zip(err, X.T, mu.tolist()):
+            np.subtract(x, c, out=e)
+        U = np.empty((m, len(X)))
+        U[:] = nu[:, None]
+        for k, e in zip(self.gain.T, err):
+            U += k[:, None] * e
+        # a value equal to a bound becomes the bound, as in np.clip with
+        # array bounds: maximum and minimum return their second argument on
+        # a tie, which decides the sign of a zero
+        np.maximum(U, self.bounds.control.lo[:, None], out=U)
+        np.minimum(U, self.bounds.control.hi[:, None], out=U)
+        return U.T
 
     def step_batch(self, X, U, W, Th, h):
         return self.base.step_batch(X, U, W, Th, h)

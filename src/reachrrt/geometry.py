@@ -61,7 +61,15 @@ class Box:
         width = self.hi - self.lo
         if not np.isfinite(width).all():
             raise OverflowError("Range exceeds valid bounds")
-        return self.lo + width * gen.random(self.dim if n is None else (int(n), self.dim))
+        if n is None:
+            return self.lo + width * gen.random(self.dim)
+        u = gen.random((int(n), self.dim))
+        # column by column, in place: a (d,) vector broadcast across (n, d)
+        # rows makes numpy run its inner loop once per row
+        for col, w, lo in zip(u.T, width.tolist(), self.lo.tolist()):
+            col *= w
+            col += lo
+        return u
 
 
 @dataclass(frozen=True)
@@ -214,15 +222,32 @@ def point_hull_distance(v, p):
 
 
 def points_obstacle_clearance(pts, obstacle):
-    """Signed clearance from each point to an obstacle; negative means inside."""
+    """Signed clearance from each point to an obstacle; negative means inside.
+
+    Works column by column, whatever the layout of pts: a (d,) vector
+    broadcast across (N, d) rows, or a reduction along a row, makes numpy
+    run its inner loop once per row.  The columns are summed and maxed left
+    to right, as numpy's row reductions do for d < 8, so the bytes match.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    cols = pts.T
     if isinstance(obstacle, Ball):
-        d = pts - obstacle.center
-        return np.sqrt((d * d).sum(axis=1)) - obstacle.radius
-    q = np.maximum(obstacle.lo - pts, pts - obstacle.hi)
-    outside = np.sqrt((np.maximum(q, 0.0) ** 2).sum(axis=1))
-    inside = q.max(axis=1)  # <= 0 iff inside or on the boundary
+        d = [c - o for c, o in zip(cols, obstacle.center.tolist())]
+        return np.sqrt(_fold(np.add, [di * di for di in d])) - obstacle.radius
+    q = [np.maximum(lo - c, c - hi)
+         for c, lo, hi in zip(cols, obstacle.lo.tolist(), obstacle.hi.tolist())]
+    outside = np.sqrt(_fold(np.add, [np.maximum(qi, 0.0) ** 2 for qi in q]))
+    inside = _fold(np.maximum, q)  # <= 0 iff inside or on the boundary
     return np.where(inside > 0, outside, inside)
+
+
+def _fold(ufunc, cols):
+    """Left fold of a binary ufunc over equal-length columns, accumulating
+    in place into the first one."""
+    acc = cols[0]
+    for c in cols[1:]:
+        ufunc(acc, c, out=acc)
+    return acc
 
 
 def box_obstacle_clearance(lo, hi, obstacle, radius=0.0):
@@ -233,13 +258,19 @@ def box_obstacle_clearance(lo, hi, obstacle, radius=0.0):
     grown by its radius, so a positive result is exactly the distance
     between the two boxes minus both radii; a nonpositive one means they
     touch or overlap (minus the smallest per-axis overlap).
+
+    No point of a planar box [lo, hi] has a smaller points_obstacle_clearance,
+    also in floating point: each gap is at most the point's per-axis
+    distance, since rounding is monotone, and the distance is the same sum of
+    squares (two columns add in either order to the same double).
     """
     if isinstance(obstacle, Ball):
         o_lo, o_hi, o_r = obstacle.center, obstacle.center, obstacle.radius
     else:
         o_lo, o_hi, o_r = obstacle.lo, obstacle.hi, 0.0
     gap = np.maximum(o_lo - hi, lo - o_hi)
-    boxes = np.linalg.norm(np.maximum(gap, 0.0)) if gap.max() > 0 else gap.max()
+    g = np.maximum(gap, 0.0)
+    boxes = np.sqrt((g * g).sum()) if gap.max() > 0 else gap.max()
     return float(boxes - radius - o_r)
 
 

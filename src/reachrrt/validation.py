@@ -6,7 +6,11 @@ by ending outside the goal, collision taking precedence and counted once.
 The rollouts are one particle set propagated by the planner's own
 init_particles and compute_reach_set, with every draw in the validation
 stream domain, so they are independent of everything the planner consumed
-even under the same numeric seed.
+even under the same numeric seed.  An obstacle is measured on a sub-step's
+rollouts only when their bounding box comes within the worst clearance so
+far (or within contact).  This is exact: every rollout lies in the box and
+no point is nearer an obstacle than its box, so a skipped pair can neither
+collide nor lower the reported minimum.
 
 The bound checks probe two inequalities empirically: the trajectory-level
 bound  |x1_t - x2_t| <= L_t (|x1_0 - x2_0| + |u1 - u2|)  with
@@ -27,8 +31,14 @@ import numpy as np
 from . import rng
 from .benchmarks import GRAVITY, Quadrotor
 from .dynamics import rollout_batch
-from .geometry import goal_contains, hausdorff_distance, points_obstacle_clearance
+from .geometry import (
+    box_obstacle_clearance,
+    goal_contains,
+    hausdorff_distance,
+    points_obstacle_clearance,
+)
 from .reachability import (
+    BOX_MARGIN,
     compute_reach_set,
     disturbance_source,
     init_particles,
@@ -52,12 +62,31 @@ class ValidityRecord:
         return asdict(self)
 
 
-def _min_clearance(pts, obstacles):
-    """Per-point minimum signed clearance over obstacles; +inf without any."""
-    out = np.full(len(pts), np.inf)
-    for obstacle in obstacles:
-        np.minimum(out, points_obstacle_clearance(pts, obstacle), out=out)
-    return out
+def _fold_clearance(worst, states, proj, obstacles):
+    """Fold the clearances of the sub-step slices states (S, m, n) into the
+    per-rollout minimum `worst`, in place.
+
+    An (obstacle, slice) pair is skipped when the slice's bounding box
+    clears the obstacle by more than max(worst so far, 0) + BOX_MARGIN.
+    Slices and obstacles are folded in order, and numpy's minimum keeps the
+    later of equal values, so each rollout keeps the sign of a zero minimum.
+    """
+    if not obstacles:
+        return
+    pts = project_to_plane(states, proj)
+    # per column: a reduction along the rows of an (m, 2) block makes numpy
+    # run its inner loop once per row
+    x, y = pts[..., 0], pts[..., 1]
+    los = np.column_stack([x.min(axis=1), y.min(axis=1)])
+    his = np.column_stack([x.max(axis=1), y.max(axis=1)])
+    bound = float(worst.min())
+    for sl, lo, hi in zip(pts, los, his):
+        for obstacle in obstacles:
+            if box_obstacle_clearance(lo, hi, obstacle) > max(bound, 0.0) + BOX_MARGIN:
+                continue
+            clear = points_obstacle_clearance(sl, obstacle)
+            np.minimum(worst, clear, out=worst)
+            bound = min(bound, float(clear.min()))
 
 
 def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
@@ -70,7 +99,14 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
     active).  Initial states and parameters come from the substreams
     (seed, DOMAIN_VALIDATE, 0 | 1), the disturbances of step k, sub-step j
     from (seed, DOMAIN_VALIDATE, 2, k, j).  Checks run against the unpadded
-    obstacles and goal.
+    obstacles and goal, at the initial states and after every sub-step.
+
+    An obstacle is measured on a sub-step's rollouts only when the bounding
+    box of their projections comes within the worst clearance found so far
+    (or within contact).  Every rollout lies in the box, and no point is
+    nearer an obstacle than its box (BOX_MARGIN absorbs rounding), so a
+    skipped pair changes no count and no byte of the worst clearance.
+    Without obstacles no box is computed.
     """
     m = int(m_rollouts)
     if m < 1:
@@ -83,8 +119,8 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
 
     cur = init_particles(sys, init_region, m, seed, init_mode=init_mode,
                          stream=(rng.DOMAIN_VALIDATE,))
-    worst = _min_clearance(project_to_plane(cur.states, proj), obstacles)
-    collided = worst <= 0.0
+    worst = np.full(m, np.inf)  # per rollout
+    _fold_clearance(worst, cur.states[None], proj, obstacles)
 
     for k, step in enumerate(plan_obj.steps):
         cur, r = compute_reach_set(sys, cur, np.asarray(step.u, dtype=float), step.tau,
@@ -92,12 +128,9 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
         if cur is None:
             raise RuntimeError("validation rollout diverged")
         # slice 0 repeats the previous step's last slice, already checked
-        clear = np.full(m, np.inf)
-        for sl in project_to_plane(r.states[1:], proj):
-            np.minimum(clear, _min_clearance(sl, obstacles), out=clear)
-        np.minimum(worst, clear, out=worst)
-        collided |= clear <= 0.0
+        _fold_clearance(worst, r.states[1:], proj, obstacles)
 
+    collided = worst <= 0.0
     in_goal = goal_contains(goal, cur.states, shrink=0.0)
     collisions = int(collided.sum())
     goal_misses = int((~collided & ~in_goal).sum())

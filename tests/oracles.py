@@ -3,7 +3,9 @@
 Single-state stepping wrappers, hull membership with slack, the closed
 form reachable interval of linear1d, and the straightforward forms of code
 that the package runs in a faster form (the monotone chain with a function
-call per point, the jumper step with every mask built on every call).  The
+call per point, the jumper step with every mask built on every call, and
+the feedback law and the point clearances on whole (N, d) blocks rather
+than column by column).  The
 package itself works on batches and clearances, so these live next to the
 tests that check it.
 """
@@ -11,7 +13,12 @@ tests that check it.
 import numpy as np
 
 from reachrrt.benchmarks import GRAVITY, Linear1D
-from reachrrt.geometry import COLLINEAR_TOL, _hull_edges, _point_segments_distance
+from reachrrt.geometry import (
+    COLLINEAR_TOL,
+    Ball,
+    _hull_edges,
+    _point_segments_distance,
+)
 
 # default slack for membership tests
 DEFAULT_TOL = 1e-9
@@ -127,3 +134,29 @@ def reference_jumper_step(sys, X, mode_arr, U, W, Th, h, ctx):
     out[landed, 3] = 0.0
     modes[landed] = sys.CONTACT
     return out, modes
+
+
+def reference_resolve_control(sys, nu, X, mu):
+    """FeedbackWrapped.resolve_control on whole blocks: the commanded
+    control tiled over the rows, the error X - mu broadcast, the gain
+    expanded term by term and np.clip against the bound arrays."""
+    U = np.tile(np.asarray(nu, dtype=float), (len(X), 1))
+    err = X - mu[None, :]
+    for j in range(sys.gain.shape[0]):
+        for i in range(sys.gain.shape[1]):
+            U[:, j] += sys.gain[j, i] * err[:, i]
+    np.clip(U, sys.bounds.control.lo, sys.bounds.control.hi, out=U)
+    return U
+
+
+def reference_points_obstacle_clearance(pts, obstacle):
+    """geometry.points_obstacle_clearance on whole (N, d) blocks, with
+    numpy's row sum and row max."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if isinstance(obstacle, Ball):
+        d = pts - obstacle.center
+        return np.sqrt((d * d).sum(axis=1)) - obstacle.radius
+    q = np.maximum(obstacle.lo - pts, pts - obstacle.hi)
+    outside = np.sqrt((np.maximum(q, 0.0) ** 2).sum(axis=1))
+    inside = q.max(axis=1)  # <= 0 iff inside or on the boundary
+    return np.where(inside > 0, outside, inside)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reachrrt import rng
 from reachrrt.benchmarks import GRAVITY, Jumper, Quadrotor, make_benchmark
@@ -28,7 +29,7 @@ from reachrrt.dynamics import (
 from reachrrt.geometry import Box
 from reachrrt.reachability import disturbance_source
 
-from oracles import step
+from oracles import reference_resolve_control, step
 
 H = 0.1
 
@@ -165,6 +166,57 @@ def test_feedback_control_matches_matmul_and_clips():
     want = np.clip(nu + (X - mu) @ K.T, quad.bounds.control.lo, quad.bounds.control.hi)
     assert got == pytest.approx(want, abs=1e-12)
     assert np.all(got >= quad.bounds.control.lo) and np.all(got <= quad.bounds.control.hi)
+
+
+# control bounds: zero of either sign, a bound pair that pins the control,
+# or an ordinary interval
+_bound_pairs = st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, 0.0),
+                                (0.0, 0.0), (-0.0, -0.0), (0.5, 0.5)]) | \
+    st.tuples(st.floats(-3, 3), st.floats(-3, 3)).map(sorted)
+# zeros of both signs, values the bounds take, and ordinary values
+_entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-3, 3)
+
+
+@given(rows=st.sampled_from([1, 2, 101, 10_001]),
+       bounds=st.lists(_bound_pairs, min_size=2, max_size=2),
+       gain=st.lists(_entries, min_size=8, max_size=8),
+       nu=st.lists(_entries, min_size=2, max_size=2),
+       mu=st.lists(_entries, min_size=4, max_size=4),
+       nominal=st.sampled_from(["finite", "inf", "-inf", "nan"]),
+       pool=st.lists(_entries, min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_feedback_control_is_the_reference_bytes(rows, bounds, gain, nu, mu, nominal,
+                                                 pool, seed):
+    # the column-wise law against the block form on every byte: controls at
+    # the clip bounds, errors of +-0.0, and a non-finite nominal row N
+    quad = Quadrotor(control_box=tuple(zip(*bounds)))
+    fb = FeedbackWrapped(quad, np.reshape(gain, (2, 4)))
+    gen = np.random.default_rng(seed)
+    X = gen.uniform(-3.0, 3.0, size=(rows, 4))
+    mu = np.array(mu)
+    # entries equal to mu (error +0.0) or drawn from the pool (bounds, zeros)
+    hit = gen.random(X.shape)
+    X = np.where(hit < 0.3, mu, X)
+    X = np.where(hit > 0.7, gen.choice(pool, size=X.shape), X)
+    if nominal != "finite":
+        mu[gen.integers(4)] = float(nominal)
+    X[-1] = mu  # the tracked nominal rides as the last row
+    before = X.tobytes(), mu.tobytes()
+    with np.errstate(invalid="ignore"):  # inf - inf in the nominal row
+        got = fb.resolve_control(np.array(nu), X, mu)
+        want = reference_resolve_control(fb, np.array(nu), X, mu)
+    assert got.shape == want.shape == (rows, 2)
+    assert got.tobytes() == want.tobytes()
+    assert (X.tobytes(), mu.tobytes()) == before
+
+
+@pytest.mark.parametrize("nu", [np.zeros((3, 2)), np.zeros(3), np.zeros((1, 2))],
+                         ids=["per-row", "too-long", "one-row-block"])
+def test_feedback_refuses_a_per_row_control(nu):
+    fb = make_benchmark("quadrotor")
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        fb.resolve_control(nu, np.zeros((3, 4)), np.zeros(4))
 
 
 def test_feedback_at_reference_returns_commanded():

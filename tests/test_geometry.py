@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reachrrt.geometry import (
     COLLINEAR_TOL,
@@ -27,9 +27,10 @@ from reachrrt.geometry import (
     points_obstacle_clearance,
     _hull_edges,
     _point_segments_distance,
+    box_obstacle_clearance,
 )
 
-from oracles import point_in_hull, reference_convex_hull_2d
+from oracles import point_in_hull, reference_convex_hull_2d, reference_points_obstacle_clearance
 
 
 # ---------------------------------------------------------------- oracles
@@ -312,6 +313,83 @@ def test_point_clearance_signs():
     box = Box((0.0, 0.0), (2.0, 2.0))
     got = points_obstacle_clearance(np.array([[3.0, 1.0], [1.0, 1.0], [1.0, 1.5]]), box)
     assert got == pytest.approx([1.0, -1.0, -0.5], abs=1e-12)
+
+
+# zeros of both signs, coordinates shared between points and obstacles, and
+# ordinary values
+_coords = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]) | st.floats(-4, 4)
+
+
+@st.composite
+def _clearance_obstacles(draw):
+    kind = draw(st.sampled_from(["box", "flat-box", "point-box", "ball", "point-ball"]))
+    c = np.array(draw(st.lists(_coords, min_size=2, max_size=2)))
+    if kind.endswith("ball"):
+        r = 0.0 if kind == "point-ball" else draw(st.sampled_from([0.5, 1.0]) | st.floats(0, 3))
+        return Ball(c, r)
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 3),
+                               min_size=2, max_size=2)))
+    if kind == "flat-box":
+        w[draw(st.integers(0, 1))] = 0.0
+    elif kind == "point-box":
+        w[:] = 0.0
+    return Box(c, c + w)
+
+
+@given(obstacle=_clearance_obstacles(),
+       rows=st.sampled_from([1, 2, 101, 10_001]),
+       layout=st.sampled_from(["c", "fortran", "strided", "one-point"]),
+       pool=st.lists(_coords, min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_point_clearance_is_the_reference_bytes(obstacle, rows, layout, pool, seed):
+    # the column-wise clearance against the block form on every byte, with
+    # points on a box face, edge or corner, at a ball's center and at +-0.0
+    gen = np.random.default_rng(seed)
+    pts = gen.uniform(-4.0, 4.0, size=(rows, 2))
+    if isinstance(obstacle, Ball):
+        special = np.concatenate([obstacle.center, obstacle.center + obstacle.radius, pool])
+    else:
+        special = np.concatenate([obstacle.lo, obstacle.hi, pool])
+    hit = gen.random(pts.shape) < 0.6
+    pts[hit] = gen.choice(special, size=int(hit.sum()))
+    if layout == "fortran":
+        pts = np.asfortranarray(pts)
+    elif layout == "strided":
+        wide = np.zeros((rows, 4))
+        wide[:, ::2] = pts
+        pts = wide[:, ::2]
+    elif layout == "one-point":
+        pts = pts[0]
+    before = pts.tobytes()
+    got = points_obstacle_clearance(pts, obstacle)
+    want = reference_points_obstacle_clearance(pts, obstacle)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert pts.tobytes() == before
+
+
+@given(obstacle=_clearance_obstacles(),
+       pool=st.lists(_coords, min_size=1, max_size=6),
+       scale=st.sampled_from([1.0, 1e-6, 1e3, 1e6]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=1000, deadline=None)
+@example(obstacle=Ball((1.5, 1.0), 0.0), pool=[0.0], scale=1e-6, seed=0)
+def test_box_clearance_bounds_every_point_in_the_box(obstacle, pool, scale, seed):
+    # the validator skips an obstacle on a sub-step whose bounding box clears
+    # it by more than the worst clearance so far; that is exact only if no
+    # point of the box is nearer than the box, in floating point (the
+    # explicit example read one ulp nearer when the box took np.linalg.norm)
+    gen = np.random.default_rng(seed)
+    pts = gen.uniform(-4.0, 4.0, size=(64, 2))
+    hit = gen.random(pts.shape) < 0.5
+    pts[hit] = gen.choice(pool, size=int(hit.sum()))
+    pts *= scale
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+    pts = np.concatenate([pts, corners])
+    box = box_obstacle_clearance(lo, hi, obstacle)
+    assert box <= points_obstacle_clearance(pts, obstacle).min()
 
 
 # ------------------------------------------------ hull/membership oracles

@@ -8,17 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reachrrt import rng
+from reachrrt import rng, validation
 from reachrrt.benchmarks import GRAVITY, Jumper, make_benchmark
 from reachrrt.dynamics import rollout_batch
 from reachrrt.geometry import Ball, Box, GoalRegion, goal_contains
 from reachrrt.planner import PlannerParams, plan
-from reachrrt.reachability import project_to_plane
+from reachrrt.reachability import compute_reach_set, init_particles, project_to_plane
 from reachrrt.scenario import load_plan, load_scenario
 from reachrrt.tree import PlanStep
 from reachrrt.validation import (
     ValidityRecord,
-    _min_clearance,
     lipschitz_bound_check,
     monte_carlo_validate,
     quadrotor_flow_sup,
@@ -28,6 +27,8 @@ from reachrrt.validation import (
     success_rate_study,
     trajectory_bound_factor,
 )
+
+from oracles import reference_points_obstacle_clearance
 
 SEED = 29
 
@@ -122,11 +123,20 @@ def test_replay_validate_round_trip():
                                GoalRegion((0,), (50.0,), 0.1), [])
 
 
+def _min_clearance(pts, obstacles):
+    """Per-point minimum signed clearance over obstacles; +inf without any."""
+    out = np.full(len(pts), np.inf)
+    for obstacle in obstacles:
+        np.minimum(out, reference_points_obstacle_clearance(pts, obstacle), out=out)
+    return out
+
+
 def reference_monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
                                    m_rollouts, seed, init_mode=None):
     """The validator as it was before it shared init_particles and
     compute_reach_set with the planner: its own draws, its own rollout loop,
-    and a clearance check on every slice of every step's trace."""
+    and a clearance check of every obstacle on every slice of every step's
+    trace, with the block form of the point clearance."""
     m = int(m_rollouts)
     h = plan_obj.meta["h"]
     obstacles = list(obstacles)
@@ -195,6 +205,26 @@ def _zero_duration_linear():
     return sys_, replace(result.plan, steps=tuple(steps)), init, goal, obstacles, 300, None
 
 
+def _grazing_ball_linear():
+    sys_, result, init, goal = _solved_linear()
+    # touches the line the rollouts move on at x = 1 from above
+    return sys_, result.plan, init, goal, [Ball((1.0, 0.6), 0.6)], 300, None
+
+
+def _box_at_the_worst_linear():
+    sys_, result, init, goal = _solved_linear()
+    # spans every slice in x, 0.25 above the line: every point and every
+    # slice's box clear it by exactly 0.25, so each box ties the running
+    # worst; the far ball is pruned on every slice once the box is measured
+    obstacles = [Box((-5.0, 0.25), (5.0, 1.25)), Ball((1.0, 3.0), 0.5)]
+    return sys_, result.plan, init, goal, obstacles, 300, None
+
+
+def _obstacle_free_linear():
+    sys_, result, init, goal = _solved_linear()
+    return sys_, result.plan, init, goal, [], 300, None
+
+
 def _stored(name, scenario):
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     sc = load_scenario(os.path.join(root, "scenarios", scenario))
@@ -203,12 +233,52 @@ def _stored(name, scenario):
             sc.validation_rollouts, sc.init_mode)
 
 
+def _touching_after_deep_linear():
+    sys_, result, init, goal = _solved_linear()
+    # the first box swallows the start of some rollouts (clearance down to
+    # -0.02); the line then runs along the second box's face, where
+    # rollouts touch it at clearance 0 inside slices whose boxes touch it
+    # too (box clearance 0, above the worst so far)
+    obstacles = [Box((-1.0, -1.0), (0.02, 1.0)), Box((1.0, 0.0), (1.01, 0.5))]
+    return sys_, result.plan, init, goal, obstacles, 300, None
+
+
+def _pinned_quadrotor(step, substep, m=300):
+    """The stored quadrotor plan with a pin-sized ball planted where the
+    fastest validation rollout is after `substep` sub-steps of step `step`
+    (step None: its initial state): exactly one rollout collides, on that
+    one slice."""
+    sys_, plan_obj, init, goal, obstacles, _, init_mode = _stored(
+        "quadrotor-gate", "quadrotor.json")
+    h = plan_obj.meta["h"]
+    cur = init_particles(sys_, init, m, SEED, stream=(rng.DOMAIN_VALIDATE,))
+    states = cur.states
+    if step is not None:
+        for k, s in enumerate(plan_obj.steps[:step + 1]):
+            cur, r = compute_reach_set(sys_, cur, np.asarray(s.u, dtype=float), s.tau,
+                                       h, SEED, k, stream=(rng.DOMAIN_VALIDATE, 2))
+        states = r.states[substep]
+    fastest = np.argmax(np.hypot(states[:, 2], states[:, 3]))
+    pin = Ball(project_to_plane(states[fastest], sys_.collision_projection), 1e-3)
+    return sys_, plan_obj, init, goal, [*obstacles, pin], m, init_mode
+
+
+_PINS = {"pin-initial": (None, 0), "pin-mid-step": (5, 3), "pin-step-end": (5, -1)}
+
+
 @pytest.mark.parametrize("case", [
     _colliding_linear,
     _zero_duration_linear,
+    _grazing_ball_linear,
+    _box_at_the_worst_linear,
+    _touching_after_deep_linear,
+    _obstacle_free_linear,
+    *[lambda where=where: _pinned_quadrotor(*where) for where in _PINS.values()],
     lambda: _stored("quadrotor-gate", "quadrotor.json"),
     lambda: _stored("jumper-vault", "jumper.json"),
-], ids=["colliding-linear1d", "zero-duration-step", "quadrotor-gate", "jumper-vault"])
+], ids=["colliding-linear1d", "zero-duration-step", "grazing-ball", "box-at-the-worst",
+        "touching-after-deep", "obstacle-free-linear1d", *_PINS, "quadrotor-gate",
+        "jumper-vault"])
 def test_validation_matches_its_reference(case):
     sys_, plan_obj, init, goal, obstacles, m, init_mode = case()
     got = monte_carlo_validate(sys_, plan_obj, init, goal, obstacles, m, SEED,
@@ -219,6 +289,38 @@ def test_validation_matches_its_reference(case):
     # bitwise, not just ==: the clearance is the same float
     assert np.float64(got.worst_clearance).tobytes() == \
         np.float64(want.worst_clearance).tobytes()
+
+
+@pytest.mark.parametrize("where", list(_PINS.values()), ids=list(_PINS))
+def test_a_pin_on_one_slice_collides_once(where):
+    # only the pinned slice reaches the pin: the initial states, a sub-step
+    # inside a step, or a step's last sub-step (the next step's slice 0,
+    # which the validator does not measure again)
+    sys_, plan_obj, init, goal, obstacles, m, init_mode = _pinned_quadrotor(*where)
+    rec = monte_carlo_validate(sys_, plan_obj, init, goal, obstacles, m, SEED,
+                               init_mode=init_mode)
+    assert rec.collisions == 1
+    assert -1e-3 <= rec.worst_clearance < 0.0
+
+
+def test_box_prune_measures_few_slices(monkeypatch):
+    # the stored quadrotor plan has 87 sub-steps and 3 obstacles: 264
+    # (obstacle, slice) pairs with the initial slice, of which the slices'
+    # bounding boxes rule out all but a few
+    calls = []
+
+    def counting(pts, obstacle):
+        calls.append(len(pts))
+        return reference_points_obstacle_clearance(pts, obstacle)
+
+    monkeypatch.setattr(validation, "points_obstacle_clearance", counting)
+    sys_, plan_obj, init, goal, obstacles, _, init_mode = _stored(
+        "quadrotor-gate", "quadrotor.json")
+    got = monte_carlo_validate(sys_, plan_obj, init, goal, obstacles, 10_000, 1,
+                               init_mode=init_mode)
+    assert got.valid
+    assert 0 < len(calls) <= 20
+    assert set(calls) == {10_000}
 
 
 # ------------------------------------------------------- deviation bounds
