@@ -141,18 +141,36 @@ def convex_hull_2d(points):
     (points along an edge are dropped).  One or two rows mark a degenerate
     hull (a point or a segment); those come up routinely, e.g. a singleton
     initial set or 1-D dynamics embedded in the plane, and every hull
-    function here accepts them.  Duplicate input points are fine.
+    function here accepts them.  Duplicate input points are fine.  No
+    vertex holds -0.0: the input's zeros are made +0.0 first, so of equal
+    points it does not matter which one survives the dedupe.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected an (n, 2) array of points")
     if len(pts) == 0:
         raise ValueError("hull of an empty point set is undefined")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("hull input must be finite")
-    uniq = np.unique(pts, axis=0)  # lexicographically sorted, exact dedupe
+    # Adding 0.0 turns -0.0 into +0.0 and keeps every other value.  Then,
+    # with each row (x, y) viewed as the complex x + iy, numpy's complex
+    # sort is lexicographic (x first) and != compares both parts, so a sort
+    # and a row-difference mask give np.unique(pts, axis=0) without its sort
+    # of a structured view.
+    z = np.sort(np.add(pts, 0.0, order="C").view(complex)[:, 0])
+    new = np.empty(len(z), dtype=bool)
+    new[0] = True
+    np.not_equal(z[1:], z[:-1], out=new[1:])
+    uniq = z[new].view(float).reshape(-1, 2)
     if len(uniq) <= 2:
         return uniq
+    # on one vertical or horizontal line every cross product below is +-0,
+    # so the chain keeps the two ends; a span that overflows makes NaN
+    # crosses, which the chain keeps, so it runs then
+    (x0, y0), (x1, y1) = uniq[0].tolist(), uniq[-1].tolist()
+    on_axis_line = x0 == x1 or y0 == y1 and uniq[:, 1].min() == uniq[:, 1].max()
+    if on_axis_line and abs(x1 - x0) + abs(y1 - y0) < np.inf:
+        return uniq[[0, -1]]
 
     # the cross product (a - o) x (p - o) of the chain's last two points o, a
     # and the new point p is inlined: a call per point costs more than the

@@ -369,7 +369,10 @@ def _plain(value):
 
 
 def write_json(path, obj):
-    text = json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False)
+    # strict JSON (RFC 8259): a NaN or an infinity raises instead of
+    # writing a token that strict parsers refuse
+    text = json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False)
     with open(path, "w") as f:
         f.write(text)
         f.write("\n")

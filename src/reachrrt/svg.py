@@ -2,7 +2,9 @@
 
 Hand-rolled on purpose: output must be byte-identical across runs, so every
 coordinate is formatted with a fixed precision and elements are emitted in a
-fixed order (obstacles, goal, hulls, edges, solution path).
+fixed order (obstacles, goal, hulls, edges, solution path).  Points are
+mapped into the frame as arrays and formatted from Python floats, since a
+numpy scalar operation per point costs more than the arithmetic.
 """
 
 import numpy as np
@@ -15,9 +17,11 @@ _H = 560.0
 _MARGIN = 30.0
 
 
-def _fmt(v):
-    s = f"{v:.4f}"
-    return "0.0000" if s == "-0.0000" else s
+def _numbers(template, values):
+    """template % values, where every number is a %.4f field, with -0.0000
+    printed as 0.0000."""
+    # a %.4f field holds "-0.0000" only as its whole text
+    return (template % tuple(values)).replace("-0.0000", "0.0000")
 
 
 class _Frame:
@@ -29,26 +33,29 @@ class _Frame:
         self.lo = lo
         self.hi = hi
 
-    def pt(self, p):
-        x = _MARGIN + (p[0] - self.lo[0]) * self.s
-        y = _H - _MARGIN - (p[1] - self.lo[1]) * self.s
-        return x, y
+    def coords(self, v):
+        """The rows of a (k, 2) array in SVG coordinates, as a flat list
+        x0, y0, x1, y1, ...; one array expression per axis."""
+        out = np.empty((len(v), 2))
+        out[:, 0] = _MARGIN + (v[:, 0] - self.lo[0]) * self.s
+        out[:, 1] = _H - _MARGIN - (v[:, 1] - self.lo[1]) * self.s
+        return out.ravel().tolist()
 
-    def xy(self, p):
-        x, y = self.pt(p)
-        return f"{_fmt(x)},{_fmt(y)}"
+
+def _points(xy):
+    """polygon/polyline points text of a flat coordinate list."""
+    return _numbers(" ".join(["%.4f,%.4f"] * (len(xy) // 2)), xy)
 
 
 def _polygon(frame, pts, fill, opacity, stroke, width):
-    body = " ".join(frame.xy(p) for p in pts)
-    return (f'<polygon points="{body}" fill="{fill}" fill-opacity="{opacity}" '
-            f'stroke="{stroke}" stroke-width="{width}"/>')
+    return (f'<polygon points="{_points(frame.coords(pts))}" fill="{fill}" '
+            f'fill-opacity="{opacity}" stroke="{stroke}" stroke-width="{width}"/>')
 
 
 def _circle(frame, center, radius, fill, opacity, stroke, width, dash=None):
-    cx, cy = frame.pt(center)
     extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius * frame.s)}" '
+    xyr = frame.coords(np.asarray(center)[None, :]) + [radius * frame.s]
+    return (_numbers('<circle cx="%.4f" cy="%.4f" r="%.4f" ', xyr) +
             f'fill="{fill}" fill-opacity="{opacity}" stroke="{stroke}" '
             f'stroke-width="{width}"{extra}/>')
 
@@ -66,6 +73,28 @@ def _obstacle_elems(frame, obstacle, epsilon):
             padded = Box(obstacle.lo - epsilon, obstacle.hi + epsilon)
             out.append(_polygon(frame, padded.corners, "#c0392b", "0.15", "none", "0"))
         out.append(_polygon(frame, obstacle.corners, "#c0392b", "0.55", "#922b21", "1"))
+    return out
+
+
+def _hull_elements(frame, hulls):
+    """One element per hull vertex array: a polygon, a line for a segment
+    and a dot for a point.  Every vertex is mapped through the frame in one
+    array expression."""
+    xy = frame.coords(np.concatenate(hulls))
+    out = []
+    at = 0
+    for v in hulls:
+        k = len(v)
+        c = xy[at:at + 2 * k]
+        at += 2 * k
+        if k >= 3:
+            out.append(f'<polygon points="{_points(c)}" fill="#2e86c1" '
+                       f'fill-opacity="0.14" stroke="#2e86c1" stroke-width="0.4"/>')
+        elif k == 2:
+            out.append(_numbers('<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
+                                'stroke="#2e86c1" stroke-width="0.6"/>', c))
+        else:
+            out.append(_numbers('<circle cx="%.4f" cy="%.4f" r="1.2" fill="#2e86c1"/>', c))
     return out
 
 
@@ -102,39 +131,24 @@ def render_svg(result, sys, goal, obstacles, sampling_box, epsilon, seed,
                              "none", "0", "#1e8449", "0.8", dash="4,3"))
 
     tree = result.tree
-    for node in tree.nodes:
-        v = convex_hull_2d(project_to_plane(node.reach.states, proj))
-        if len(v) >= 3:
-            parts.append(_polygon(frame, [tuple(p) for p in v],
-                                  "#2e86c1", "0.14", "#2e86c1", "0.4"))
-        elif len(v) == 2:
-            a = frame.pt(v[0])
-            b = frame.pt(v[1])
-            parts.append(f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                         f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" '
-                         f'stroke="#2e86c1" stroke-width="0.6"/>')
-        else:
-            cx, cy = frame.pt(v[0])
-            parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="1.2" '
-                         f'fill="#2e86c1"/>')
+    parts.extend(_hull_elements(frame, [
+        convex_hull_2d(project_to_plane(node.reach.states, proj)) for node in tree.nodes]))
 
-    for node in tree.nodes:
+    # every node's nominal, projected and mapped once for the edges and the path
+    nominal = frame.coords(project_to_plane(
+        np.array([node.reach.nominal for node in tree.nodes]), proj))
+    for i, node in enumerate(tree.nodes):
         if node.parent is None:
             continue
-        a = project_to_plane(tree.nodes[node.parent].reach.nominal[None, :], proj)[0]
-        b = project_to_plane(node.reach.nominal[None, :], proj)[0]
-        pa = frame.pt(a)
-        pb = frame.pt(b)
-        parts.append(f'<line x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" '
-                     f'x2="{_fmt(pb[0])}" y2="{_fmt(pb[1])}" '
-                     f'stroke="#34495e" stroke-width="0.6" stroke-opacity="0.7"/>')
+        a, b = 2 * node.parent, 2 * i
+        parts.append(_numbers('<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
+                              'stroke="#34495e" stroke-width="0.6" stroke-opacity="0.7"/>',
+                              nominal[a:a + 2] + nominal[b:b + 2]))
 
     if result.plan is not None and len(result.plan.steps) > 0:
         ids = [0] + [s.node_id for s in result.plan.steps]
-        pts = [project_to_plane(tree.nodes[i].reach.nominal[None, :], proj)[0]
-               for i in ids]
-        body = " ".join(frame.xy(p) for p in pts)
-        parts.append(f'<polyline points="{body}" fill="none" stroke="#e67e22" '
+        path = [c for i in ids for c in nominal[2 * i:2 * i + 2]]
+        parts.append(f'<polyline points="{_points(path)}" fill="none" stroke="#e67e22" '
                      f'stroke-width="2.2"/>')
 
     parts.append("</svg>")

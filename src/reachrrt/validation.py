@@ -59,7 +59,14 @@ class ValidityRecord:
     worst_clearance: float
 
     def as_dict(self):
-        return asdict(self)
+        """The report.json fields."""
+        return {**asdict(self), "worst_clearance": _json_clearance(self.worst_clearance)}
+
+
+def _json_clearance(c):
+    """A worst clearance as result files hold it: JSON has no infinity, so
+    the +inf of a run without obstacles is null."""
+    return None if c == np.inf else c
 
 
 def _fold_clearance(worst, states, proj, obstacles):
@@ -389,7 +396,8 @@ def compare_methods(scenario, seeds):
     with the single-particle baseline padded by its baseline_padding; every
     solved plan is Monte-Carlo validated with the scenario's validation
     rollouts and seed.  Returns one row per (method, seed), the reach-set
-    rows first.  Rows hold no wall time, so they repeat byte for byte.
+    rows first.  Rows hold no wall time, so they repeat byte for byte.  A
+    row's worst_clearance is None when the scenario has no obstacle.
     """
     sys = scenario.build_system()
     rows = []
@@ -411,6 +419,6 @@ def compare_methods(scenario, seeds):
                     scenario.validation_seed, init_mode=scenario.init_mode)
                 row.update(valid=rec.valid, collisions=rec.collisions,
                            goal_misses=rec.goal_misses,
-                           worst_clearance=round(rec.worst_clearance, 4))
+                           worst_clearance=_json_clearance(round(rec.worst_clearance, 4)))
             rows.append(row)
     return rows

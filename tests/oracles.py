@@ -5,9 +5,9 @@ form reachable interval of linear1d, and the straightforward forms of code
 that the package runs in a faster form (the monotone chain with a function
 call per point, the jumper step with every mask built on every call, and
 the feedback law and the point clearances on whole (N, d) blocks rather
-than column by column).  The
-package itself works on batches and clearances, so these live next to the
-tests that check it.
+than column by column, and the SVG hull elements formatted one vertex at a
+time).  The package itself works on batches and clearances, so these live
+next to the tests that check it.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from reachrrt.geometry import (
     _hull_edges,
     _point_segments_distance,
 )
+from reachrrt.svg import _H, _MARGIN
 
 # default slack for membership tests
 DEFAULT_TOL = 1e-9
@@ -81,9 +82,12 @@ def _cross(o, a, b):
 
 
 def reference_convex_hull_2d(points):
-    """geometry.convex_hull_2d with one _cross call per chain test; the
-    package inlines the same float operations in the same order."""
-    pts = np.asarray(points, dtype=float)
+    """geometry.convex_hull_2d with np.unique for the dedupe, one _cross
+    call per chain test and no shortcut for axis-parallel lines; the package
+    inlines the same float operations in the same order.  Zeros are made
+    +0.0 first, as in the package (a decision: np.unique keeps whichever
+    signed zero its unstable sort puts first)."""
+    pts = np.asarray(points, dtype=float) + 0.0
     uniq = np.unique(pts, axis=0)
     if len(uniq) <= 2:
         return uniq
@@ -160,3 +164,50 @@ def reference_points_obstacle_clearance(pts, obstacle):
     outside = np.sqrt((np.maximum(q, 0.0) ** 2).sum(axis=1))
     inside = q.max(axis=1)  # <= 0 iff inside or on the boundary
     return np.where(inside > 0, outside, inside)
+
+
+def _fmt(v):
+    s = f"{v:.4f}"
+    return "0.0000" if s == "-0.0000" else s
+
+
+def _pt(frame, p):
+    x = _MARGIN + (p[0] - frame.lo[0]) * frame.s
+    y = _H - _MARGIN - (p[1] - frame.lo[1]) * frame.s
+    return x, y
+
+
+def _xy(frame, p):
+    x, y = _pt(frame, p)
+    return f"{_fmt(x)},{_fmt(y)}"
+
+
+def reference_points_text(frame, pts):
+    """svg polygon/polyline points text the way render_svg once built it:
+    each point mapped by scalar operations and each number formatted alone."""
+    return " ".join(_xy(frame, p) for p in pts)
+
+
+def reference_hull_element(frame, v):
+    """The SVG element of one hull vertex array v, built point by point as
+    render_svg once did."""
+    if len(v) >= 3:
+        return (f'<polygon points="{reference_points_text(frame, [tuple(p) for p in v])}" '
+                f'fill="#2e86c1" fill-opacity="0.14" stroke="#2e86c1" stroke-width="0.4"/>')
+    if len(v) == 2:
+        a = _pt(frame, v[0])
+        b = _pt(frame, v[1])
+        return (f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
+                f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" '
+                f'stroke="#2e86c1" stroke-width="0.6"/>')
+    cx, cy = _pt(frame, v[0])
+    return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="1.2" fill="#2e86c1"/>'
+
+
+def reference_circle(frame, center, radius, fill, opacity, stroke, width, dash=None):
+    """svg._circle formatting each number alone."""
+    cx, cy = _pt(frame, center)
+    extra = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius * frame.s)}" '
+            f'fill="{fill}" fill-opacity="{opacity}" stroke="{stroke}" '
+            f'stroke-width="{width}"{extra}/>')

@@ -366,7 +366,7 @@ FROZEN_RESULTS = {
         "report.json", "c0195c640b6afd937533832c9d3c4f4bfcf378023654bfc43469b991f01682fb"),
     "corridor-compare": (
         "corridor.json", ("compare", "--seeds", "2"),
-        "compare.json", "a71f46843e0aecd67fdb3b673f4873c4c9e8f8e452d49879fb192408aa845578"),
+        "compare.json", "ef43bce5ae9d789a4a73fb8eff30a34f6eac79c0931402ff289f610a576cd120"),
 }
 
 
@@ -383,7 +383,9 @@ def test_result_digests_are_frozen(tmp_path, capsys, name):
 
 def test_full_quadrotor_solve_writes_the_stored_plan(tmp_path, capsys):
     # the whole 297-iteration seed-0 solve, which reaches extensions that
-    # pass the point prefilter and need the per-sub-step hull test
+    # pass the point prefilter and need the per-sub-step hull test; its
+    # tree.svg (217 nodes with 100-point planar hulls and a solution
+    # polyline) is frozen with the plan
     stored = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data",
                           "quadrotor-gate.plan.json")
     scenario = os.path.join(SCENARIOS, "quadrotor.json")
@@ -391,6 +393,8 @@ def test_full_quadrotor_solve_writes_the_stored_plan(tmp_path, capsys):
     capsys.readouterr()
     with open(stored, "rb") as f:
         assert (tmp_path / "plan.json").read_bytes() == f.read()
+    assert hashlib.sha256((tmp_path / "tree.svg").read_bytes()).hexdigest() == \
+        "1560420613fd3fd4f474e3bd0857b43de86093fd6784958e6a7b9cc8eb0aded2"
 
 
 # ------------------------------------------------------------ budget trend

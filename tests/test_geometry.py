@@ -30,6 +30,8 @@ from reachrrt.geometry import (
     box_obstacle_clearance,
 )
 
+from reachrrt.svg import _Frame, _hull_elements
+
 from oracles import point_in_hull, reference_convex_hull_2d, reference_points_obstacle_clearance
 
 
@@ -625,7 +627,8 @@ def chain_cases(draw):
     on an integer grid, runs within COLLINEAR_TOL of a line, cross products
     of exactly COLLINEAR_TOL, and coordinates so large that a cross product
     overflows to NaN."""
-    kind = draw(st.sampled_from(["duplicates", "grid-line", "near-line", "at-tol", "huge"]))
+    kind = draw(st.sampled_from(["duplicates", "grid-line", "near-line", "at-tol", "huge",
+                                 "axis-line", "huge-axis-line"]))
     if kind == "duplicates":
         pool = draw(st.lists(point, min_size=1, max_size=6))
         idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
@@ -651,17 +654,65 @@ def chain_cases(draw):
         ys = st.sampled_from([-COLLINEAR_TOL, 0.0, COLLINEAR_TOL])
         return np.array(draw(st.lists(st.tuples(st.integers(-3, 3), ys),
                                       min_size=1, max_size=12)), dtype=float)
+    if kind in ("axis-line", "huge-axis-line"):
+        # one vertical or horizontal line, with repeats and zeros of either
+        # sign, where the package skips the chain; spans that overflow make
+        # NaN crosses, which keep points, so there the chain must run
+        zero = st.sampled_from([0.0, -0.0])
+        if kind == "axis-line":
+            value = zero | coord | st.floats(-1e300, 1e300)
+        else:
+            value = zero | st.sampled_from([-1.7e308, -9e307, 9e307, 1.7e308])
+        c = draw(value)
+        ts = draw(st.lists(value, min_size=1, max_size=30))
+        if draw(st.booleans()):
+            return np.array([(c, t) for t in ts], dtype=float)
+        return np.array([(t, c) for t in ts], dtype=float)
     big = st.floats(-1.7e308, 1.7e308)
     return np.array(draw(st.lists(st.tuples(big, big), min_size=1, max_size=12)), dtype=float)
 
 
 @given(pts=chain_cases())
 @settings(max_examples=1000)
+@example(pts=np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 1.0]]))
+# an overflowing span on a horizontal line: NaN crosses keep the middle row
+@example(pts=np.array([[-1.7e308, 5.0], [0.0, 5.0], [1.7e308, 5.0]]))
 def test_hull_vertices_equal_the_reference_chain(pts):
     want = reference_convex_hull_2d(pts)
     got = convex_hull_2d(pts)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+
+
+def test_an_overflowing_axis_line_runs_the_chain():
+    v = convex_hull_2d(np.array([[-1.7e308, 5.0], [0.0, 5.0], [1.7e308, 5.0]]))
+    assert v.tolist() == [[-1.7e308, 5.0], [0.0, 5.0], [1.7e308, 5.0], [0.0, 5.0]]
+
+
+signed_quarter = st.sampled_from([0.0, -0.0]) | st.integers(-8, 8).map(lambda v: v / 4.0)
+
+
+@given(pts=st.lists(st.tuples(signed_quarter, signed_quarter), min_size=1, max_size=10),
+       flip=st.lists(st.booleans(), min_size=20, max_size=20),
+       lo=st.tuples(signed_quarter, signed_quarter),
+       size=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+       radius=st.sampled_from([0.0, 0.25, 1.0]),
+       eps=st.sampled_from([0.0, COLLINEAR_TOL, 0.25]))
+@settings(max_examples=300)
+def test_the_sign_of_a_zero_vertex_changes_no_decision(pts, flip, lo, size, radius, eps):
+    # hull vertices hold +0.0 only; the -0.0 the dedupe once let through
+    # would have given the same clearance decisions and the same drawing
+    v = convex_hull_2d(np.array(pts, dtype=float))
+    w = v.copy()
+    flipped = (w == 0.0) & np.array(flip[:w.size]).reshape(w.shape)
+    w[flipped] = -0.0
+    for obstacle in (Box(lo, (lo[0] + size[0] / 4.0, lo[1] + size[1] / 4.0)),
+                     Ball(lo, radius)):
+        assert (hull_obstacle_clearance(v, obstacle) <= eps) == \
+            (hull_obstacle_clearance(w, obstacle) <= eps)
+    frame = _Frame(np.array([-2.0, -1.0]), np.array([2.0, 1.0]))
+    assert _hull_elements(frame, [v]) == _hull_elements(frame, [w])
 
 
 # ------------------------------------------------------------------ goal

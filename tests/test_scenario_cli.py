@@ -13,7 +13,7 @@ import pytest
 from reachrrt.cli import main
 from reachrrt.geometry import Ball, Box
 from reachrrt.planner import PlannerParams
-from reachrrt.scenario import ScenarioError, check_init_clearance, load_scenario
+from reachrrt.scenario import ScenarioError, check_init_clearance, load_scenario, write_json
 
 BASE = {
     "name": "corridor",
@@ -465,6 +465,32 @@ def test_validate_round_trip(tmp_path, capsys):
     assert report["plan_seed"] == 23
 
 
+def _strict(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_result_files_are_strict_json(tmp_path, capsys):
+    # an obstacle-free run has no finite worst clearance: the report and
+    # the comparison write null, since RFC 8259 has no Infinity
+    path = _write(tmp_path)
+    out = tmp_path / "out"
+    assert _run(path, out) == 0
+    assert main(["validate", "--scenario", path, "--plan", str(out / "plan.json"),
+                 "--out-dir", str(out)]) == 0
+    assert _compare(out) == 0
+    capsys.readouterr()
+    docs = {name: _strict((out / name).read_text())
+            for name in ("stats.json", "plan.json", "report.json", "compare.json")}
+    assert docs["report.json"]["worst_clearance"] is None
+    assert [row["worst_clearance"] for row in docs["compare.json"]["rows"]] == [None] * 4
+    # no other non-finite number reaches a file
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            write_json(str(tmp_path / "bad.json"), {"x": bad})
+
+
 def test_validate_flags_override_scenario(tmp_path):
     path = _write(tmp_path)
     out = tmp_path / "out"
@@ -701,11 +727,12 @@ def test_compare_is_byte_deterministic(tmp_path, capsys):
 
 def test_compare_matches_the_retired_script(tmp_path):
     # rows the former scripts/compare_methods.py wrote for
-    # `--scenario scenarios/corridor.json --seeds 2`, plan_time dropped
+    # `--scenario scenarios/corridor.json --seeds 2`, plan_time dropped and
+    # the obstacle-free worst clearance null rather than Infinity
     def row(seed, method, iterations):
         return {"seed": seed, "method": method, "solved": True,
                 "iterations": iterations, "valid": True, "collisions": 0,
-                "goal_misses": 0, "worst_clearance": float("inf")}
+                "goal_misses": 0, "worst_clearance": None}
 
     assert _compare(tmp_path, "--seed", "0") == 0
     rows = json.loads((tmp_path / "compare.json").read_text())["rows"]

@@ -57,6 +57,7 @@ def test_valid_plan_passes_monte_carlo():
     assert rec.worst_clearance == np.inf
     d = rec.as_dict()
     assert d["valid"] is True and d["rollouts"] == 200
+    assert d["worst_clearance"] is None  # the report's JSON has no Infinity
 
 
 def test_unforeseen_obstacle_collides_every_rollout():
