@@ -168,26 +168,25 @@ class Jumper(HybridSystem):
         self.nominal_disturbance = np.array([0.0])
 
     def begin_segment(self, nu, mode_arr, W0):
+        """Each row's firing sub-step: its latency when the jump is
+        commanded from contact, -1 otherwise.  Such a row stays in contact
+        until it fires."""
         commanded = nu[..., 1] >= 0.5
         lat = np.minimum(2, np.floor(3.0 * W0[:, 0]).astype(np.int64))
-        return {"countdown": np.where(commanded & (mode_arr == self.CONTACT), lat, -1)}
+        return np.where(commanded & (mode_arr == self.CONTACT), lat, -1)
 
-    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx):
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j):
         # W is read only by begin_segment; masks are built only for rows
         # that fire, fly or land, and mode_arr comes back unchanged (not a
         # copy) when no row switches mode
         x, xdot, y, ydot = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
         mass = Th[:, 0]
-        cd = ctx["countdown"]
 
         modes = mode_arr
-        fire = (cd == 0) & (mode_arr == self.CONTACT)
+        fire = ctx == j
         if fire.any():
             ydot = np.where(fire, self.v_takeoff / mass, ydot)
             modes = np.where(fire, self.FLIGHT, mode_arr)
-        counting = cd >= 0
-        if counting.any():
-            cd[counting] -= 1  # in place: views must observe the burn
 
         accel = np.minimum(np.maximum(self.kp * (U[:, 0] - x) - self.kd * xdot,
                                       -self.a_max), self.a_max) / mass

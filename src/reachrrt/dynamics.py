@@ -82,8 +82,9 @@ class HybridSystem(System):
     """System with a finite mode set and guard/reset transitions.
 
     Mode arrays are integer-coded; `modes` names them.  Per-segment discrete
-    state (e.g. transition latency countdowns) lives in a context created at
-    segment start from the first disturbance draw.
+    state (e.g. the sub-step at which a delayed transition fires) lives in a
+    context created at segment start from the first disturbance draw.  The
+    context is read-only: each step gets it with its sub-step index j.
     """
 
     hybrid = True
@@ -96,7 +97,7 @@ class HybridSystem(System):
         channels per row, as nu[..., i]."""
         return None
 
-    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx):
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j):
         raise NotImplementedError
 
     def probe_controls(self, x, mode):
@@ -280,7 +281,7 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         U = sys.resolve_control(nu, X, X[N] if track_mu else None)
 
         if hyb:
-            X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx)
+            X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx, j)
             modes_trace[j + 1] = modes
         else:
             X = sys.step_batch(X, U, W, thetas, hj)

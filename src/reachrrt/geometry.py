@@ -4,8 +4,10 @@ Reachable sets live in full state space but collision and goal checks happen
 on a 2-D (or 1-D, zero-padded) projection, so everything here is planar.
 Box and Ball are the shapes of every set in a query: bounds, initial
 regions, the sampling box and obstacles (a planar Box or Ball, possibly
-flat or a point).  Clearances are signed where it matters: a nonpositive
-clearance means contact or overlap.
+flat or a point).  Both are a core box [lo, hi] grown by a radius: a Box is
+its own core with radius 0.0, and a Ball's lo and hi are its center.  Every
+clearance is computed for the core box, less the radius.  Clearances are
+signed where it matters: a nonpositive clearance means contact or overlap.
 """
 
 from dataclasses import dataclass
@@ -16,12 +18,26 @@ import numpy as np
 COLLINEAR_TOL = 1e-9
 
 
+class _Shape:
+    """What Box and Ball share: the core box [lo, hi], grown by radius."""
+
+    @property
+    def dim(self):
+        return self.lo.shape[0]
+
+    @property
+    def corners(self):
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+
+
 @dataclass(frozen=True)
-class Box:
+class Box(_Shape):
     """Axis-aligned box in R^d, possibly degenerate (lo == hi)."""
 
     lo: np.ndarray
     hi: np.ndarray
+    radius = 0.0  # a box is its own core
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
@@ -32,21 +48,12 @@ class Box:
         object.__setattr__(self, "hi", hi)
 
     @property
-    def dim(self):
-        return self.lo.shape[0]
-
-    @property
     def center(self):
         return 0.5 * (self.lo + self.hi)
 
     @property
     def width(self):
         return self.hi - self.lo
-
-    @property
-    def corners(self):
-        (x0, y0), (x1, y1) = self.lo, self.hi
-        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
 
     def clip(self, x):
         return np.clip(x, self.lo, self.hi)
@@ -73,33 +80,27 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Shape):
     """Closed ball in R^d, possibly a point (radius 0)."""
 
     center: np.ndarray
     radius: float
+    lo = hi = property(lambda self: self.center)  # the core is the center
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if not self.radius >= 0:
             raise ValueError("ball radius must be nonnegative")
 
-    @property
-    def dim(self):
-        return self.center.shape[0]
-
     def sample(self, gen, n=None):
-        # direction from gaussians, radius via d-th root for uniform volume;
-        # all directions precede all radii, so unlike Box.sample no prefix of
-        # an n-row block matches a shorter block from the same state
-        single = n is None
-        m = 1 if single else int(n)
-        g = gen.standard_normal((m, self.dim))
-        norms = np.sqrt((g * g).sum(axis=1))
-        norms = np.where(norms == 0, 1.0, norms)
-        r = self.radius * gen.uniform(0.0, 1.0, size=m) ** (1.0 / self.dim)
-        pts = self.center + g / norms[:, None] * r[:, None]
-        return pts[0] if single else pts
+        """Uniform draws by dropped coordinates (Voelker, Gosmann & Stewart
+        2017): the first dim coordinates of a uniform point on the unit
+        sphere in R^(dim+2) are uniform in the unit ball.  One
+        standard_normal((m, dim + 2)) block fills row-major, so, as for
+        Box.sample, the first m rows match an m-row block."""
+        g = gen.standard_normal((1 if n is None else int(n), self.dim + 2))
+        pts = self.center + self.radius * g[:, :self.dim] / np.sqrt((g * g).sum(axis=1))[:, None]
+        return pts[0] if n is None else pts
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,6 @@ def goal_contains(goal, x, shrink=0.0):
     x = np.asarray(x, dtype=float)
     p = x[..., list(goal.projection)] - goal.center
     d = np.sqrt((p * p).sum(axis=-1))
-    if r < 0:
-        return np.zeros(d.shape, dtype=bool) if d.ndim else False
     out = d <= r
     return out if d.ndim else bool(out)
 
@@ -226,19 +225,6 @@ def _hull_edges(v):
     return v, np.roll(v, -1, axis=0)
 
 
-def point_hull_distance(v, p):
-    """Euclidean distance from p to the hull with vertices v (zero inside)."""
-    p = np.asarray(p, dtype=float)
-    if len(v) >= 3:
-        e = np.roll(v, -1, axis=0) - v
-        w = p[None, :] - v
-        cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-        if np.all(cross >= 0.0):
-            return 0.0
-    a, b = _hull_edges(v)
-    return float(_point_segments_distance(p, a, b).min())
-
-
 def points_obstacle_clearance(pts, obstacle):
     """Signed clearance from each point to an obstacle; negative means inside.
 
@@ -246,17 +232,15 @@ def points_obstacle_clearance(pts, obstacle):
     broadcast across (N, d) rows, or a reduction along a row, makes numpy
     run its inner loop once per row.  The columns are summed and maxed left
     to right, as numpy's row reductions do for d < 8, so the bytes match.
+    For a ball, max(c - x, x - c) is exactly |x - c|, so this is the
+    distance to its center less the radius.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    cols = pts.T
-    if isinstance(obstacle, Ball):
-        d = [c - o for c, o in zip(cols, obstacle.center.tolist())]
-        return np.sqrt(_fold(np.add, [di * di for di in d])) - obstacle.radius
+    cols = np.atleast_2d(np.asarray(pts, dtype=float)).T
     q = [np.maximum(lo - c, c - hi)
          for c, lo, hi in zip(cols, obstacle.lo.tolist(), obstacle.hi.tolist())]
     outside = np.sqrt(_fold(np.add, [np.maximum(qi, 0.0) ** 2 for qi in q]))
     inside = _fold(np.maximum, q)  # <= 0 iff inside or on the boundary
-    return np.where(inside > 0, outside, inside)
+    return np.where(inside > 0, outside, inside) - obstacle.radius
 
 
 def _fold(ufunc, cols):
@@ -272,24 +256,20 @@ def box_obstacle_clearance(lo, hi, obstacle, radius=0.0):
     """Signed clearance from the box [lo, hi] grown by `radius` to an
     obstacle.
 
-    The box may be flat or a single point.  A ball obstacle is its center
-    grown by its radius, so a positive result is exactly the distance
-    between the two boxes minus both radii; a nonpositive one means they
-    touch or overlap (minus the smallest per-axis overlap).
+    The box may be flat or a single point.  A positive result is exactly
+    the distance between the box and the obstacle's core box minus both
+    radii; a nonpositive one means they touch or overlap (minus the
+    smallest per-axis overlap).
 
     No point of a planar box [lo, hi] has a smaller points_obstacle_clearance,
     also in floating point: each gap is at most the point's per-axis
     distance, since rounding is monotone, and the distance is the same sum of
     squares (two columns add in either order to the same double).
     """
-    if isinstance(obstacle, Ball):
-        o_lo, o_hi, o_r = obstacle.center, obstacle.center, obstacle.radius
-    else:
-        o_lo, o_hi, o_r = obstacle.lo, obstacle.hi, 0.0
-    gap = np.maximum(o_lo - hi, lo - o_hi)
+    gap = np.maximum(obstacle.lo - hi, lo - obstacle.hi)
     g = np.maximum(gap, 0.0)
     boxes = np.sqrt((g * g).sum()) if gap.max() > 0 else gap.max()
-    return float(boxes - radius - o_r)
+    return float(boxes - radius - obstacle.radius)
 
 
 def _project(axis, pts):
@@ -316,12 +296,12 @@ def _sat_overlap(hull_pts, box_pts, axes):
 def hull_obstacle_clearance(v, obstacle):
     """Signed clearance between the hull with vertex array v and an obstacle.
 
-    Positive when disjoint, and <= 0 exactly when they touch or overlap.  The
-    negative branch is a penetration proxy (smallest separating-axis overlap
-    for boxes, center depth for balls), good enough for reject decisions.
+    Positive when disjoint, and <= 0 exactly when they touch or overlap.  It
+    is the clearance of the obstacle's core box less its radius; the
+    negative branch is a penetration proxy (the smallest separating-axis
+    overlap with the core box, less the radius), good enough for reject
+    decisions.
     """
-    if isinstance(obstacle, Ball):
-        return point_hull_distance(v, obstacle.center) - obstacle.radius
     if len(v) == 1:
         return float(points_obstacle_clearance(v, obstacle)[0])
     corners = obstacle.corners
@@ -332,12 +312,12 @@ def hull_obstacle_clearance(v, obstacle):
         axes.append(np.array([-d[1], d[0]]))
     overlap = _sat_overlap(v, corners, axes)
     if overlap is not None:
-        return -overlap
+        return -overlap - obstacle.radius
     # strictly separated convex polygons: the distance is attained between a
     # vertex of one and an edge of the other
     to_box = _point_segments_distance(v[:, None], corners, np.roll(corners, -1, axis=0))
     to_hull = _point_segments_distance(corners[:, None], a, b)
-    return float(min(to_box.min(), to_hull.min()))
+    return float(min(to_box.min(), to_hull.min())) - obstacle.radius
 
 
 def hausdorff_distance(a, b):

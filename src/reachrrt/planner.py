@@ -46,7 +46,7 @@ class PlannerParams:
     h: float = 0.1               # sub-step
     seed: int = 0
     nn_weights: tuple | None = None
-    baseline: bool = False       # single nominal particle, no uncertainty sampling
+    baseline: bool = False       # one particle: region center, nominal parameter
 
     def validated(self):
         if self.i_max < 0:
@@ -66,8 +66,10 @@ class PlannerParams:
         return self
 
     def as_baseline(self, padding):
-        """The nominal padded baseline: one particle at the nominal
-        uncertainty, obstacles and goal padded by `padding`."""
+        """The padded baseline: one particle from the initial region's
+        center with the nominal parameter, obstacles and goal padded by
+        `padding`.  The particle still draws every sub-step disturbance, as
+        each particle does, so it is not the nominal trajectory."""
         return replace(self, baseline=True, n_particles=1, epsilon=padding)
 
 
@@ -175,9 +177,13 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     Every iteration consumes budget whether or not its extension is kept.
     All randomness derives from params.seed; a run is reproducible from the
     seed alone.  Nodes are represented by their particle mean; meta records
-    that as "nominal_kind" so plan files keep their format.
+    that as "nominal_kind" so plan files keep their format.  An epsilon of
+    at least the goal radius leaves no goal to reach and raises ValueError.
     """
     params = params.validated()
+    if params.epsilon >= goal.radius:
+        raise ValueError(f"epsilon {params.epsilon!r} must be smaller than the goal "
+                         f"radius {goal.radius!r}")
     meta = {
         "n_particles": int(params.n_particles),
         "epsilon": float(params.epsilon),

@@ -67,11 +67,10 @@ def init_particles(sys, init_region, n_particles, seed, init_mode=None,
     """Sample the initial particle set.
 
     Initial states and parameters come from the substreams (seed, *stream, 0)
-    and (seed, *stream, 1).  For a Box initial region, growing n_particles
-    therefore extends the set without disturbing existing rows; a Ball region
-    has no such prefix property (see Ball.sample).  With nominal_only=True
-    the set is a single-point baseline: every row is the region center with
-    the nominal parameter.
+    and (seed, *stream, 1), and both shapes draw row-major blocks, so
+    growing n_particles extends the set without disturbing existing rows.
+    With nominal_only=True the set is a single-point baseline: every row is
+    the region center with the nominal parameter.
     """
     n = int(n_particles)
     if n < 1:

@@ -57,21 +57,15 @@ def check_init_clearance(name, value, init_region, projection, obstacles):
     trace starts with the root set, so the planner would reject every
     extension and burn its budget.
 
-    Region and obstacle are each a box [lo, hi] grown by a radius (zero for
-    a box, a ball's radius for a ball, except that a ball seen through a 1-D
-    projection is the interval it covers); their clearance is the signed
-    distance between the two boxes minus both radii.
+    Region and obstacle are each a core box [lo, hi] grown by a radius
+    (geometry.Box and Ball), except that a region seen through a 1-D
+    projection is the interval it covers; their clearance is the signed
+    distance between the two core boxes minus both radii.
     """
     proj = list(projection)
-    if isinstance(init_region, Ball):
-        c, r = init_region.center[proj], init_region.radius
-        lo, hi = c, c
-        if len(proj) == 1:
-            lo, hi, r = c - r, c + r, 0.0
-    else:
-        lo, hi, r = init_region.lo[proj], init_region.hi[proj], 0.0
+    lo, hi, r = init_region.lo[proj], init_region.hi[proj], init_region.radius
     if len(proj) == 1:  # zero-padded to the plane, as the planner does
-        lo, hi = np.append(lo, 0.0), np.append(hi, 0.0)
+        lo, hi, r = np.append(lo - r, 0.0), np.append(hi + r, 0.0), 0.0
     for i, obstacle in enumerate(obstacles):
         clearance = box_obstacle_clearance(lo, hi, obstacle, radius=r)
         if clearance <= value:
@@ -272,6 +266,7 @@ def load_scenario(path):
         seed=num("seed", 0, kinds=int, nonneg=True),
         nn_weights=nn_weights,
     )
+    check_padding("planner.epsilon", params.epsilon, goal)
     if params.h > params.tau_max:
         raise ScenarioError("planner.substep must not exceed planner.tau_max",
                             key="planner.substep")

@@ -1,11 +1,12 @@
 """Reference helpers that only the tests use.
 
-Single-state stepping wrappers, hull membership with slack, the closed
-form reachable interval of linear1d, and the straightforward forms of code
-that the package runs in a faster form (the monotone chain with a function
-call per point, the jumper step with every mask built on every call, and
-the feedback law and the point clearances on whole (N, d) blocks rather
-than column by column, and the SVG hull elements formatted one vertex at a
+Single-state stepping wrappers, hull membership with slack, the distance
+from a point to a hull, the closed form reachable interval of linear1d,
+and the straightforward forms of code that the package runs in a faster
+form (the monotone chain with a function call per point, the jumper step
+with every mask built on every call and its own countdown, and the
+feedback law and the point clearances on whole (N, d) blocks rather than
+column by column, and the SVG hull elements formatted one vertex at a
 time).  The package itself works on batches and clearances, so these live
 next to the tests that check it.
 """
@@ -39,6 +40,21 @@ def point_in_hull(v, p, tol=DEFAULT_TOL):
     return bool(np.all(cross >= -tol * lengths))
 
 
+def point_hull_distance(v, p):
+    """Euclidean distance from p to the hull with vertex array v (zero
+    inside): the hull/ball clearance the package computed before a ball
+    became its center grown by its radius."""
+    p = np.asarray(p, dtype=float)
+    if len(v) >= 3:
+        e = np.roll(v, -1, axis=0) - v
+        w = p[None, :] - v
+        cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
+        if np.all(cross >= 0.0):
+            return 0.0
+    a, b = _hull_edges(v)
+    return float(_point_segments_distance(p, a, b).min())
+
+
 def step(sys, x, u, w, theta, h):
     """Single-state convenience wrapper around step_batch."""
     X = np.asarray(x, dtype=float)[None, :]
@@ -51,16 +67,14 @@ def step(sys, x, u, w, theta, h):
     return out
 
 
-def hybrid_step(sys, x, mode, u, w, theta, h, ctx=None):
-    """Single-state hybrid step; builds a fresh segment context if none given."""
+def hybrid_step(sys, x, mode, u, w, theta, h):
+    """Single-state hybrid step: sub-step 0 of a fresh segment."""
     X = np.asarray(x, dtype=float)[None, :]
     U = np.asarray(u, dtype=float)[None, :]
     W = np.asarray(w, dtype=float)[None, :]
     Th = np.asarray(theta, dtype=float)[None, :]
     M = np.array([int(mode)], dtype=np.int64)
-    if ctx is None:
-        ctx = sys.begin_segment(U[0], M, W)
-    Xn, Mn = sys.hybrid_step_batch(X, M, U, W, Th, h, ctx)
+    Xn, Mn = sys.hybrid_step_batch(X, M, U, W, Th, h, sys.begin_segment(U[0], M, W), 0)
     return Xn[0], int(Mn[0])
 
 
@@ -109,13 +123,14 @@ def reference_convex_hull_2d(points):
     return np.array(verts)
 
 
-def reference_jumper_step(sys, X, mode_arr, U, W, Th, h, ctx):
+def reference_jumper_step(sys, X, mode_arr, U, W, Th, h, cd):
     """Jumper.hybrid_step_batch building every mask on every call and
-    returning a fresh copy of the modes; burns the countdown in ctx in
-    place, as the package's step does."""
+    returning a fresh copy of the modes.  It keeps its own countdown: cd
+    starts a segment as Jumper.begin_segment's firing sub-steps, a row in
+    contact fires when its countdown reads 0, and the step burns cd in
+    place, where the package reads its context against the sub-step index."""
     x, xdot, y, ydot = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
     mass = Th[:, 0]
-    cd = ctx["countdown"]
 
     modes = mode_arr.copy()
     fire = (modes == sys.CONTACT) & (cd == 0)

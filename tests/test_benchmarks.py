@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
 from reachrrt.benchmarks import GRAVITY, Jumper, Quadrotor, dlqr_gain, make_benchmark, quadrotor_tracking_gain
-from reachrrt.dynamics import constant_w_source, reachable_modes, rollout_batch
+from reachrrt.dynamics import (constant_w_source, reachable_modes, rollout_batch,
+                               substep_lengths)
 
 from oracles import hybrid_step, reference_jumper_step
 
@@ -89,17 +90,17 @@ def test_latency_mapping_from_disturbance():
         ctx = sys_.begin_segment(np.array([0.0, 1.0]),
                                  np.array([Jumper.CONTACT]),
                                  np.array([[w]]))
-        assert ctx["countdown"].tolist() == [want], w
+        assert ctx.tolist() == [want], w
 
 
 def test_no_jump_command_means_no_countdown():
     sys_ = Jumper()
     ctx = sys_.begin_segment(np.array([0.0, 0.49]), np.array([Jumper.CONTACT]),
                              np.array([[0.0]]))
-    assert ctx["countdown"].tolist() == [-1]
+    assert ctx.tolist() == [-1]
     ctx = sys_.begin_segment(np.array([0.0, 1.0]), np.array([Jumper.FLIGHT]),
                              np.array([[0.0]]))
-    assert ctx["countdown"].tolist() == [-1]
+    assert ctx.tolist() == [-1]
 
 
 def test_latency_delays_takeoff_by_substeps():
@@ -173,8 +174,9 @@ def test_probing_finds_reachable_modes():
 
 def _jumper_batch(case, n, gen):
     """A batch of n rows, all in one situation: resting in contact, in
-    flight, firing this sub-step (countdown 0, some rows later), landing
-    this sub-step, or a mix of all four."""
+    flight, firing this sub-step (firing sub-step 0, some rows later),
+    landing this sub-step, or a mix of all four; with the rows' firing
+    sub-steps, a segment context."""
     X = np.zeros((n, 4))
     X[:, 0] = gen.uniform(-0.5, 5.5, n)
     X[:, 1] = gen.uniform(-2.0, 2.0, n)
@@ -201,22 +203,46 @@ def test_lean_jumper_step_matches_the_reference(case, n):
     U = np.column_stack([gen.uniform(-0.5, 5.5, n), np.ones(n)])
     W = gen.random((n, 1))
     Th = sys_.bounds.param.sample(gen, n)
-    ctx, ref_ctx = {"countdown": cd.copy()}, {"countdown": cd.copy()}
+    ctx, ref_cd = cd.copy(), cd.copy()
     ref_X, ref_modes = X, modes
-    for _ in range(3):  # the countdown burns across sub-steps
+    for j in range(3):  # the reference's countdown burns across sub-steps
         X_in, modes_in = X.copy(), modes.copy()
-        X_out, modes_out = sys_.hybrid_step_batch(X, modes, U, W, Th, H, ctx)
+        X_out, modes_out = sys_.hybrid_step_batch(X, modes, U, W, Th, H, ctx, j)
         # the inputs are rows of a rollout trace: the step must leave them be
         assert X.tobytes() == X_in.tobytes() and modes.tobytes() == modes_in.tobytes()
+        assert ctx.tobytes() == cd.tobytes()  # the context is read-only
         X, modes = X_out, modes_out
-        ref_X, ref_modes = reference_jumper_step(sys_, ref_X, ref_modes, U, W, Th, H, ref_ctx)
+        ref_X, ref_modes = reference_jumper_step(sys_, ref_X, ref_modes, U, W, Th, H, ref_cd)
         assert X.dtype == ref_X.dtype and X.tobytes() == ref_X.tobytes()
         assert modes.dtype == ref_modes.dtype and modes.tobytes() == ref_modes.tobytes()
-        assert ctx["countdown"].tobytes() == ref_ctx["countdown"].tobytes()
     if case == "firing" and n:
         assert (ref_modes == Jumper.FLIGHT).any()
     if case == "landing" and n:
         assert (ref_modes == Jumper.CONTACT).any()
+
+
+@pytest.mark.parametrize("jump", [0.0, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_jumper_segments_match_the_reference_countdown(seed, jump):
+    # whole segments: the package fires a row when the sub-step index
+    # reaches its firing sub-step, the reference when its own countdown,
+    # burnt once per sub-step, reads 0
+    sys_ = Jumper()
+    gen = np.random.default_rng(seed)
+    X, modes, _ = _jumper_batch("mixed", 41, gen)
+    nu = np.array([gen.uniform(-0.5, 5.5), jump])
+    Th = sys_.bounds.param.sample(gen, 41)
+    W0 = gen.random((41, 1))
+    r = rollout_batch(sys_, X, nu, 0.2, H, Th, lambda j, count: W0, modes0=modes)
+    cd = sys_.begin_segment(nu, modes, W0).copy()
+    U = np.tile(nu, (41, 1))
+    for j, hj in enumerate(substep_lengths(0.2, H)):
+        X, modes = reference_jumper_step(sys_, X, modes, U, W0, Th, hj, cd)
+        assert r.states[j + 1].tobytes() == X.tobytes()
+        assert r.modes[j + 1].tobytes() == modes.tobytes()
+    assert j >= 2 and (cd < 0).all()  # every countdown ran out
+    if jump:
+        assert (r.modes[1:] != r.modes[:-1]).any()
 
 
 @given(W=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=5, max_size=5),
@@ -233,11 +259,10 @@ def test_jumper_steps_ignore_the_substep_draws(W, step):
     Th = sys_.bounds.param.sample(gen, 5)
     outs = []
     for w in (np.zeros((5, 1)), np.array(W)[:, None]):
-        ctx = {"countdown": cd.copy()}
         Xk, mk = X, modes
-        for _ in range(step):
-            Xk, mk = sys_.hybrid_step_batch(Xk, mk, U, w, Th, H, ctx)
-        outs.append((Xk.tobytes(), mk.tobytes(), ctx["countdown"].tobytes()))
+        for j in range(step):
+            Xk, mk = sys_.hybrid_step_batch(Xk, mk, U, w, Th, H, cd, j)
+        outs.append((Xk.tobytes(), mk.tobytes()))
     assert outs[0] == outs[1]
 
 

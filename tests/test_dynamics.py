@@ -331,7 +331,7 @@ def reference_rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None,
         U = sys.resolve_control(nu, X, mu)
 
         if hyb:
-            X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx)
+            X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx, j)
         else:
             X = sys.step_batch(X, U, W, thetas, hj)
 
@@ -339,7 +339,7 @@ def reference_rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None,
             U_mu = sys.resolve_control(nu, mu[None, :], mu)
             if hyb:
                 mu_b, mu_mode = sys.hybrid_step_batch(
-                    mu[None, :], mu_mode, U_mu, w_hat, th_hat, hj, mu_ctx)
+                    mu[None, :], mu_mode, U_mu, w_hat, th_hat, hj, mu_ctx, j)
                 mu = mu_b[0]
             else:
                 mu = sys.step_batch(mu[None, :], U_mu, w_hat, th_hat, hj)[0]
@@ -408,7 +408,7 @@ class AdditiveHybrid(HybridSystem):
         self.nominal_param = np.array([0.0])
         self.nominal_disturbance = np.zeros(2)
 
-    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx):
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j):
         return X + W, 1 - mode_arr
 
 
@@ -625,7 +625,7 @@ class ProbeBlow(HybridSystem):
         self.nominal_param = np.array([0.0])
         self.nominal_disturbance = np.array([0.0])
 
-    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx):
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j):
         out = X + h + 1e13 * U[:, :1]
         return out, np.where((out[:, 0] > 0.25) & (out[:, 0] < 1.0), 1, mode_arr)
 

@@ -443,6 +443,21 @@ def test_plan_takes_box_obstacles_and_a_ball_initial_region():
     assert blocked.stats.rejected_collision >= 1
 
 
+@pytest.mark.parametrize("eps", [0.55, 0.6])
+def test_plan_refuses_an_epsilon_of_at_least_the_goal_radius(monkeypatch, eps):
+    # the goal shrunk by epsilon is empty; plan() ran all 300 iterations
+    # and returned budget_exhausted, and now refuses before the first draw
+    def no_draw(*key):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(rng, "substream", no_draw)
+    corridor = make_benchmark("linear1d", theta_lo=0.45, theta_hi=0.55)
+    with pytest.raises(ValueError, match=f"epsilon {eps} must be smaller than the goal radius"):
+        plan(corridor, Ball([0.05], 0.05), GoalRegion((0,), (2.0,), 0.55),
+             [Box([0.8, 0.2], [1.2, 0.6])], Box([-0.5], [3.5]),
+             PlannerParams(i_max=300, zeta=0.3, n_particles=60, epsilon=eps, seed=23))
+
+
 def test_every_tree_edge_replays_collision_free():
     sys_, init, goal, sampling, params = _easy_linear()
     wall = Ball((1.0, 0.0), 0.2)

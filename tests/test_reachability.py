@@ -5,6 +5,8 @@ the oracle: sampled sets must always be contained in it and approach it
 from inside as the particle count grows.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -69,12 +71,45 @@ def test_init_state_and_parameter_streams_are_separate():
     assert abs(r) < 0.05
 
 
-def test_init_prefix_stability_in_particle_count():
+@pytest.mark.parametrize("region", [Box([0.0], [0.1]), Ball([0.05], 0.05)],
+                         ids=["box", "ball"])
+def test_init_prefix_stability_in_particle_count(region):
     sys_ = _linear()
-    small = init_particles(sys_, Box([0.0], [0.1]), 50, SEED)
-    large = init_particles(sys_, Box([0.0], [0.1]), 400, SEED)
+    small = init_particles(sys_, region, 50, SEED)
+    large = init_particles(sys_, region, 400, SEED)
     assert np.array_equal(small.states, large.states[:50])
     assert np.array_equal(small.thetas, large.thetas[:50])
+
+
+# (box, ball) initial regions per system; the jumper starts in contact
+PREFIX_REGIONS = {
+    "linear1d": (Box([0.0], [0.1]), Ball([0.05], 0.05)),
+    "quadrotor": (Box([0.0, -0.1, -0.1, -0.1], [0.2, 0.1, 0.1, 0.1]),
+                  Ball([0.1, 0.0, 0.0, 0.0], 0.1)),
+    "jumper": (Box([0.0, 0.0, 0.0, 0.0], [0.1, 0.1, 0.0, 0.0]),
+               Ball([0.05, 0.0, 0.0, 0.0], 0.05)),
+}
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+@pytest.mark.parametrize("name", sorted(PREFIX_REGIONS))
+def test_reach_set_rows_are_prefix_stable_in_particle_count(name, kind):
+    # the first N rows of a kN-row reach set are the N-row set at every
+    # sub-step, so a replay with more particles contains the planner's
+    sys_ = make_benchmark(name)
+    region = PREFIX_REGIONS[name][kind == "ball"]
+    mode = Jumper.CONTACT if sys_.hybrid else None
+    u = sys_.bounds.control.sample(np.random.default_rng(4))
+    if sys_.hybrid:
+        u[1] = 1.0  # command a jump, so rows fire at their own latencies
+    small, large = (compute_reach_set(sys_, init_particles(sys_, region, n, SEED, init_mode=mode),
+                                      u, 0.75, 0.1, SEED, 3)[1] for n in (10, 40))
+    assert len(small.lengths) == 8 and not (small.diverged or large.diverged)
+    assert small.states.tobytes() == np.ascontiguousarray(large.states[:, :10]).tobytes()
+    assert small.mu.tobytes() == large.mu.tobytes()
+    if sys_.hybrid:
+        assert small.modes.tobytes() == np.ascontiguousarray(large.modes[:, :10]).tobytes()
+        assert (small.modes[-1] == Jumper.FLIGHT).any()
 
 
 def test_init_nominal_only_baseline():
@@ -427,6 +462,73 @@ def test_degenerate_obstacle_decision_matches_reference(case):
     traces, projection, obstacles, eps = case
     assert padded_collision_free(traces, projection, obstacles, eps) == \
         reference_padded_collision_free(traces, projection, obstacles, eps)
+
+
+# barycentric grid of a triangle cut into MESH**2 similar triangles
+MESH = 24
+_BARY = np.array([(a, b, MESH - a - b) for a in range(MESH + 1)
+                  for b in range(MESH + 1 - a)], dtype=float) / MESH
+
+
+def sampled_hull(pts):
+    """Dense samples of the convex hull of a planar point set, and their
+    mesh spacing: every point of the hull lies in a triangle of three of the
+    points (Caratheodory), whose barycentric grid holds a sample within the
+    triangle's longest edge over MESH, at most the set's diameter over MESH."""
+    tri = pts[list(itertools.combinations_with_replacement(range(len(pts)), 3))]
+    samples = (_BARY @ tri).reshape(-1, 2)
+    diameter = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)).max()
+    return samples, diameter / MESH
+
+
+def sampled_clearance(samples, obstacle):
+    """Distance from each sample to an obstacle (a ball's may be negative),
+    by nearest points: the clipped point for a box, the center for a ball."""
+    if isinstance(obstacle, Ball):
+        return np.hypot(*(samples - obstacle.center).T) - obstacle.radius
+    return np.hypot(*(samples - np.clip(samples, obstacle.lo, obstacle.hi)).T)
+
+
+@st.composite
+def _near_the_hull(draw, degenerate=False):
+    """A collision case plus an obstacle placed within epsilon, give or take
+    a tie offset, of a point of one sub-step's hull, on an edge or inside:
+    there the hull, not a particle, may come nearest, or overlap."""
+    traces, projection, obstacles, eps = draw(_collision_cases(degenerate))
+    pts = project_to_plane(traces, projection)[draw(st.integers(0, len(traces) - 1))]
+    picks = pts[[draw(st.integers(0, len(pts) - 1)) for _ in range(draw(st.integers(2, 3)))]]
+    w = np.array([draw(st.floats(0.0, 1.0)) for _ in picks])
+    w = w / w.sum() if w.sum() > 0 else np.full(len(w), 1 / len(w))
+    d = eps + draw(st.sampled_from([0.0, 1e-9, -1e-9, 0.02, -0.02]))
+    signs = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)])
+    alpha = draw(st.floats(0.0, np.pi / 2))
+    u = signs * np.array([np.cos(alpha), np.sin(alpha)])
+    q = w @ picks + d * u
+    if draw(st.booleans()):
+        r = 0.0 if degenerate else draw(st.floats(0.01, 1.0))
+        return traces, projection, obstacles + [Ball(q + r * u, r)], eps
+    far = q + signs * np.array([draw(st.floats(0.0 if degenerate else 0.01, 1.0))
+                                for _ in range(2)])   # u points into the box
+    return traces, projection, obstacles + [Box(np.minimum(q, far), np.maximum(q, far))], eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_collision_cases(), _collision_cases(degenerate=True),
+                      _near_the_hull(), _near_the_hull(degenerate=True)))
+def test_collision_decision_matches_dense_hull_sampling(case):
+    # an oracle that shares no code with the collision test: a free trace
+    # keeps every hull sample beyond epsilon; a colliding one has a sample
+    # within epsilon plus the mesh spacing
+    traces, projection, obstacles, eps = case
+    free = padded_collision_free(traces, projection, obstacles, eps)
+    nearest = []  # (smallest sample clearance, mesh spacing) per sub-step
+    for pts in project_to_plane(traces, projection):
+        samples, spacing = sampled_hull(pts)
+        nearest.append((min(sampled_clearance(samples, o).min() for o in obstacles), spacing))
+    if free:
+        assert all(d > eps - 1e-9 for d, _ in nearest)
+    else:
+        assert any(d <= eps + spacing + 1e-9 for d, spacing in nearest)
 
 
 def test_obstacle_far_from_the_trace_builds_no_hull(monkeypatch):

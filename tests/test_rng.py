@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from reachrrt import rng
-from reachrrt.geometry import Box
+from reachrrt.geometry import Ball, Box
 
 
 def test_same_key_same_stream():
@@ -28,11 +29,26 @@ def test_key_depth_matters():
     assert not np.array_equal(a, b)
 
 
-def test_box_sample_prefix_property():
-    box = Box([-2.0, 1.0, 0.0], [2.0, 3.0, 0.5])
-    small = box.sample(rng.substream(9, rng.DOMAIN_INIT, 0), 16)
-    large = box.sample(rng.substream(9, rng.DOMAIN_INIT, 0), 64)
-    assert np.array_equal(small, large[:16])
+@pytest.mark.parametrize("region", [Box([-2.0, 1.0, 0.0], [2.0, 3.0, 0.5]),
+                                    Ball([-2.0, 1.0, 0.0], 0.5)], ids=["box", "ball"])
+def test_box_sample_prefix_property(region):
+    small = region.sample(rng.substream(9, rng.DOMAIN_INIT, 0), 16)
+    large = region.sample(rng.substream(9, rng.DOMAIN_INIT, 0), 64)
+    assert small.tobytes() == large[:16].tobytes()
+    one = region.sample(rng.substream(9, rng.DOMAIN_INIT, 0))
+    assert one.tobytes() == large[0].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_ball_sample_is_uniform_in_the_ball(dim):
+    # dropped coordinates: (|x - c| / r)^dim is uniform on [0, 1], and the
+    # draws sit symmetric about the center
+    ball = Ball(np.arange(dim, dtype=float), 0.5)
+    pts = ball.sample(rng.substream(3, rng.DOMAIN_INIT, 0), 20_000)
+    rad = np.sqrt(((pts - ball.center) ** 2).sum(axis=1)) / ball.radius
+    assert rad.max() <= 1.0
+    assert stats.kstest(rad ** dim, "uniform").pvalue > 1e-3
+    assert np.abs((pts - ball.center).mean(axis=0)).max() < 0.02
 
 
 def test_degenerate_box_samples_are_constant():

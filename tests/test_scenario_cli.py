@@ -142,6 +142,8 @@ def test_scenario_defaults(tmp_path):
      "planner.substep", "planner.substep 1e-300 makes more than 10000 sub-steps"),
     ({"planner": {**BASE["planner"], "substep": 1e-9}},
      "planner.substep", "planner.substep 1e-09 makes more than 10000 sub-steps"),
+    ({"planner": {**BASE["planner"], "epsilon": 0.6}}, "planner.epsilon",
+     "planner.epsilon 0.6 must be smaller than the goal radius 0.55"),
 ])
 def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     path = _write(tmp_path, **mods)
