@@ -192,9 +192,17 @@ class Rollout:
     that ends at the bad sub-step.  A tracked nominal is row N of the
     batch: `states` and `modes` then view rows :N of the shared traces, and
     `mu` and `mu_modes` view row N.
+
+    The state trace is stored channel-major: `states` is a transposed view
+    whose `states[k, :, c]` is contiguous; with more than one row neither
+    it nor `final_states` is C-contiguous.  Values do not depend on the
+    layout, but numpy sums a contiguous axis pairwise, so a sum or mean
+    along the particle axis (axis 0 of `final_states`) rounds differently
+    from the same sum over a C-order copy; take such a reduction over
+    np.ascontiguousarray(...) to get the row-major bytes.
     """
 
-    states: np.ndarray            # (S+1, N, n)
+    states: np.ndarray            # (S+1, N, n) view of an (S+1, n, N) block
     modes: np.ndarray | None      # (S+1, N) int, hybrid only
     mu: np.ndarray | None         # (S+1, n) tracked nominal
     mu_modes: np.ndarray | None   # (S+1,) int
@@ -208,6 +216,12 @@ class Rollout:
     @property
     def final_modes(self):
         return None if self.modes is None else self.modes[-1]
+
+
+def _in_range(X):
+    """Every entry of X within [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]; NaN
+    fails both comparisons, so a non-finite entry is out of range."""
+    return -DIVERGENCE_LIMIT <= X.min() and X.max() <= DIVERGENCE_LIMIT
 
 
 def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
@@ -231,7 +245,12 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         mu_mode0: initial mode of the tracked nominal.
 
     Returns a Rollout.  Each sub-step is written into traces preallocated
-    for all of them.  The tracked nominal rides along as row N of the batch,
+    for all of them.  The state trace, and with a tracked nominal the
+    parameter and disturbance blocks, are stored channel-major and passed
+    on as transposed views, so each channel of a sub-step, which the step
+    functions read and write column by column, is one contiguous row; see
+    Rollout for the axis-0 reduction this makes layout-dependent.  The
+    tracked nominal rides along as row N of the batch,
     with the nominal parameter and disturbance, so each sub-step makes one
     control resolution and one step call; the step functions act on each
     row alone, so row N is exactly what a one-row call would compute.
@@ -251,7 +270,8 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
     track_mu = mu0 is not None
     hyb = sys.hybrid
 
-    states = np.empty((S + 1, N + track_mu, X0.shape[1]))
+    # channel-major: each sub-step's channel is one contiguous row
+    states = np.empty((S + 1, X0.shape[1], N + track_mu)).transpose(0, 2, 1)
     states[0, :N] = X0
     modes_trace = W = None
     if hyb:
@@ -259,8 +279,11 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         modes_trace[0, :N] = modes0
     if track_mu:
         states[0, N] = mu0
-        thetas = np.concatenate([thetas, sys.nominal_param[None, :]])
-        W = np.empty((N + 1, sys.nominal_disturbance.shape[0]))
+        th = np.empty((len(sys.nominal_param), N + 1)).T
+        th[:N] = thetas
+        th[N] = sys.nominal_param
+        thetas = th
+        W = np.empty((len(sys.nominal_disturbance), N + 1)).T
         W[N] = sys.nominal_disturbance
         if hyb:
             modes_trace[0, N] = mu_mode0
@@ -287,8 +310,9 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
             X = sys.step_batch(X, U, W, thetas, hj)
         states[j + 1] = X
 
-        # NaN fails both comparisons, so this also catches non-finite states
-        bad = N > 0 and not (-DIVERGENCE_LIMIT <= X[:N].min() and X[:N].max() <= DIVERGENCE_LIMIT)
+        # the whole block, nominal row included, is one contiguous run; the
+        # particle rows alone, a strided block, are read only when it fails
+        bad = N > 0 and not (_in_range(X) or _in_range(X[:N]))
         if bad:
             lengths = lengths[: j + 1]
             break

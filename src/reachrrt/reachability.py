@@ -29,8 +29,16 @@ BOX_MARGIN = 1e-9
 
 def project_to_plane(states, projection):
     """Collision-projection of a state batch, zero-padded to 2-D for scalar
-    projections."""
-    pts = np.asarray(states, dtype=float)[..., list(projection)]
+    projections.
+
+    An increasing pair (a, b) is the basic slice a:b + 1:b - a, a view of
+    `states` that copies nothing; any other projection is a copy.
+    """
+    states = np.asarray(states, dtype=float)
+    if len(projection) == 2 and 0 <= projection[0] < projection[1] < states.shape[-1]:
+        a, b = projection
+        return states[..., a:b + 1:b - a]
+    pts = states[..., list(projection)]
     if pts.shape[-1] == 1:
         pts = np.concatenate([pts, np.zeros_like(pts)], axis=-1)
     if pts.shape[-1] != 2:
@@ -59,7 +67,9 @@ class ParticleSet:
     @cached_property
     def nominal(self):
         # computed on first use: only sets that become tree nodes need it
-        return np.mean(self.states, axis=0)
+        # over a C-order block: numpy sums a contiguous axis pairwise, so a
+        # channel-major view (a rollout's final_states) would round differently
+        return np.mean(np.ascontiguousarray(self.states), axis=0)
 
 
 def init_particles(sys, init_region, n_particles, seed, init_mode=None,
@@ -171,7 +181,11 @@ def padded_collision_free(traces, projection, obstacles, epsilon):
     if not obstacles:
         return True
     pts = project_to_plane(traces, projection)
-    flat = pts.reshape(-1, 2)
+    # the points as an (M, 2) view of a copy that holds each coordinate in
+    # one contiguous row: the box and the prefilter reduce along those rows,
+    # and along the rows of a C-order (M, 2) block numpy would run its inner
+    # loop once per point
+    flat = np.ascontiguousarray(pts.transpose(2, 0, 1)).reshape(2, -1).T
     lo, hi = flat.min(axis=0), flat.max(axis=0)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("trace must be finite")

@@ -6,9 +6,10 @@ and the straightforward forms of code that the package runs in a faster
 form (the monotone chain with a function call per point, the jumper step
 with every mask built on every call and its own countdown, and the
 feedback law and the point clearances on whole (N, d) blocks rather than
-column by column, and the SVG hull elements formatted one vertex at a
-time).  The package itself works on batches and clearances, so these live
-next to the tests that check it.
+column by column, the SVG hull elements formatted one vertex at a time,
+and the Riccati iteration with no early refusal of a stalled run).  The
+package itself works on batches and clearances, so these live next to the
+tests that check it.
 """
 
 import numpy as np
@@ -153,6 +154,24 @@ def reference_jumper_step(sys, X, mode_arr, U, W, Th, h, cd):
     out[landed, 3] = 0.0
     modes[landed] = sys.CONTACT
     return out, modes
+
+
+def reference_dlqr_gain(A, B, Q, R):
+    """dlqr_gain's Riccati iteration with only its 100 000-step cap."""
+    P = np.array(Q, dtype=float)
+    for _ in range(100000):
+        BtP = B.T @ P
+        K = np.linalg.solve(R + BtP @ B, BtP @ A)
+        Pn = Q + A.T @ P @ (A - B @ K)
+        Pn = 0.5 * (Pn + Pn.T)
+        if not np.all(np.isfinite(Pn)) or np.max(np.abs(Pn - P)) < 1e-13:
+            P = Pn
+            break
+        P = Pn
+    else:
+        raise ValueError("Riccati iteration did not converge in 100000 steps")
+    BtP = B.T @ P
+    return -np.linalg.solve(R + BtP @ B, BtP @ A)
 
 
 def reference_resolve_control(sys, nu, X, mu):

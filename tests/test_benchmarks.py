@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
+from reachrrt import benchmarks
 from reachrrt.benchmarks import GRAVITY, Jumper, Quadrotor, dlqr_gain, make_benchmark, quadrotor_tracking_gain
 from reachrrt.dynamics import (constant_w_source, reachable_modes, rollout_batch,
                                substep_lengths)
 
-from oracles import hybrid_step, reference_jumper_step
+from oracles import hybrid_step, reference_dlqr_gain, reference_jumper_step
 
 H = 0.03
 
@@ -284,6 +285,33 @@ def test_tracking_gain_matches_riccati_oracle():
         [-0.0, 0.8866465102497785, -0.0, 1.0057296774493483],
     ])
     assert quadrotor_tracking_gain(0.1).tobytes() == frozen.tobytes()
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.1, 39.81071705534973])
+def test_stall_refusal_keeps_every_converging_gain(h):
+    # h = 1e-3 converges after 15 462 steps, with up to 488 steps between
+    # new minima of the step; h = 39.8 after 38 steps, with up to 13
+    Ad, Bd = Quadrotor().linearization(h)
+    Q, R = np.eye(4), 0.1 * np.eye(2)
+    assert dlqr_gain(Ad, Bd, Q, R).tobytes() == reference_dlqr_gain(Ad, Bd, Q, R).tobytes()
+
+
+@pytest.mark.parametrize("h", [79.43282347242821, 1e3, 1e5, 1e50])
+def test_a_stalled_riccati_iteration_is_refused_early(monkeypatch, h):
+    # these cycle or wander from their first 50 steps on; without the stall
+    # test each ran all 100 000 steps before the refusal
+    solves = []
+    real = np.linalg.solve
+
+    def counting_solve(*args):
+        solves.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    Ad, Bd = Quadrotor().linearization(h)
+    with pytest.raises(ValueError, match="Riccati iteration did not converge"):
+        dlqr_gain(Ad, Bd, np.eye(4), 0.1 * np.eye(2))
+    assert benchmarks.RICCATI_STALL < len(solves) <= benchmarks.RICCATI_STALL + 50
 
 
 def test_tracking_gain_stabilizes_hover():

@@ -450,17 +450,19 @@ def test_inplace_trace_matches_stacked_reference(hybrid, value, diverges, tau):
         assert got.lengths == substep_lengths(tau, 0.1)
 
 
-@pytest.mark.parametrize("name,options,tracked", [
-    ("quadrotor", {}, True),
-    ("quadrotor", {"feedback": False}, False),
-    ("jumper", {}, True),
-    ("jumper", {}, False),
-], ids=["quadrotor", "quadrotor-open-loop", "jumper-tracked", "jumper"])
+@pytest.mark.parametrize("name,options,tracked,n", [
+    ("quadrotor", {}, True, 50),
+    ("quadrotor", {}, True, 10_000),
+    ("quadrotor", {"feedback": False}, False, 50),
+    ("jumper", {}, True, 50),
+    ("jumper", {}, False, 50),
+], ids=["quadrotor", "quadrotor-10000", "quadrotor-open-loop", "jumper-tracked", "jumper"])
 @pytest.mark.parametrize("tau", [0.73, 0.0], ids=["tau", "tau0"])
-def test_inplace_trace_matches_stacked_reference_on_benchmarks(name, options, tracked, tau):
+def test_inplace_trace_matches_stacked_reference_on_benchmarks(name, options, tracked, n, tau):
+    # the reference stacks row-major blocks; rollout_batch's trace is
+    # channel-major, so this also checks that the layout changes no byte
     sys_ = make_benchmark(name, **options)
     gen = np.random.default_rng(4)
-    n = 50
     X0 = gen.uniform(-1.0, 1.0, (n, sys_.state_dim))
     if sys_.hybrid:
         X0[:, 2:] = 0.0  # on the ground, in contact
@@ -473,7 +475,14 @@ def test_inplace_trace_matches_stacked_reference_on_benchmarks(name, options, tr
             sys_.bounds.param.sample(gen, n),
             disturbance_source(sys_.bounds.disturbance, 5, rng.DOMAIN_CHECK, 1))
     got = rollout_batch(*args, **kw)
-    _assert_same_rollout(got, reference_rollout_batch(*args, **kw))
+    want = reference_rollout_batch(*args, **kw)
+    _assert_same_rollout(got, want)
+    for trace in ("states", "mu"):
+        if getattr(want, trace) is not None:
+            assert getattr(got, trace).tobytes() == getattr(want, trace).tobytes(), trace
+    # each channel of each sub-step is one contiguous row
+    assert all(got.states[k, :, c].flags.c_contiguous
+               for k in range(len(got.states)) for c in range(sys_.state_dim))
     if sys_.hybrid and tau > 0:
         assert (got.modes == Jumper.FLIGHT).any()  # the jump command fired
 

@@ -216,6 +216,48 @@ def test_tree_nodes_own_their_states():
         assert reach.mu.base is None
 
 
+# float.hex of the seed-0 root's and first node's nominal on the shipped
+# scenarios, as the planner has always computed them
+FROZEN_NOMINALS = {
+    "quadrotor": [
+        ["-0x1.0c41db22fd29ap-9", "0x1.e1a0a300f5eb8p-11",
+         "-0x1.229247203611dp-8", "0x1.ccd31581f8961p-8"],
+        ["-0x1.c4e394cdf5bd3p-1", "0x1.8ac46243c0ff8p-1",
+         "-0x1.14fc4d76a99b3p+1", "0x1.edba1218dd26ep+0"],
+    ],
+    "jumper": [
+        ["0x1.a461f09c557bdp-6", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+        ["0x1.9601682328e01p-4", "0x1.66f0c48aac0e9p+0",
+         "0x1.ba57224de33bep-2", "0x1.e1dd25eea5a20p+1"],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["quadrotor", "jumper"])
+def test_nominal_does_not_depend_on_the_layout(name):
+    # np.mean sums a contiguous axis pairwise, so the mean of a channel-major
+    # block rounds differently from that of its C copy; the nominal drives
+    # every tree distance and must not see which one it got
+    sc = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
+    sys_ = sc.build_system()
+    params = PlannerParams(**{**sc.params.__dict__, "i_max": 2})
+    result = plan(sys_, sc.init_region, sc.goal, sc.obstacles, sc.sampling_box,
+                  params, init_mode=sc.init_mode)
+    root, node = result.tree.nodes[0].reach, result.tree.nodes[1]
+    # the first node's set as its rollout hands it out, a view of the trace
+    fresh, _ = compute_reach_set(sys_, root, np.asarray(node.step.u), node.step.tau,
+                                 params.h, params.seed, node.step.ext_id)
+    pairs = [
+        (replace(root, states=np.ascontiguousarray(root.states.T).T), root),
+        (fresh, replace(fresh, states=np.ascontiguousarray(fresh.states))),
+    ]
+    for (view, c_copy), want in zip(pairs, FROZEN_NOMINALS[name]):
+        assert not view.states.flags.c_contiguous and c_copy.states.flags.c_contiguous
+        assert [v.hex() for v in view.nominal.tolist()] == want
+        assert [v.hex() for v in c_copy.nominal.tolist()] == want
+    assert [v.hex() for v in node.reach.nominal.tolist()] == FROZEN_NOMINALS[name][1]
+
+
 # ------------------------------------------------------------ hybrid gates
 
 

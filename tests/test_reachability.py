@@ -134,6 +134,23 @@ def test_projection_pads_scalars_and_rejects_3d():
     assert np.array_equal(pts, np.array([[2.0, 0.0], [4.0, 0.0]]))
     with pytest.raises(ValueError):
         project_to_plane(np.zeros((2, 5)), (0, 1, 2))
+    with pytest.raises(IndexError):
+        project_to_plane(np.zeros((2, 4)), (0, 4))
+
+
+@pytest.mark.parametrize("projection", [(0, 1), (0, 2), (1, 3), (2, 0), (0,)])
+def test_projection_of_a_trace_matches_fancy_indexing(projection):
+    sys_ = make_benchmark("quadrotor")
+    pset = init_particles(sys_, Box([0.0] * 4, [0.5] * 4), 40, SEED)
+    _, r = compute_reach_set(sys_, pset, np.array([0.3, -0.2]), 0.37, 0.1, SEED, 0)
+    want = r.states[..., list(projection)]
+    if len(projection) == 1:
+        want = np.concatenate([want, np.zeros_like(want)], axis=-1)
+    got = project_to_plane(r.states, projection)
+    assert got.shape == want.shape == r.states.shape[:-1] + (2,)
+    assert got.tobytes() == want.tobytes()
+    # an increasing pair is a view of the trace, anything else a copy
+    assert np.shares_memory(got, r.states) == (projection in [(0, 1), (0, 2), (1, 3)])
 
 
 # ------------------------------------------------------- exact containment
