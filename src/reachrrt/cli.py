@@ -25,7 +25,6 @@ from .planner import plan as run_plan
 from .scenario import (
     ScenarioError,
     check_init_clearance,
-    check_padding,
     check_plan_fits,
     error_line,
     load_plan,
@@ -87,8 +86,7 @@ def _overridden_params(scenario, args):
     if getattr(args, "baseline_padding", None) is not None:
         params = params.as_baseline(args.baseline_padding)
     try:
-        params = params.validated()
-        check_padding("epsilon", params.epsilon, scenario.goal)
+        params = params.validated(scenario.goal)
     except ValueError as e:
         print(f"invalid parameters: {e}", file=_sys.stderr)
         raise SystemExit(1)
@@ -153,6 +151,9 @@ def cmd_validate(args):
 
     seed = args.seed if args.seed is not None else scenario.validation_seed
     rollouts = args.rollouts if args.rollouts is not None else scenario.validation_rollouts
+    if seed < 0:
+        print("--seed must be nonnegative", file=_sys.stderr)
+        return 1
     if rollouts < 1:
         print("--rollouts must be at least 1", file=_sys.stderr)
         return 1

@@ -48,7 +48,7 @@ class PlannerParams:
     nn_weights: tuple | None = None
     baseline: bool = False       # one particle: region center, nominal parameter
 
-    def validated(self):
+    def validated(self, goal):
         if self.i_max < 0:
             raise ValueError("i_max must be nonnegative")
         if self.tau_max <= 0:
@@ -63,6 +63,9 @@ class PlannerParams:
             raise ValueError(f"sub-step must lie in [tau_max / {MAX_SUBSTEPS}, tau_max]")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.epsilon >= goal.radius:
+            raise ValueError(f"epsilon {self.epsilon!r} must be smaller than the goal "
+                             f"radius {goal.radius!r}")
         return self
 
     def as_baseline(self, padding):
@@ -180,10 +183,7 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     that as "nominal_kind" so plan files keep their format.  An epsilon of
     at least the goal radius leaves no goal to reach and raises ValueError.
     """
-    params = params.validated()
-    if params.epsilon >= goal.radius:
-        raise ValueError(f"epsilon {params.epsilon!r} must be smaller than the goal "
-                         f"radius {goal.radius!r}")
+    params = params.validated(goal)
     meta = {
         "n_particles": int(params.n_particles),
         "epsilon": float(params.epsilon),
@@ -266,28 +266,3 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     return PlanResult("budget_exhausted" if plan_obj is None else "solved",
                       plan_obj, stats, tree)
 
-
-def replay_plan(sys, plan_obj, init_region):
-    """Re-derive every reachable set along a plan from its seed.
-
-    Reuses the stored extension ids, so the disturbance draws are the ones
-    the original growth consumed; the reconstruction is exact.  meta's
-    "nominal_kind" is not read: the node representative never affects
-    particle states.
-    """
-    meta = plan_obj.meta
-    root = init_particles(
-        sys, init_region, meta["n_particles"], plan_obj.seed,
-        init_mode=meta.get("init_mode"), nominal_only=meta.get("baseline", False),
-    )
-    sets = [root]
-    rollouts = []
-    cur = root
-    for step in plan_obj.steps:
-        cur, r = compute_reach_set(sys, cur, np.asarray(step.u, dtype=float),
-                                   step.tau, meta["h"], plan_obj.seed, step.ext_id)
-        if cur is None:
-            raise RuntimeError("replay diverged; plan and system disagree")
-        sets.append(cur)
-        rollouts.append(r)
-    return sets, rollouts

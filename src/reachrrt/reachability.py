@@ -60,7 +60,6 @@ class ParticleSet:
     states: np.ndarray            # (N, n)
     thetas: np.ndarray            # (N, p)
     mu: np.ndarray                # (n,)
-    t: float
     modes: np.ndarray | None = None
     mu_mode: int | None = None
 
@@ -103,7 +102,6 @@ def init_particles(sys, init_region, n_particles, seed, init_mode=None,
         states=states,
         thetas=thetas,
         mu=center.copy(),
-        t=0.0,
         modes=modes,
         mu_mode=mu_mode,
     )
@@ -155,7 +153,6 @@ def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id, stream=(rng.DOMAIN_EX
         states=r.final_states,
         thetas=pset.thetas,
         mu=r.mu[-1],
-        t=pset.t + float(tau),
         modes=None if r.modes is None else r.final_modes,
         mu_mode=None if r.mu_modes is None else int(r.mu_modes[-1]),
     )
@@ -175,10 +172,11 @@ def padded_collision_free(traces, projection, obstacles, epsilon):
     building a hull.  For the rest, a per-point prefilter rejects early (any
     particle within epsilon of an obstacle puts the hull within epsilon too);
     surviving traces get the exact hull check at each sub-step, which also
-    covers the region the hull spans between particles.
+    covers the region the hull spans between particles.  A trace without a
+    sub-step (a zero-duration step's new slices) has nothing to clear.
     """
     traces = np.asarray(traces, dtype=float)
-    if not obstacles:
+    if not obstacles or traces.size == 0:
         return True
     pts = project_to_plane(traces, projection)
     # the points as an (M, 2) view of a copy that holds each coordinate in

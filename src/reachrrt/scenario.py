@@ -349,25 +349,18 @@ def error_line(path, key):
     return text.count("\n", 0, found) + 1
 
 
-def _plain(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+def _numpy_value(value):
+    """json's default hook (np.float64 is a float and never reaches it)."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json(path, obj):
     # strict JSON (RFC 8259): a NaN or an infinity raises instead of
     # writing a token that strict parsers refuse
-    text = json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False,
-                      allow_nan=False)
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False, default=_numpy_value)
     with open(path, "w") as f:
         f.write(text)
         f.write("\n")

@@ -3,14 +3,14 @@
 monte_carlo_validate executes a plan on fresh uncertainty draws against the
 unpadded constraints: a rollout fails on obstacle contact at any sub-step or
 by ending outside the goal, collision taking precedence and counted once.
-The rollouts are one particle set propagated by the planner's own
-init_particles and compute_reach_set, with every draw in the validation
-stream domain, so they are independent of everything the planner consumed
-even under the same numeric seed.  An obstacle is measured on a sub-step's
-rollouts only when their bounding box comes within the worst clearance so
-far (or within contact).  This is exact: every rollout lies in the box and
-no point is nearer an obstacle than its box, so a skipped pair can neither
-collide nor lower the reported minimum.
+The rollouts are one particle set from the planner's own init_particles,
+stepped by walk_plan (which replay_validate shares), with every draw in the
+validation stream domain, so they are independent of everything the planner
+consumed even under the same numeric seed.  An obstacle is measured on a
+sub-step's rollouts only when their bounding box comes within the worst
+clearance so far (or within contact).  This is exact: every rollout lies in
+the box and no point is nearer an obstacle than its box, so a skipped pair
+can neither collide nor lower the reported minimum.
 
 The bound checks probe two inequalities empirically: the trajectory-level
 bound  |x1_t - x2_t| <= L_t (|x1_0 - x2_0| + |u1 - u2|)  with
@@ -47,7 +47,6 @@ from .reachability import (
     project_to_plane,
 )
 from .planner import plan as run_plan
-from .planner import replay_plan
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,27 @@ def _fold_clearance(worst, states, proj, obstacles):
             bound = min(bound, float(clear.min()))
 
 
+def walk_plan(sys, plan_obj, root, seed, stream, keys):
+    """Propagate the particle set `root` along a plan, one step at a time.
+
+    Yields (root.states[None], root) first, then for each step the sub-step
+    slices it adds and the set it ends in, (states[1:], set): slice 0 of a
+    step's trace repeats the previous set, so every state along the plan is
+    yielded once.  A zero-duration step adds an empty (0, N, n) block.  Step
+    k draws its disturbances from the substreams (seed, *stream, keys[k],
+    substep).  Raises RuntimeError when a step's rollout diverges.
+    """
+    yield root.states[None], root
+    h = plan_obj.meta["h"]
+    cur, root = root, None  # hold no set but the current one, as a plain loop does
+    for step, key in zip(plan_obj.steps, keys):
+        cur, r = compute_reach_set(sys, cur, np.asarray(step.u, dtype=float), step.tau,
+                                   h, seed, key, stream=stream)
+        if cur is None:
+            raise RuntimeError("plan rollout diverged; plan and system disagree")
+        yield r.states[1:], cur
+
+
 def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
                          m_rollouts, seed, init_mode=None):
     """Execute a plan m_rollouts times under fresh uncertainty draws.
@@ -118,7 +138,6 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
     m = int(m_rollouts)
     if m < 1:
         raise ValueError("need at least one rollout")
-    h = plan_obj.meta["h"]
     obstacles = list(obstacles)
     proj = sys.collision_projection
     if init_mode is None:
@@ -127,15 +146,9 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
     cur = init_particles(sys, init_region, m, seed, init_mode=init_mode,
                          stream=(rng.DOMAIN_VALIDATE,))
     worst = np.full(m, np.inf)  # per rollout
-    _fold_clearance(worst, cur.states[None], proj, obstacles)
-
-    for k, step in enumerate(plan_obj.steps):
-        cur, r = compute_reach_set(sys, cur, np.asarray(step.u, dtype=float), step.tau,
-                                   h, seed, k, stream=(rng.DOMAIN_VALIDATE, 2))
-        if cur is None:
-            raise RuntimeError("validation rollout diverged")
-        # slice 0 repeats the previous step's last slice, already checked
-        _fold_clearance(worst, r.states[1:], proj, obstacles)
+    for block, cur in walk_plan(sys, plan_obj, cur, seed, (rng.DOMAIN_VALIDATE, 2),
+                                range(len(plan_obj.steps))):
+        _fold_clearance(worst, block, proj, obstacles)
 
     collided = worst <= 0.0
     in_goal = goal_contains(goal, cur.states, shrink=0.0)
@@ -156,15 +169,16 @@ def replay_validate(sys, plan_obj, init_region, goal, obstacles):
     A correctly produced plan always passes: growth required strictly more
     clearance and goal margin than the unpadded constraints ask for.
     """
-    sets, rollouts = replay_plan(sys, plan_obj, init_region)
+    meta = plan_obj.meta
+    cur = init_particles(sys, init_region, meta["n_particles"], plan_obj.seed,
+                         init_mode=meta.get("init_mode"),
+                         nominal_only=meta.get("baseline", False))
     proj = sys.collision_projection
-    for r in rollouts:
-        if not padded_collision_free(r.states, proj, obstacles, 0.0):
+    for block, cur in walk_plan(sys, plan_obj, cur, plan_obj.seed, (rng.DOMAIN_EXTEND,),
+                                [step.ext_id for step in plan_obj.steps]):
+        if not padded_collision_free(block, proj, obstacles, 0.0):
             return False
-    if rollouts == [] and obstacles:
-        if not padded_collision_free(sets[0].states[None], proj, obstacles, 0.0):
-            return False
-    return padded_goal_contained(sets[-1], goal, 0.0)
+    return padded_goal_contained(cur, goal, 0.0)
 
 
 def trajectory_bound_factor(t, K):

@@ -223,7 +223,6 @@ def test_reach_set_deviation_bound():
 @dataclass
 class _FakeReach:
     nominal: np.ndarray
-    t: float = 0.0
 
 
 def _tree(points):

@@ -100,7 +100,7 @@ def _check(raw, path):
     sys_ = sc.build_system()
     for box in (sys_.bounds.control, sys_.bounds.disturbance, sys_.bounds.param):
         assert np.all(np.isfinite(box.lo)) and np.all(np.isfinite(box.hi))
-    sc.params.validated()
+    sc.params.validated(sc.goal)
 
 
 FUZZ = settings(max_examples=300, deadline=None,

@@ -18,7 +18,6 @@ from reachrrt.planner import (
     PlannerParams,
     extend_hybrid,
     plan,
-    replay_plan,
     sample_control,
     sample_control_hybrid,
     sample_node,
@@ -27,6 +26,7 @@ from reachrrt.reachability import (compute_reach_set, init_particles, padded_goa
                                    project_to_plane)
 from reachrrt.scenario import load_scenario
 from reachrrt.tree import DualTree, PlanStep
+from reachrrt.validation import walk_plan
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -34,7 +34,6 @@ SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 @dataclass
 class FakeReach:
     nominal: np.ndarray
-    t: float = 0.0
 
 
 def _tree(points):
@@ -329,7 +328,7 @@ def _assert_same_outcome(got, want):
     if want.reach is not None:
         for name in ("states", "thetas", "mu", "modes"):
             assert getattr(got.reach, name).tobytes() == getattr(want.reach, name).tobytes()
-        assert got.reach.mu_mode == want.reach.mu_mode and got.reach.t == want.reach.t
+        assert got.reach.mu_mode == want.reach.mu_mode
 
 
 def test_diverging_particles_keep_the_nominal_mode_reject():
@@ -371,19 +370,22 @@ def test_extend_matches_the_two_rollout_gate():
 
 
 def test_params_validation():
-    PlannerParams(i_max=0).validated()
+    goal = GoalRegion((0,), (0.0,), 1.0)
+    PlannerParams(i_max=0).validated(goal)
     with pytest.raises(ValueError):
-        PlannerParams(i_max=-1).validated()
+        PlannerParams(i_max=-1).validated(goal)
     with pytest.raises(ValueError):
-        PlannerParams(n_particles=0).validated()
+        PlannerParams(n_particles=0).validated(goal)
     with pytest.raises(ValueError):
-        PlannerParams(epsilon=-0.1).validated()
+        PlannerParams(epsilon=-0.1).validated(goal)
     with pytest.raises(ValueError):
-        PlannerParams(zeta=-1.0).validated()
+        PlannerParams(zeta=-1.0).validated(goal)
     with pytest.raises(ValueError):
-        PlannerParams(tau_max=0.0).validated()
+        PlannerParams(tau_max=0.0).validated(goal)
     with pytest.raises(ValueError):
-        PlannerParams(h=0.5, tau_max=0.3).validated()
+        PlannerParams(h=0.5, tau_max=0.3).validated(goal)
+    with pytest.raises(ValueError, match="epsilon 1.0 must be smaller than the goal radius 1.0"):
+        PlannerParams(epsilon=1.0).validated(goal)
 
 
 # --------------------------------------------------------------- full runs
@@ -515,29 +517,9 @@ def test_every_tree_edge_replays_collision_free():
         assert np.array_equal(pset.states, node.reach.states)
         assert padded_collision_free(r.states, sys_.collision_projection,
                                      [wall], params.epsilon)
-        assert node.reach.t == pytest.approx(parent.t + node.step.tau)
 
 
-def test_replay_reconstructs_the_plan_exactly():
-    sys_, init, goal, sampling, params = _easy_linear()
-    result = plan(sys_, init, goal, [], sampling, params)
-    sets, rollouts = replay_plan(sys_, result.plan, init)
-    assert len(sets) == len(result.plan.steps) + 1
-    leaf = result.tree.nodes[result.plan.solved_node].reach
-    assert np.array_equal(sets[-1].states, leaf.states)
-    assert np.array_equal(sets[-1].thetas, leaf.thetas)
-
-
-def test_zero_duration_extension_duplicates_the_set():
-    sys_, init, _, _, params = _easy_linear()
-    root = init_particles(sys_, init, 32, params.seed)
-    pset, r = compute_reach_set(sys_, root, np.zeros(1), 0.0, 0.1, params.seed, 0)
-    assert np.array_equal(pset.states, root.states)
-    assert pset.t == root.t
-    assert len(r.states) == 1
-
-
-def test_plan_solves_the_jumper_walk():
+def _jumper_walk():
     sys_ = make_benchmark("jumper")
     init = Box([0.0, 0.0, 0.0, 0.0], [0.05, 0.0, 0.0, 0.0])
     goal = GoalRegion((0, 2), (1.5, 0.0), 0.5)
@@ -546,13 +528,63 @@ def test_plan_solves_the_jumper_walk():
     sampling = Box([-0.5, -2.0, 0.0, -1.0], [3.0, 2.0, 0.1, 1.0])
     params = PlannerParams(i_max=600, tau_max=0.21, zeta=0.5, n_particles=30,
                            epsilon=0.02, h=0.03, seed=5)
+    return sys_, init, goal, sampling, params
+
+
+def _solve(case):
+    if case == "quadrotor":
+        sc = load_scenario(os.path.join(SCENARIOS, "quadrotor.json"))
+        sys_, init, init_mode = sc.build_system(), sc.init_region, sc.init_mode
+        result = plan(sys_, init, sc.goal, sc.obstacles, sc.sampling_box, sc.params)
+    else:
+        sys_, init, goal, sampling, params = (_easy_linear if case == "linear1d"
+                                              else _jumper_walk)()
+        init_mode = Jumper.CONTACT if sys_.hybrid else None
+        result = plan(sys_, init, goal, [], sampling, params, init_mode=init_mode)
+    assert result.solved
+    return sys_, init, init_mode, result
+
+
+@pytest.mark.parametrize("case", ["linear1d", "jumper", "quadrotor"])
+def test_replay_reconstructs_the_plan_exactly(case):
+    # the stored ext_ids key the growth's own draws, so walking the plan
+    # from the root re-derives every node on the solved path bit for bit
+    sys_, init, init_mode, result = _solve(case)
+    plan_obj = result.plan
+    root = init_particles(sys_, init, plan_obj.meta["n_particles"], plan_obj.seed,
+                          init_mode=init_mode)
+    sets = [cur for _, cur in walk_plan(sys_, plan_obj, root, plan_obj.seed,
+                                        (rng.DOMAIN_EXTEND,),
+                                        [step.ext_id for step in plan_obj.steps])]
+    path = [0, *(step.node_id for step in plan_obj.steps)]
+    assert len(sets) == len(path) and path[-1] == plan_obj.solved_node
+    for got, nid in zip(sets, path):
+        want = result.tree.nodes[nid].reach
+        for name in ("states", "thetas", "mu", "modes"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        assert got.mu_mode == want.mu_mode
+
+
+def test_zero_duration_extension_duplicates_the_set():
+    sys_, init, _, _, params = _easy_linear()
+    root = init_particles(sys_, init, 32, params.seed)
+    pset, r = compute_reach_set(sys_, root, np.zeros(1), 0.0, 0.1, params.seed, 0)
+    assert np.array_equal(pset.states, root.states)
+    assert len(r.states) == 1
+
+
+def test_plan_solves_the_jumper_walk():
+    sys_, init, goal, sampling, params = _jumper_walk()
     result = plan(sys_, init, goal, [], sampling, params,
                   init_mode=Jumper.CONTACT)
     assert result.solved
     assert result.plan.meta["init_mode"] == Jumper.CONTACT
     for step in result.plan.steps:
         assert step.mode in (0, 1)
-    sets, _ = replay_plan(sys_, result.plan, init)
-    leaf = result.tree.nodes[result.plan.solved_node].reach
-    assert np.array_equal(sets[-1].states, leaf.states)
-    assert np.array_equal(sets[-1].modes, leaf.modes)
+    # every node along the path ends in its step's mode
+    for step in result.plan.steps:
+        assert np.all(result.tree.nodes[step.node_id].reach.modes == step.mode)

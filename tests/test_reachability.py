@@ -52,7 +52,6 @@ def test_init_draws_land_in_their_boxes():
     assert pset.states.shape == (500, 1)
     assert np.all(pset.states >= 0.0) and np.all(pset.states <= 0.1)
     assert np.all(pset.thetas >= 0.4) and np.all(pset.thetas <= 0.6)
-    assert pset.t == 0.0
     assert np.array_equal(pset.mu, region.center)
 
 
@@ -207,9 +206,8 @@ def test_extension_keeps_parameters_frozen():
     root = init_particles(sys_, Box([0.0], [0.1]), 100, SEED)
     pset, _ = compute_reach_set(sys_, root, np.zeros(1), 0.5, 0.1, SEED, 3)
     assert np.array_equal(pset.thetas, root.thetas)
-    assert pset.t == pytest.approx(0.5)
     child, _ = compute_reach_set(sys_, pset, np.zeros(1), 0.25, 0.1, SEED, 4)
-    assert child.t == pytest.approx(0.75)
+    assert np.array_equal(child.thetas, root.thetas)
 
 
 def test_extension_monotone_in_particle_count():
@@ -320,14 +318,13 @@ def test_divergent_extension_returns_none():
 # ------------------------------------------------------ padded constraints
 
 
-def _point_set(points, t=0.0):
+def _point_set(points):
     """Particle set around explicit 2-D states (projection is identity)."""
     states = np.atleast_2d(np.asarray(points, dtype=float))
     return ParticleSet(
         states=states,
         thetas=np.zeros((len(states), 1)),
         mu=states[0],
-        t=t,
     )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reachrrt.cli import main
-from reachrrt.geometry import Ball, Box
+from reachrrt.geometry import Ball, Box, GoalRegion
 from reachrrt.planner import PlannerParams
 from reachrrt.scenario import ScenarioError, check_init_clearance, load_scenario, write_json
 
@@ -308,9 +308,10 @@ def test_a_tau_max_of_too_many_substeps_exits_one(tmp_path, capsys):
     assert "invalid parameters: sub-step must lie in [tau_max / 10000, tau_max]" in \
         capsys.readouterr().err
     assert not out.exists()
+    goal = GoalRegion((0,), (2.0,), 0.55)
     with pytest.raises(ValueError, match="sub-step must lie in"):
-        PlannerParams(tau_max=1.0, h=1e-9).validated()
-    assert PlannerParams(tau_max=1.0, h=1e-4).validated().h == 1e-4
+        PlannerParams(tau_max=1.0, h=1e-9).validated(goal)
+    assert PlannerParams(tau_max=1.0, h=1e-4).validated(goal).h == 1e-4
 
 
 def test_invalid_flag_values_exit_one(tmp_path, capsys):
@@ -330,6 +331,20 @@ def test_invalid_flag_values_exit_one(tmp_path, capsys):
     assert main(["validate", "--scenario", path, "--plan", str(out / "plan.json"),
                  "--out-dir", str(out), "--rollouts", "0"]) == 1
     assert "--rollouts" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_validate_refuses_a_negative_seed(tmp_path, capsys):
+    # refused before it reaches rng.substream, whose numpy ValueError would
+    # end in a traceback
+    path = _write(tmp_path)
+    out = tmp_path / "out"
+    assert _run(path, out) == 0
+    capsys.readouterr()
+    assert main(["validate", "--scenario", path, "--plan", str(out / "plan.json"),
+                 "--out-dir", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "--seed must be nonnegative\n"
     assert not (out / "report.json").exists()
 
 
@@ -488,9 +503,24 @@ def test_result_files_are_strict_json(tmp_path, capsys):
     assert docs["report.json"]["worst_clearance"] is None
     assert [row["worst_clearance"] for row in docs["compare.json"]["rows"]] == [None] * 4
     # no other non-finite number reaches a file
-    for bad in (float("nan"), float("inf"), float("-inf")):
+    for bad in (float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+                np.array([1.0, np.inf]), np.float32("-inf")):
         with pytest.raises(ValueError):
             write_json(str(tmp_path / "bad.json"), {"x": bad})
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_numpy_values_are_written_as_their_python_values(tmp_path):
+    as_numpy = {"f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True),
+                "a": np.array([[1.5, -0.0], [2.0, 1e-300]]), "n": np.arange(3, dtype=np.int32),
+                "t": (np.float32(0.1), np.uint8(7))}
+    as_python = {"f": 0.1, "i": -3, "b": True, "a": [[1.5, -0.0], [2.0, 1e-300]],
+                 "n": [0, 1, 2], "t": [float(np.float32(0.1)), 7]}
+    write_json(str(tmp_path / "numpy.json"), as_numpy)
+    write_json(str(tmp_path / "python.json"), as_python)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+    with pytest.raises(TypeError):
+        write_json(str(tmp_path / "bad.json"), {"x": object()})
 
 
 def test_validate_flags_override_scenario(tmp_path):

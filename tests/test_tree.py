@@ -12,7 +12,6 @@ from reachrrt.tree import DualTree, PlanStep, build_path
 @dataclass
 class FakeReach:
     nominal: np.ndarray
-    t: float = 0.0
 
 
 def scan_nearest(points, weights, x):
@@ -134,10 +133,10 @@ def test_child_ids_follow_parents():
 
 def test_build_path_walks_root_to_leaf():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
-    tree = DualTree(FakeReach(pts[0], t=0.0))
-    tree.add_node(0, FakeReach(pts[1], t=0.4), PlanStep(u=(0.5,), tau=0.4, ext_id=2, node_id=1))
-    tree.add_node(1, FakeReach(pts[2], t=0.9), PlanStep(u=(-0.5,), tau=0.5, ext_id=7, node_id=2))
-    tree.add_node(0, FakeReach(pts[3], t=0.1), PlanStep(u=(0.0,), tau=0.1, ext_id=9, node_id=3))
+    tree = DualTree(FakeReach(pts[0]))
+    tree.add_node(0, FakeReach(pts[1]), PlanStep(u=(0.5,), tau=0.4, ext_id=2, node_id=1))
+    tree.add_node(1, FakeReach(pts[2]), PlanStep(u=(-0.5,), tau=0.5, ext_id=7, node_id=2))
+    tree.add_node(0, FakeReach(pts[3]), PlanStep(u=(0.0,), tau=0.1, ext_id=9, node_id=3))
 
     plan = build_path(tree, 2, seed=33, system_name="linear1d", meta={"h": 0.1})
     assert plan.solved_node == 2

@@ -13,7 +13,8 @@ from reachrrt.benchmarks import GRAVITY, Jumper, make_benchmark
 from reachrrt.dynamics import rollout_batch
 from reachrrt.geometry import Ball, Box, GoalRegion, goal_contains
 from reachrrt.planner import PlannerParams, plan
-from reachrrt.reachability import compute_reach_set, init_particles, project_to_plane
+from reachrrt.reachability import (compute_reach_set, init_particles, padded_collision_free,
+                                   padded_goal_contained, project_to_plane)
 from reachrrt.scenario import load_plan, load_scenario
 from reachrrt.tree import PlanStep
 from reachrrt.validation import (
@@ -122,6 +123,53 @@ def test_replay_validate_round_trip():
     assert not replay_validate(sys_, result.plan, init, goal, [wall])
     assert not replay_validate(sys_, result.plan, init,
                                GoalRegion((0,), (50.0,), 0.1), [])
+
+
+def reference_replay_validate(sys, plan_obj, init_region, goal, obstacles):
+    """replay_validate on one whole trace per step, each with the slice 0
+    that repeats the previous set, and on the root alone."""
+    meta = plan_obj.meta
+    cur = init_particles(sys, init_region, meta["n_particles"], plan_obj.seed,
+                         init_mode=meta.get("init_mode"),
+                         nominal_only=meta.get("baseline", False))
+    traces = [cur.states[None]]
+    for step in plan_obj.steps:
+        cur, r = compute_reach_set(sys, cur, np.asarray(step.u, dtype=float), step.tau,
+                                   meta["h"], plan_obj.seed, step.ext_id)
+        traces.append(r.states)
+    return (all(padded_collision_free(t, sys.collision_projection, obstacles, 0.0)
+                for t in traces)
+            and padded_goal_contained(cur, goal, 0.0))
+
+
+def test_replay_checks_the_root_of_a_zero_step_plan():
+    sys_, result, init, _ = _solved_linear()
+    stay = replace(result.plan, steps=())
+    goal = GoalRegion((0,), (0.05,), 0.5)  # holds the whole root set
+    assert replay_validate(sys_, stay, init, goal, [])
+    assert replay_validate(sys_, stay, init, goal, [Ball((0.5, 0.0), 0.01)])
+    assert not replay_validate(sys_, stay, init, goal, [Ball((0.05, 0.0), 0.01)])
+
+
+def test_both_validators_refuse_a_plan_that_diverges():
+    sys_, result, init, goal = _solved_linear()
+    blow = make_benchmark("linear1d", theta_lo=0.45, theta_hi=0.55)
+    blow.step_batch = lambda X, U, W, Th, h: X * 1e200 + 1.0
+    with pytest.raises(RuntimeError, match="plan rollout diverged"):
+        monte_carlo_validate(blow, result.plan, init, goal, [], 10, SEED)
+    with pytest.raises(RuntimeError, match="plan rollout diverged"):
+        replay_validate(blow, result.plan, init, goal, [])
+
+
+def test_replay_walks_zero_duration_steps():
+    # each zero-duration step adds an empty block of sub-steps, the first
+    # one right after the root
+    sys_, plan_obj, init, goal, obstacles, _, _ = _zero_duration_linear()
+    cases = [[], obstacles, [Box((1.0, 0.05), (1.01, 0.1))], [Ball((0.05, 0.0), 0.01)]]
+    got = [replay_validate(sys_, plan_obj, init, goal, obs) for obs in cases]
+    assert got == [reference_replay_validate(sys_, plan_obj, init, goal, obs)
+                   for obs in cases]
+    assert got == [True, False, True, False]
 
 
 def _min_clearance(pts, obstacles):
