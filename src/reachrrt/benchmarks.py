@@ -41,8 +41,8 @@ class Linear1D(ContinuousSystem):
         self.nominal_param = self.bounds.param.center
         self.nominal_disturbance = self.bounds.disturbance.center
 
-    def flow_batch(self, X, U, W, Th):
-        return Th[:, :1] + W[:, :1]
+    def flow_batch(self, X, U, W, Th, out):
+        np.add(Th[:, :1], W[:, :1], out=out)
 
 
 class Quadrotor(System):
@@ -63,20 +63,44 @@ class Quadrotor(System):
         self.nominal_param = self.bounds.param.center
         self.nominal_disturbance = self.bounds.disturbance.center
 
-    def step_batch(self, X, U, W, Th, h):
-        px, py, vx, vy = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
-        u1, u2 = U[:, 0], U[:, 1]
-        ax, ay = Th[:, 0], Th[:, 1]
+    def step_batch(self, X, U, W, Th, h, out):
+        px, py, vx, vy = X.T
+        u1, u2 = U.T
+        ax, ay = Th.T
+        w1, w2 = W.T
         g = GRAVITY
         quarter = h * h * g / 4.0
-        # empty_like keeps X's layout: in a rollout every out[:, k] is then
-        # one contiguous row of the channel-major trace
-        out = np.empty_like(X)
-        out[:, 0] = px + h * vx + quarter * u1
-        out[:, 1] = py + h * vy - quarter * u2
-        out[:, 2] = vx + h * (g * u1 - ax * vx * np.abs(vx) + W[:, 0])
-        out[:, 3] = vy + h * (-g * u2 - ay * vy * np.abs(vy) + W[:, 1])
-        return out
+        # in place, each value with the operands and order of
+        #   px + h vx + quarter u1,  py + h vy - quarter u2,
+        #   vx + h (g u1 - ax vx |vx| + w1),  vy + h (-g u2 - ay vy |vy| + w2);
+        # a column not yet written serves as a working row, so the last one
+        # written needs the one extra working row t
+        o0, o1, o2, o3 = out.T
+        t = self._work_rows(1, len(X))[0]
+        np.multiply(-g, u2, out=o3)
+        np.multiply(ay, vy, out=t)
+        np.abs(vy, out=o2)
+        np.multiply(t, o2, out=t)
+        np.subtract(o3, t, out=o3)
+        np.add(o3, w2, out=o3)
+        np.multiply(h, o3, out=o3)
+        np.add(vy, o3, out=o3)
+        np.multiply(g, u1, out=o2)
+        np.multiply(ax, vx, out=t)
+        np.abs(vx, out=o1)
+        np.multiply(t, o1, out=t)
+        np.subtract(o2, t, out=o2)
+        np.add(o2, w1, out=o2)
+        np.multiply(h, o2, out=o2)
+        np.add(vx, o2, out=o2)
+        np.multiply(h, vy, out=o1)
+        np.add(py, o1, out=o1)
+        np.multiply(quarter, u2, out=t)
+        np.subtract(o1, t, out=o1)
+        np.multiply(h, vx, out=o0)
+        np.add(px, o0, out=o0)
+        np.multiply(quarter, u1, out=t)
+        np.add(o0, t, out=o0)
 
     def linearization(self, h):
         """Exact hover linearization of the sub-step map (drag vanishes at
@@ -195,12 +219,17 @@ class Jumper(HybridSystem):
         lat = np.minimum(2, np.floor(3.0 * W0[:, 0]).astype(np.int64))
         return np.where(commanded & (mode_arr == self.CONTACT), lat, -1)
 
-    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j):
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j, out):
         # W is read only by begin_segment; masks are built only for rows
         # that fire, fly or land, and mode_arr comes back unchanged (not a
-        # copy) when no row switches mode
-        x, xdot, y, ydot = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
+        # copy) when no row switches mode.  The arithmetic runs in place,
+        # each value with the operands and order of
+        #   x + h xdot,  xdot + h min(max(kp (u - x) - kd xdot, -a), a) / mass,
+        #   y + h ydot and ydot - h g in flight (y and 0.0 in contact),
+        # with an output column not yet written as the working row
+        x, xdot, y, ydot = X.T
         mass = Th[:, 0]
+        o0, o1, o2, o3 = out.T
 
         modes = mode_arr
         fire = ctx == j
@@ -208,26 +237,34 @@ class Jumper(HybridSystem):
             ydot = np.where(fire, self.v_takeoff / mass, ydot)
             modes = np.where(fire, self.FLIGHT, mode_arr)
 
-        accel = np.minimum(np.maximum(self.kp * (U[:, 0] - x) - self.kd * xdot,
-                                      -self.a_max), self.a_max) / mass
+        np.multiply(h, xdot, out=o0)
+        np.add(x, o0, out=o0)
+        np.subtract(U[:, 0], x, out=o1)
+        np.multiply(self.kp, o1, out=o1)
+        np.multiply(self.kd, xdot, out=o2)
+        np.subtract(o1, o2, out=o1)
+        np.maximum(o1, -self.a_max, out=o1)
+        np.minimum(o1, self.a_max, out=o1)
+        np.divide(o1, mass, out=o1)
+        np.multiply(h, o1, out=o1)
+        np.add(xdot, o1, out=o1)
+
         flight = modes == self.FLIGHT
-
-        out = np.empty_like(X)
-        out[:, 0] = x + h * xdot
-        out[:, 1] = xdot + h * accel
+        o2[...] = y
         if not flight.any():
-            out[:, 2] = y
-            out[:, 3] = 0.0
-            return out, modes
-        out[:, 2] = np.where(flight, y + h * ydot, y)
-        out[:, 3] = np.where(flight, ydot - h * GRAVITY, 0.0)
+            o3.fill(0.0)
+            return modes
+        np.multiply(h, ydot, out=o3)
+        np.add(y, o3, out=o2, where=flight)
+        o3.fill(0.0)
+        np.subtract(ydot, h * GRAVITY, out=o3, where=flight)
 
-        landed = flight & (out[:, 2] <= self.ground) & (out[:, 3] <= 0.0)
+        landed = flight & (o2 <= self.ground) & (o3 <= 0.0)
         if landed.any():
-            out[landed, 2] = self.ground
-            out[landed, 3] = 0.0
+            o2[landed] = self.ground
+            o3[landed] = 0.0
             modes = np.where(landed, self.CONTACT, modes)
-        return out, modes
+        return modes
 
     def probe_controls(self, x, mode):
         hold = float(x[0])

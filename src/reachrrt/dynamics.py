@@ -45,37 +45,52 @@ class System:
     hybrid = False
     reads_substep_disturbance = True
 
-    def step_batch(self, X, U, W, Th, h):
-        """Advance an (N, n) batch one sub-step of length h.
+    def step_batch(self, X, U, W, Th, h, out):
+        """Write the (N, n) batch X advanced one sub-step of length h into
+        out, an (N, n) block that overlaps no input.
 
         U is the applied control per particle (already resolved), W a per-
         particle disturbance draw held constant over the sub-step, Th the
-        frozen per-particle parameters.
+        frozen per-particle parameters.  X, U, W and Th are never written;
+        in a rollout they are read-only views.
         """
         raise NotImplementedError
 
-    def resolve_control(self, nu, X, mu):
-        """Applied control per particle given the commanded control nu.
+    def resolve_control(self, nu, X, mu, out):
+        """Write the applied control per particle, given the commanded
+        control nu, into out, an (N, m) block.
 
         Open loop by default: every particle applies nu, which may also be
         one row per particle.  Feedback wrappers override this with a
         tracking law around the nominal state mu.
         """
-        nu = np.asarray(nu, dtype=float)
-        U = np.empty((len(X), nu.shape[-1]))
-        U[:] = nu
-        return U
+        out[...] = nu
+
+    def _work_rows(self, rows, n):
+        """A (rows, n) block of working rows for intermediate values, reused
+        from call to call: it grows to the largest batch seen and never
+        shrinks, so a rollout's sub-steps allocate nothing.  Its contents
+        do not survive the call that uses it."""
+        buf = self.__dict__.get("_work_block")
+        if buf is None or buf.shape[0] < rows or buf.shape[1] < n:
+            old = (0, 0) if buf is None else buf.shape
+            buf = self._work_block = np.empty((max(rows, old[0]), max(n, old[1])))
+        return buf[:rows, :n]
 
 
 class ContinuousSystem(System):
     """System defined by a flow x' = f(x, u, w; theta), one Euler step per
     sub-step."""
 
-    def flow_batch(self, X, U, W, Th):
+    def flow_batch(self, X, U, W, Th, out):
+        """Write the flow f(x, u, w; theta) of each row into out."""
         raise NotImplementedError
 
-    def step_batch(self, X, U, W, Th, h):
-        return X + h * self.flow_batch(X, U, W, Th)
+    def step_batch(self, X, U, W, Th, h, out):
+        # X + h f, with the operands in that order
+        self.flow_batch(X, U, W, Th, out)
+        np.multiply(h, out, out=out)
+        np.add(X, out, out=out)
 
 
 class HybridSystem(System):
@@ -97,7 +112,11 @@ class HybridSystem(System):
         channels per row, as nu[..., i]."""
         return None
 
-    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j):
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j, out):
+        """Write sub-step j of the segment, X advanced by h, into out as
+        step_batch does, and return the (N,) modes after it (mode_arr
+        itself when no row switches).  Never writes X, mode_arr, U, W or
+        Th."""
         raise NotImplementedError
 
     def probe_controls(self, x, mode):
@@ -124,7 +143,7 @@ class FeedbackWrapped(System):
         self.collision_projection = base.collision_projection
         self.hybrid = base.hybrid
 
-    def resolve_control(self, nu, X, mu):
+    def resolve_control(self, nu, X, mu, out):
         """One commanded (m,) control for the whole batch; control j is
         clip(nu[j] + K[j, 0] e_0 + K[j, 1] e_1 + ..., lo[j], hi[j]) with
         e = x - mu, summed left to right, the same on any BLAS."""
@@ -135,25 +154,25 @@ class FeedbackWrapped(System):
         if nu.shape != (m,):
             raise ValueError(f"feedback wrapper takes one commanded control of "
                              f"shape ({m},), got shape {nu.shape}")
-        # one row of numbers per state and per control, transposed back at
-        # the end: a (d,) vector broadcast across (N, d) rows makes numpy run
-        # its inner loop once per row
-        err = np.empty((X.shape[1], len(X)))
-        for e, x, c in zip(err, X.T, mu.tolist()):
+        # one row of numbers per state and per control: a (d,) vector
+        # broadcast across (N, d) rows makes numpy run its inner loop once
+        # per row; in a rollout out.T is one C-order (m, N) block
+        U = out.T
+        U[...] = nu[:, None]
+        work = self._work_rows(m + 1, len(X))
+        e, term = work[0], work[1:]
+        for x, c, k in zip(X.T, mu.tolist(), self.gain.T):
             np.subtract(x, c, out=e)
-        U = np.empty((m, len(X)))
-        U[:] = nu[:, None]
-        for k, e in zip(self.gain.T, err):
-            U += k[:, None] * e
+            np.multiply(k[:, None], e, out=term)
+            np.add(U, term, out=U)
         # a value equal to a bound becomes the bound, as in np.clip with
         # array bounds: maximum and minimum return their second argument on
         # a tie, which decides the sign of a zero
         np.maximum(U, self.bounds.control.lo[:, None], out=U)
         np.minimum(U, self.bounds.control.hi[:, None], out=U)
-        return U.T
 
-    def step_batch(self, X, U, W, Th, h):
-        return self.base.step_batch(X, U, W, Th, h)
+    def step_batch(self, X, U, W, Th, h, out):
+        self.base.step_batch(X, U, W, Th, h, out)
 
 
 def substep_lengths(tau, h):
@@ -175,12 +194,22 @@ def substep_lengths(tau, h):
 
 
 def constant_w_source(w):
+    """A disturbance source (see rollout_batch) whose every row is w; it
+    writes its block at sub-step 0 only, since nothing changes it later."""
     w = np.asarray(w, dtype=float)
 
-    def source(j, n):
-        return np.tile(w, (int(n), 1))
+    def source(j, out):
+        if j == 0:
+            out[...] = w
 
     return source
+
+
+def _read_only(a):
+    """A view of a that raises on any write through it."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
 
 
 @dataclass
@@ -236,29 +265,36 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         tau: segment duration; sub-steps of h with a final partial step.
         h: sub-step length.
         thetas: (N, p) frozen per-particle parameters.
-        w_source: callable (substep_index, count) -> (count, dw) disturbance
-            draws for the whole batch; called for sub-step 0 only when
-            sys.reads_substep_disturbance is false.
+        w_source: callable (substep_index, out) that writes the sub-step's
+            (N, dw) disturbance draws for the whole batch into out; called
+            for sub-step 0 only when sys.reads_substep_disturbance is false.
+            out is the same block at every sub-step of a rollout and nothing
+            else writes it, so a source whose draws never change may write
+            it at sub-step 0 only.
         mu0: tracked nominal state, advanced under nominal parameter and
             disturbance alongside the batch (required by feedback systems).
         modes0: (N,) initial mode indices for hybrid systems.
         mu_mode0: initial mode of the tracked nominal.
 
-    Returns a Rollout.  Each sub-step is written into traces preallocated
-    for all of them.  The state trace, and with a tracked nominal the
-    parameter and disturbance blocks, are stored channel-major and passed
-    on as transposed views, so each channel of a sub-step, which the step
-    functions read and write column by column, is one contiguous row; see
-    Rollout for the axis-0 reduction this makes layout-dependent.  The
-    tracked nominal rides along as row N of the batch,
+    Returns a Rollout.  The traces are preallocated for every sub-step, and
+    the step function writes sub-step j + 1 straight into its trace row;
+    the control and disturbance blocks are allocated once per rollout, so
+    the sub-step loop allocates nothing of batch size.  The state trace,
+    the control and disturbance blocks, and with a tracked nominal the
+    parameter block, are stored channel-major and passed on as transposed
+    views, so each channel of a sub-step, which the step functions read and
+    write column by column, is one contiguous row; see Rollout for the
+    axis-0 reduction this makes layout-dependent.  The tracked nominal
+    rides along as row N of the batch,
     with the nominal parameter and disturbance, so each sub-step makes one
     control resolution and one step call; the step functions act on each
     row alone, so row N is exactly what a one-row call would compute.
     `diverged` is set if any particle state (rows :N; the nominal is not
     tested) leaves [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] or is not finite,
     in which case the traces are cut to the prefix that ends at the bad
-    sub-step.  The step functions must not modify their inputs, which are
-    rows of these traces.
+    sub-step.  The step functions and the control law get their inputs
+    (states, modes, controls, disturbances, parameters) as read-only views:
+    a step that writes one raises ValueError.
     """
     X0 = np.asarray(X0, dtype=float)
     N = len(X0)
@@ -269,50 +305,52 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
 
     track_mu = mu0 is not None
     hyb = sys.hybrid
+    M = N + track_mu
 
     # channel-major: each sub-step's channel is one contiguous row
-    states = np.empty((S + 1, X0.shape[1], N + track_mu)).transpose(0, 2, 1)
+    states = np.empty((S + 1, X0.shape[1], M)).transpose(0, 2, 1)
     states[0, :N] = X0
-    modes_trace = W = None
+    U = np.empty((nu.shape[-1], M)).T
+    W = np.empty((len(sys.nominal_disturbance), M)).T
+    modes_trace = None
     if hyb:
-        modes_trace = np.empty((S + 1, N + track_mu), dtype=np.int64)
+        modes_trace = np.empty((S + 1, M), dtype=np.int64)
         modes_trace[0, :N] = modes0
     if track_mu:
         states[0, N] = mu0
-        th = np.empty((len(sys.nominal_param), N + 1)).T
+        th = np.empty((len(sys.nominal_param), M)).T
         th[:N] = thetas
         th[N] = sys.nominal_param
         thetas = th
-        W = np.empty((len(sys.nominal_disturbance), N + 1)).T
         W[N] = sys.nominal_disturbance
         if hyb:
             modes_trace[0, N] = mu_mode0
-    X = states[0]
-    modes = modes_trace[0] if hyb else None
+    trace_in = _read_only(states)
+    modes_in = _read_only(modes_trace) if hyb else None
+    U_in, W_in, Th_in = _read_only(U), _read_only(W), _read_only(thetas)
+    W_draw = W[:N]
 
     redraw = sys.reads_substep_disturbance
     ctx = None
     bad = False
     for j, hj in enumerate(lengths):
         if j == 0 or redraw:
-            if track_mu:
-                W[:N] = w_source(j, N)
-            else:
-                W = np.asarray(w_source(j, N), dtype=float)
+            w_source(j, W_draw)
+        X = trace_in[j]
         if hyb and j == 0:
-            ctx = sys.begin_segment(nu, modes, W)
-        U = sys.resolve_control(nu, X, X[N] if track_mu else None)
+            ctx = sys.begin_segment(nu, modes_in[0], W_in)
+        sys.resolve_control(nu, X, X[N] if track_mu else None, U)
 
+        out = states[j + 1]
         if hyb:
-            X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx, j)
-            modes_trace[j + 1] = modes
+            modes_trace[j + 1] = sys.hybrid_step_batch(X, modes_in[j], U_in, W_in, Th_in,
+                                                       hj, ctx, j, out)
         else:
-            X = sys.step_batch(X, U, W, thetas, hj)
-        states[j + 1] = X
+            sys.step_batch(X, U_in, W_in, Th_in, hj, out)
 
         # the whole block, nominal row included, is one contiguous run; the
         # particle rows alone, a strided block, are read only when it fails
-        bad = N > 0 and not (_in_range(X) or _in_range(X[:N]))
+        bad = N > 0 and not (_in_range(out) or _in_range(out[:N]))
         if bad:
             lengths = lengths[: j + 1]
             break

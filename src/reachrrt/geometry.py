@@ -65,18 +65,31 @@ class Box(_Shape):
         The same bytes as gen.uniform(lo, hi, size), which computes
         lo + (hi - lo) * u from the same doubles u, without its broadcasting
         cost; like it, refuses a width that is not finite."""
+        if n is None:
+            return self.lo + self._width() * gen.random(self.dim)
+        u = np.empty((int(n), self.dim))
+        self.sample_into(gen, u, u)
+        return u
+
+    def sample_into(self, gen, out, u):
+        """Write an (n, dim) block of uniform draws into out, with the bytes
+        of sample(gen, n).  The doubles go row-major into u, a C-order
+        (n, dim) buffer that may be out itself, and each column of out is
+        then u * width + lo.  out may have any layout: a channel-major out
+        gets each column in one contiguous row."""
+        width = self._width()
+        gen.random(out=u)
+        # column by column: a (d,) vector broadcast across (n, d) rows makes
+        # numpy run its inner loop once per row
+        for dst, col, w, lo in zip(out.T, u.T, width.tolist(), self.lo.tolist()):
+            np.multiply(col, w, out=dst)
+            np.add(dst, lo, out=dst)
+
+    def _width(self):
         width = self.hi - self.lo
         if not np.isfinite(width).all():
             raise OverflowError("Range exceeds valid bounds")
-        if n is None:
-            return self.lo + width * gen.random(self.dim)
-        u = gen.random((int(n), self.dim))
-        # column by column, in place: a (d,) vector broadcast across (n, d)
-        # rows makes numpy run its inner loop once per row
-        for col, w, lo in zip(u.T, width.tolist(), self.lo.tolist()):
-            col *= w
-            col += lo
-        return u
+        return width
 
 
 @dataclass(frozen=True)

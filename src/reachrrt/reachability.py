@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .dynamics import rollout_batch
+from .dynamics import constant_w_source, rollout_batch
 from .geometry import (
     box_obstacle_clearance,
     convex_hull_2d,
@@ -108,22 +108,30 @@ def init_particles(sys, init_region, n_particles, seed, init_mode=None,
 
 
 def disturbance_source(box, seed, *key):
-    """Disturbance draws from `box` for one rollout: sub-step j reads the
-    substream (seed, *key, j).
+    """Disturbance draws from `box` for one rollout, in the form
+    rollout_batch takes: source(j, out) writes sub-step j's (count, dim)
+    block into out, drawn from the substream (seed, *key, j).
 
     Each sub-step gets its own substream, so draws are independent of how
     many particles other rollouts used and the first m rows of a block are
-    stable as the particle count grows.  A zero-width box (lo == hi on every
-    axis) creates no substream: a uniform draw is lo + (hi - lo) u, which is
-    lo + 0.0 for every u, and nothing else reads the sub-step's private
-    generator.  Its rows are one read-only broadcast of lo + 0.0.
+    stable as the particle count grows.  The uniform doubles go row-major
+    into one (count, dim) buffer that the source reuses, and each column is
+    scaled from it straight into out.  A zero-width box (lo == hi on every
+    axis) creates no substream: a uniform draw is lo + (hi - lo) u, which
+    is lo + 0.0 for every u, and nothing else reads the sub-step's private
+    generator.  Its block never changes, so it is written at sub-step 0
+    only (rollout_batch hands the source the same block every sub-step).
     """
     if np.array_equal(box.lo, box.hi) and np.all(np.isfinite(box.lo)):
-        w = box.lo + 0.0
-        return lambda j, count: np.broadcast_to(w, (int(count), box.dim))
+        return constant_w_source(box.lo + 0.0)
 
-    def source(j, count):
-        return box.sample(rng.substream(seed, *key, j), count)
+    u = np.empty((0, box.dim))
+
+    def source(j, out):
+        nonlocal u
+        if u.shape != out.shape:
+            u = np.empty(out.shape)
+        box.sample_into(rng.substream(seed, *key, j), out, u)
 
     return source
 

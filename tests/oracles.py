@@ -3,13 +3,14 @@
 Single-state stepping wrappers, hull membership with slack, the distance
 from a point to a hull, the closed form reachable interval of linear1d,
 and the straightforward forms of code that the package runs in a faster
-form (the monotone chain with a function call per point, the jumper step
-with every mask built on every call and its own countdown, and the
-feedback law and the point clearances on whole (N, d) blocks rather than
-column by column, the SVG hull elements formatted one vertex at a time,
-and the Riccati iteration with no early refusal of a stalled run).  The
-package itself works on batches and clearances, so these live next to the
-tests that check it.
+form (the monotone chain with a function call per point, the steps as
+expressions that allocate and return a fresh block, the jumper step with
+every mask built on every call and its own countdown, and the feedback
+law and the point clearances on whole (N, d) blocks rather than column by
+column, the SVG hull elements formatted one vertex at a time, and the
+Riccati iteration with no early refusal of a stalled run).  The package
+itself works on batches and clearances, so these live next to the tests
+that check it.
 """
 
 import numpy as np
@@ -62,10 +63,11 @@ def step(sys, x, u, w, theta, h):
     U = np.asarray(u, dtype=float)[None, :]
     W = np.asarray(w, dtype=float)[None, :]
     Th = np.asarray(theta, dtype=float)[None, :]
-    out = sys.step_batch(X, U, W, Th, h)[0]
+    out = np.empty_like(X)
+    sys.step_batch(X, U, W, Th, h, out)
     if not np.all(np.isfinite(out)):
         raise RuntimeError("dynamics diverged")
-    return out
+    return out[0]
 
 
 def hybrid_step(sys, x, mode, u, w, theta, h):
@@ -75,8 +77,38 @@ def hybrid_step(sys, x, mode, u, w, theta, h):
     W = np.asarray(w, dtype=float)[None, :]
     Th = np.asarray(theta, dtype=float)[None, :]
     M = np.array([int(mode)], dtype=np.int64)
-    Xn, Mn = sys.hybrid_step_batch(X, M, U, W, Th, h, sys.begin_segment(U[0], M, W), 0)
-    return Xn[0], int(Mn[0])
+    out = np.empty_like(X)
+    Mn = sys.hybrid_step_batch(X, M, U, W, Th, h, sys.begin_segment(U[0], M, W), 0, out)
+    return out[0], int(Mn[0])
+
+
+def resolved(sys, nu, X, mu):
+    """sys.resolve_control into a fresh (N, m) block, returned."""
+    out = np.empty((len(X), sys.bounds.control.dim))
+    sys.resolve_control(nu, X, mu, out)
+    return out
+
+
+def reference_linear1d_step(X, U, W, Th, h):
+    """Linear1D's Euler step as the expression it was before steps wrote
+    in place: X + h * flow, with the flow theta + w a fresh block."""
+    return X + h * (Th[:, :1] + W[:, :1])
+
+
+def reference_quadrotor_step(X, U, W, Th, h):
+    """Quadrotor.step_batch as it was before it wrote in place: each column
+    one numpy expression over fresh temporaries."""
+    px, py, vx, vy = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
+    u1, u2 = U[:, 0], U[:, 1]
+    ax, ay = Th[:, 0], Th[:, 1]
+    g = GRAVITY
+    quarter = h * h * g / 4.0
+    out = np.empty_like(X)
+    out[:, 0] = px + h * vx + quarter * u1
+    out[:, 1] = py + h * vy - quarter * u2
+    out[:, 2] = vx + h * (g * u1 - ax * vx * np.abs(vx) + W[:, 0])
+    out[:, 3] = vy + h * (-g * u2 - ay * vy * np.abs(vy) + W[:, 1])
+    return out
 
 
 def exact_interval_reach(sys, x0_interval, tau):

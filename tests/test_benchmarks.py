@@ -16,7 +16,14 @@ from reachrrt.benchmarks import GRAVITY, Jumper, Quadrotor, dlqr_gain, make_benc
 from reachrrt.dynamics import (constant_w_source, reachable_modes, rollout_batch,
                                substep_lengths)
 
-from oracles import hybrid_step, reference_dlqr_gain, reference_jumper_step
+from oracles import (
+    hybrid_step,
+    reference_dlqr_gain,
+    reference_jumper_step,
+    reference_linear1d_step,
+    reference_quadrotor_step,
+    resolved,
+)
 
 H = 0.03
 
@@ -107,9 +114,9 @@ def test_no_jump_command_means_no_countdown():
 def test_latency_delays_takeoff_by_substeps():
     sys_ = Jumper()
 
-    def w_source(j, n):
+    def w_source(j, out):
         # only the segment-start draw sets the countdown
-        return np.full((n, 1), 0.99 if j == 0 else 0.0)
+        out[...] = 0.99 if j == 0 else 0.0
 
     r = rollout_batch(sys_, np.zeros((1, 4)), np.array([0.0, 1.0]), 4 * H, H,
                       sys_.nominal_param[None, :], w_source,
@@ -195,31 +202,90 @@ def _jumper_batch(case, n, gen):
     return X, modes, cd
 
 
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def _trace_row(n, d):
+    """An empty (n, d) block laid out as a rollout's trace row: each
+    column one contiguous row of a (d, n) block."""
+    return np.empty((d, n)).T
+
+
 @pytest.mark.parametrize("case", ["contact", "flight", "firing", "landing", "mixed"])
-@pytest.mark.parametrize("n", [0, 1, 41])
+@pytest.mark.parametrize("n", [0, 1, 41, 10_001])
 def test_lean_jumper_step_matches_the_reference(case, n):
+    # the in-place step against the allocating reference, written into a
+    # trace row from read-only inputs
     sys_ = Jumper()
     gen = np.random.default_rng(11)
     X, modes, cd = _jumper_batch(case, n, gen)
-    U = np.column_stack([gen.uniform(-0.5, 5.5, n), np.ones(n)])
-    W = gen.random((n, 1))
-    Th = sys_.bounds.param.sample(gen, n)
+    U = _read_only(np.column_stack([gen.uniform(-0.5, 5.5, n), np.ones(n)]))
+    W = _read_only(gen.random((n, 1)))
+    Th = _read_only(sys_.bounds.param.sample(gen, n))
     ctx, ref_cd = cd.copy(), cd.copy()
     ref_X, ref_modes = X, modes
+    landed = False
     for j in range(3):  # the reference's countdown burns across sub-steps
+        X, modes = _read_only(X), _read_only(modes)
         X_in, modes_in = X.copy(), modes.copy()
-        X_out, modes_out = sys_.hybrid_step_batch(X, modes, U, W, Th, H, ctx, j)
+        X_out = _trace_row(n, 4)
+        modes_out = sys_.hybrid_step_batch(X, modes, U, W, Th, H, ctx, j, X_out)
         # the inputs are rows of a rollout trace: the step must leave them be
         assert X.tobytes() == X_in.tobytes() and modes.tobytes() == modes_in.tobytes()
         assert ctx.tobytes() == cd.tobytes()  # the context is read-only
         X, modes = X_out, modes_out
+        before = ref_modes
         ref_X, ref_modes = reference_jumper_step(sys_, ref_X, ref_modes, U, W, Th, H, ref_cd)
-        assert X.dtype == ref_X.dtype and X.tobytes() == ref_X.tobytes()
+        landed |= bool(((before == Jumper.FLIGHT) & (ref_modes == Jumper.CONTACT)).any())
+        assert X.dtype == ref_X.dtype and np.ascontiguousarray(X).tobytes() == ref_X.tobytes()
         assert modes.dtype == ref_modes.dtype and modes.tobytes() == ref_modes.tobytes()
     if case == "firing" and n:
         assert (ref_modes == Jumper.FLIGHT).any()
     if case == "landing" and n:
         assert (ref_modes == Jumper.CONTACT).any()
+    if case == "mixed" and n > 1000:
+        # rows that fire, fly and land on the way
+        assert (ref_cd < 0).all() and (ref_modes == Jumper.FLIGHT).any() and landed
+
+
+# entries that tie, sign a zero, overflow or are not numbers; a NaN of
+# each sign shows the operand order, since of two NaN operands the result
+# keeps the first one's sign
+_STEP_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e-310, np.inf, -np.inf, np.nan,
+               np.copysign(np.nan, -1.0)]
+
+
+@pytest.mark.parametrize("layout", ["C", "channel-major"])
+@pytest.mark.parametrize("name", ["linear1d", "quadrotor"])
+def test_in_place_steps_are_the_reference_bytes(name, layout):
+    # each step writes its output block in place; every byte, NaN payloads
+    # and zero signs included, must be what the old expression computes
+    if name == "linear1d":
+        sys_, reference = make_benchmark("linear1d"), reference_linear1d_step
+    else:
+        sys_, reference = make_benchmark("quadrotor", feedback=False), reference_quadrotor_step
+    n = 10_001
+    gen = np.random.default_rng(21)
+
+    def block(d):
+        B = gen.uniform(-3.0, 3.0, (n, d))
+        hit = gen.random(B.shape) < 0.3
+        B[hit] = gen.choice(_STEP_EDGES, hit.sum())
+        B[0] = -0.0  # a row whose step gives -0.0
+        return _read_only(B)
+
+    X, U, W, Th = (block(d) for d in (sys_.state_dim, sys_.bounds.control.dim,
+                                      sys_.bounds.disturbance.dim, sys_.bounds.param.dim))
+    for h in (H, 0.03):
+        out = np.empty((n, sys_.state_dim)) if layout == "C" else _trace_row(n, sys_.state_dim)
+        with np.errstate(all="ignore"):
+            sys_.step_batch(X, U, W, Th, h, out)
+            want = reference(X, U, W, Th, h)
+        assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+        assert np.isnan(want).any() and (np.signbit(want) & (want == 0)).any()
 
 
 @pytest.mark.parametrize("jump", [0.0, 1.0])
@@ -234,7 +300,8 @@ def test_jumper_segments_match_the_reference_countdown(seed, jump):
     nu = np.array([gen.uniform(-0.5, 5.5), jump])
     Th = sys_.bounds.param.sample(gen, 41)
     W0 = gen.random((41, 1))
-    r = rollout_batch(sys_, X, nu, 0.2, H, Th, lambda j, count: W0, modes0=modes)
+    r = rollout_batch(sys_, X, nu, 0.2, H, Th, lambda j, out: np.copyto(out, W0),
+                      modes0=modes)
     cd = sys_.begin_segment(nu, modes, W0).copy()
     U = np.tile(nu, (41, 1))
     for j, hj in enumerate(substep_lengths(0.2, H)):
@@ -262,7 +329,9 @@ def test_jumper_steps_ignore_the_substep_draws(W, step):
     for w in (np.zeros((5, 1)), np.array(W)[:, None]):
         Xk, mk = X, modes
         for j in range(step):
-            Xk, mk = sys_.hybrid_step_batch(Xk, mk, U, w, Th, H, cd, j)
+            Xn = np.empty_like(Xk)
+            mk = sys_.hybrid_step_batch(Xk, mk, U, w, Th, H, cd, j, Xn)
+            Xk = Xn
         outs.append((Xk.tobytes(), mk.tobytes()))
     assert outs[0] == outs[1]
 
@@ -327,8 +396,10 @@ def test_feedback_pulls_offset_state_back():
     x = np.array([[1.0, -1.0, 0.0, 0.0]])
     mu = np.zeros(4)
     for _ in range(200):
-        u = fb.resolve_control(np.zeros(2), x, mu)
-        x = fb.step_batch(x, u, np.zeros((1, 2)), np.array([[0.5, 0.5]]), 0.1)
+        u = resolved(fb, np.zeros(2), x, mu)
+        xn = np.empty_like(x)
+        fb.step_batch(x, u, np.zeros((1, 2)), np.array([[0.5, 0.5]]), 0.1, xn)
+        x = xn
     assert np.linalg.norm(x) < 1e-2
 
 

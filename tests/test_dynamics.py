@@ -29,7 +29,7 @@ from reachrrt.dynamics import (
 from reachrrt.geometry import Box
 from reachrrt.reachability import disturbance_source
 
-from oracles import reference_resolve_control, step
+from oracles import reference_resolve_control, resolved, step
 
 H = 0.1
 
@@ -162,7 +162,7 @@ def test_feedback_control_matches_matmul_and_clips():
     X = gen.uniform(-2, 2, size=(64, 4))
     mu = gen.uniform(-1, 1, size=4)
     nu = np.array([0.2, -0.3])
-    got = fb.resolve_control(nu, X, mu)
+    got = resolved(fb, nu, X, mu)
     want = np.clip(nu + (X - mu) @ K.T, quad.bounds.control.lo, quad.bounds.control.hi)
     assert got == pytest.approx(want, abs=1e-12)
     assert np.all(got >= quad.bounds.control.lo) and np.all(got <= quad.bounds.control.hi)
@@ -204,7 +204,7 @@ def test_feedback_control_is_the_reference_bytes(rows, bounds, gain, nu, mu, nom
     X[-1] = mu  # the tracked nominal rides as the last row
     before = X.tobytes(), mu.tobytes()
     with np.errstate(invalid="ignore"):  # inf - inf in the nominal row
-        got = fb.resolve_control(np.array(nu), X, mu)
+        got = resolved(fb, np.array(nu), X, mu)
         want = reference_resolve_control(fb, np.array(nu), X, mu)
     assert got.shape == want.shape == (rows, 2)
     assert got.tobytes() == want.tobytes()
@@ -216,21 +216,21 @@ def test_feedback_control_is_the_reference_bytes(rows, bounds, gain, nu, mu, nom
 def test_feedback_refuses_a_per_row_control(nu):
     fb = make_benchmark("quadrotor")
     with pytest.raises(ValueError, match=r"shape \(2,\)"):
-        fb.resolve_control(nu, np.zeros((3, 4)), np.zeros(4))
+        resolved(fb, nu, np.zeros((3, 4)), np.zeros(4))
 
 
 def test_feedback_at_reference_returns_commanded():
     fb = make_benchmark("quadrotor")
     mu = np.array([1.0, 2.0, 0.5, -0.5])
     nu = np.array([0.3, 0.4])
-    got = fb.resolve_control(nu, mu[None, :], mu)
+    got = resolved(fb, nu, mu[None, :], mu)
     assert np.array_equal(got[0], nu)
 
 
 def test_feedback_requires_reference():
     fb = make_benchmark("quadrotor")
     with pytest.raises(ValueError):
-        fb.resolve_control(np.zeros(2), np.zeros((3, 4)), None)
+        resolved(fb, np.zeros(2), np.zeros((3, 4)), None)
 
 
 def test_feedback_gain_shape_checked():
@@ -258,8 +258,9 @@ class Explode(ContinuousSystem):
         self.nominal_param = np.array([0.0])
         self.nominal_disturbance = np.array([0.0])
 
-    def flow_batch(self, X, U, W, Th):
-        return X * X * 1e6
+    def flow_batch(self, X, U, W, Th, out):
+        np.multiply(X, X, out=out)
+        np.multiply(out, 1e6, out=out)
 
 
 def test_divergence_raises_from_rollout():
@@ -284,8 +285,8 @@ def test_nonfinite_single_step_raises():
         nominal_param = np.array([0.0])
         nominal_disturbance = np.array([0.0])
 
-        def flow_batch(self, X, U, W, Th):
-            return np.full_like(X, np.nan)
+        def flow_batch(self, X, U, W, Th, out):
+            out.fill(np.nan)
 
     with pytest.raises(RuntimeError, match="dynamics diverged"):
         step(Nan(), np.array([0.0]), np.zeros(1), np.zeros(1), np.zeros(1), 0.1)
@@ -298,7 +299,10 @@ def reference_rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None,
                             modes0=None, mu_mode0=None):
     """rollout_batch as it was before the traces were preallocated: every
     sub-step is copied into a list, the lists are stacked at the end, and
-    divergence is tested with isfinite and abs."""
+    divergence is tested with isfinite and abs.  Each step and control
+    resolution writes a fresh block, and the nominal runs in its own
+    one-row calls; the disturbances fill one (N, dw) block per rollout, as
+    w_source expects."""
     X = np.array(X0, dtype=float)
     N = len(X)
     nu = np.asarray(nu, dtype=float)
@@ -319,30 +323,39 @@ def reference_rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None,
     mu_trace = [mu.copy()] if track_mu else None
     mu_modes_trace = [mu_mode.copy()] if mu_mode is not None else None
 
+    def resolve(X, mu):
+        U = np.empty((len(X), nu.shape[-1]))
+        sys.resolve_control(nu, X, mu, U)
+        return U
+
     ctx = None
     mu_ctx = None
     bad = False
+    W = np.empty((N, len(w_hat[0])))
     for j, hj in enumerate(lengths):
-        W = np.asarray(w_source(j, N), dtype=float)
+        w_source(j, W)
         if hyb and j == 0:
             ctx = sys.begin_segment(nu, modes, W)
             if track_mu:
                 mu_ctx = sys.begin_segment(nu, mu_mode, w_hat)
-        U = sys.resolve_control(nu, X, mu)
+        U = resolve(X, mu)
 
+        Xn = np.empty_like(X)
         if hyb:
-            X, modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx, j)
+            modes = sys.hybrid_step_batch(X, modes, U, W, thetas, hj, ctx, j, Xn)
         else:
-            X = sys.step_batch(X, U, W, thetas, hj)
+            sys.step_batch(X, U, W, thetas, hj, Xn)
+        X = Xn
 
         if track_mu:
-            U_mu = sys.resolve_control(nu, mu[None, :], mu)
+            U_mu = resolve(mu[None, :], mu)
+            mu_b = np.empty((1, len(mu)))
             if hyb:
-                mu_b, mu_mode = sys.hybrid_step_batch(
-                    mu[None, :], mu_mode, U_mu, w_hat, th_hat, hj, mu_ctx, j)
-                mu = mu_b[0]
+                mu_mode = sys.hybrid_step_batch(
+                    mu[None, :], mu_mode, U_mu, w_hat, th_hat, hj, mu_ctx, j, mu_b)
             else:
-                mu = sys.step_batch(mu[None, :], U_mu, w_hat, th_hat, hj)[0]
+                sys.step_batch(mu[None, :], U_mu, w_hat, th_hat, hj, mu_b)
+            mu = mu_b[0]
 
         bad = not np.all(np.isfinite(X)) or np.any(np.abs(X) > DIVERGENCE_LIMIT)
         states_trace.append(X.copy())
@@ -391,8 +404,8 @@ class Additive(ContinuousSystem):
         self.nominal_param = np.array([0.0])
         self.nominal_disturbance = np.zeros(2)
 
-    def step_batch(self, X, U, W, Th, h):
-        return X + W
+    def step_batch(self, X, U, W, Th, h, out):
+        np.add(X, W, out=out)
 
 
 class AdditiveHybrid(HybridSystem):
@@ -408,18 +421,18 @@ class AdditiveHybrid(HybridSystem):
         self.nominal_param = np.array([0.0])
         self.nominal_disturbance = np.zeros(2)
 
-    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j):
-        return X + W, 1 - mode_arr
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j, out):
+        np.add(X, W, out=out)
+        return 1 - mode_arr
 
 
 def _injecting_source(value):
     """Zero disturbances, except `value` in one entry at sub-step 3."""
 
-    def source(j, n):
-        W = np.zeros((n, 2))
+    def source(j, out):
+        out[...] = 0.0
         if j == 3:
-            W[1, 1] = value
-        return W
+            out[1, 1] = value
 
     return source
 
@@ -456,7 +469,13 @@ def test_inplace_trace_matches_stacked_reference(hybrid, value, diverges, tau):
     ("quadrotor", {"feedback": False}, False, 50),
     ("jumper", {}, True, 50),
     ("jumper", {}, False, 50),
-], ids=["quadrotor", "quadrotor-10000", "quadrotor-open-loop", "jumper-tracked", "jumper"])
+    ("linear1d", {}, True, 50),
+    ("linear1d", {}, False, 50),
+    ("linear1d", {"w_lo": -0.1, "w_hi": 0.2}, True, 50),
+    ("linear1d", {"w_lo": -0.1, "w_hi": 0.2}, False, 50),
+], ids=["quadrotor", "quadrotor-10000", "quadrotor-open-loop", "jumper-tracked", "jumper",
+        "linear1d-zero-width-tracked", "linear1d-zero-width", "linear1d-tracked",
+        "linear1d"])
 @pytest.mark.parametrize("tau", [0.73, 0.0], ids=["tau", "tau0"])
 def test_inplace_trace_matches_stacked_reference_on_benchmarks(name, options, tracked, n, tau):
     # the reference stacks row-major blocks; rollout_batch's trace is
@@ -557,9 +576,9 @@ class WritesDisturbance(ContinuousSystem):
         self.nominal_param = np.array([0.0])
         self.nominal_disturbance = np.array([0.0])
 
-    def flow_batch(self, X, U, W, Th):
+    def flow_batch(self, X, U, W, Th, out):
         W[:] = 1.0
-        return W
+        out[...] = W
 
 
 def test_a_shared_zero_width_block_is_read_only():
@@ -567,6 +586,39 @@ def test_a_shared_zero_width_block_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         rollout_batch(WritesDisturbance(), np.zeros((3, 1)), np.zeros(1), 0.3, 0.1,
                       np.zeros((3, 1)), src)
+
+
+class WritesInput(ContinuousSystem):
+    """A faulty step function that writes one of its inputs."""
+
+    name = "writes-input"
+    state_dim = 1
+    collision_projection = (0,)
+
+    def __init__(self, target):
+        self.target = target
+        self.bounds = _scalar_bounds()
+        self.nominal_param = np.array([0.0])
+        self.nominal_disturbance = np.array([0.0])
+
+    def flow_batch(self, X, U, W, Th, out):
+        {"X": X, "U": U, "W": W, "Th": Th}[self.target][:] = 1.0
+        out.fill(0.0)
+
+
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "untracked"])
+@pytest.mark.parametrize("box", [Box([0.5], [0.5]), Box([0.0], [1.0])],
+                         ids=["zero-width", "wide"])
+@pytest.mark.parametrize("target", ["X", "U", "W", "Th"])
+def test_a_step_that_writes_an_input_raises(target, box, tracked):
+    # every input of a step is a read-only view, whatever the box and
+    # whether a nominal rides along; the caller's arrays stay as they were
+    X0, Th = np.zeros((3, 1)), np.zeros((3, 1))
+    kw = {"mu0": np.zeros(1)} if tracked else {}
+    src = disturbance_source(box, 5, rng.DOMAIN_CHECK, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        rollout_batch(WritesInput(target), X0, np.zeros(1), 0.3, 0.1, Th, src, **kw)
+    assert not X0.any() and not Th.any()
 
 
 # ------------------------------------------ sub-step draws only when read
@@ -586,10 +638,11 @@ def test_skipping_unread_draws_keeps_the_bytes(tracked, tau):
     if tracked:
         kw.update(mu0=X0.mean(axis=0), mu_mode0=Jumper.CONTACT)
     calls = []
+    draws = disturbance_source(sys_.bounds.disturbance, 5, rng.DOMAIN_CHECK, 6)
 
-    def source(j, count):
+    def source(j, out):
         calls.append(j)
-        return disturbance_source(sys_.bounds.disturbance, 5, rng.DOMAIN_CHECK, 6)(j, count)
+        draws(j, out)
 
     args = (X0, np.array([3.0, 1.0]), tau, 0.05, sys_.bounds.param.sample(gen, n), source)
     got = rollout_batch(sys_, *args, **kw)
@@ -634,9 +687,9 @@ class ProbeBlow(HybridSystem):
         self.nominal_param = np.array([0.0])
         self.nominal_disturbance = np.array([0.0])
 
-    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j):
-        out = X + h + 1e13 * U[:, :1]
-        return out, np.where((out[:, 0] > 0.25) & (out[:, 0] < 1.0), 1, mode_arr)
+    def hybrid_step_batch(self, X, mode_arr, U, W, Th, h, ctx, j, out):
+        out[...] = X + h + 1e13 * U[:, :1]
+        return np.where((out[:, 0] > 0.25) & (out[:, 0] < 1.0), 1, mode_arr)
 
     def probe_controls(self, x, mode):
         return [np.array([0.0]), np.array([1.0])]

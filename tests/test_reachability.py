@@ -224,18 +224,48 @@ def test_extension_monotone_in_particle_count():
         assert point_in_hull(large_hull, v)
 
 
+def _written(source, j, count, dim, layout="C"):
+    """The (count, dim) block source writes at sub-step j, called once.
+    A channel-major layout is the transposed view a rollout hands it."""
+    out = np.full((count, dim), np.nan) if layout == "C" else np.full((dim, count), np.nan).T
+    source(j, out)
+    return out
+
+
+def _substep_block(source, j, count, dim, layout="C"):
+    """The block at sub-step j of a rollout: the source is handed the
+    same block at sub-steps 0, 1, ..., j, as rollout_batch does."""
+    out = _written(source, 0, count, dim, layout)
+    for i in range(1, j + 1):
+        source(i, out)
+    return out
+
+
 def test_extension_draws_differ_by_id_and_substep():
     sys_ = _linear()
     box = sys_.bounds.disturbance
     src = disturbance_source(box, SEED, rng.DOMAIN_EXTEND, 5)
-    a = src(0, 50)
-    b = src(1, 50)
-    c = disturbance_source(box, SEED, rng.DOMAIN_EXTEND, 6)(0, 50)
-    again = disturbance_source(box, SEED, rng.DOMAIN_EXTEND, 5)(0, 50)
+    a = _written(src, 0, 50, 1)
+    b = _written(src, 1, 50, 1)
+    c = _written(disturbance_source(box, SEED, rng.DOMAIN_EXTEND, 6), 0, 50, 1)
+    again = _written(disturbance_source(box, SEED, rng.DOMAIN_EXTEND, 5), 0, 50, 1)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.array_equal(a, again)
-    assert np.array_equal(a[:10], src(0, 10))
+    assert np.array_equal(a[:10], _written(src, 0, 10, 1))
+
+
+@pytest.mark.parametrize("layout", ["C", "channel-major"])
+@pytest.mark.parametrize("count", [0, 1, 7, 10_001])
+def test_source_writes_the_bytes_of_a_box_sample(count, layout):
+    # the draws go row-major into the source's own buffer and are scaled
+    # column by column into the block it is handed, whatever its layout
+    box = Box([-0.5, 0.0, 2.0], [0.5, 1e-300, 2.0])
+    src = disturbance_source(box, SEED, rng.DOMAIN_EXTEND, 5)
+    for j in (0, 4, 4):  # the reused buffer leaves no trace in a later draw
+        got = _written(src, j, count, 3, layout)
+        want = box.sample(rng.substream(SEED, rng.DOMAIN_EXTEND, 5, j), count)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 # signed zeros, subnormals, huge magnitudes and ordinary values
@@ -249,7 +279,8 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
        count=st.integers(0, 64), j=st.integers(0, 40), key=st.integers(0, 1000))
 def test_zero_width_source_equals_the_substream_draw(lo, count, j, key):
     box = Box(lo, lo)
-    got = disturbance_source(box, SEED, rng.DOMAIN_EXTEND, key)(j, count)
+    got = _substep_block(disturbance_source(box, SEED, rng.DOMAIN_EXTEND, key), j, count,
+                         box.dim, "channel-major" if key % 2 else "C")
     want = box.sample(rng.substream(SEED, rng.DOMAIN_EXTEND, key, j), count)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
@@ -269,17 +300,29 @@ def _counting_substreams(monkeypatch):
 
 def test_zero_width_source_reads_no_substream(monkeypatch):
     keys = _counting_substreams(monkeypatch)
-    block = disturbance_source(Box([0.25, -0.0], [0.25, -0.0]), SEED, 9)(3, 5)
+    block = _substep_block(disturbance_source(Box([0.25, -0.0], [0.25, -0.0]), SEED, 9),
+                           3, 5, 2)
     assert keys == []
     assert np.array_equal(block, np.tile([0.25, 0.0], (5, 1)))
-    with pytest.raises(ValueError, match="read-only"):
-        block[0, 0] = 1.0
+    assert not np.signbit(block).any()  # lo + 0.0, as a draw gives
+
+
+def test_zero_width_source_writes_its_block_at_substep_0_only():
+    # the block is the same one at every sub-step and nothing else writes
+    # it, so the later sub-steps have nothing to write
+    src = disturbance_source(Box([0.25], [0.25]), SEED, 9)
+    block = _written(src, 0, 4, 1)
+    assert (block == 0.25).all()
+    block[...] = np.nan
+    for j in range(1, 6):
+        src(j, block)
+    assert np.isnan(block).all()
 
 
 def test_one_wide_axis_still_reads_its_substream(monkeypatch):
     keys = _counting_substreams(monkeypatch)
     box = Box([0.25, 0.0], [0.25, 1e-300])
-    got = disturbance_source(box, SEED, 9)(3, 5)
+    got = _written(disturbance_source(box, SEED, 9), 3, 5, 2)
     assert keys == [(9, 3)]
     assert np.array_equal(got, box.sample(rng.substream(SEED, 9, 3), 5))
 
@@ -303,11 +346,11 @@ def test_divergent_extension_returns_none():
         nominal_param = np.array([0.5])
         nominal_disturbance = np.array([0.0])
 
-        def resolve_control(self, nu, X, mu):
-            return np.tile(nu, (len(X), 1))
+        def resolve_control(self, nu, X, mu, out):
+            out[...] = nu
 
-        def step_batch(self, X, U, W, Th, h):
-            return X * 1e8
+        def step_batch(self, X, U, W, Th, h, out):
+            np.multiply(X, 1e8, out=out)
 
     root = init_particles(Blow(), Box([1.0], [2.0]), 8, SEED)
     pset, r = compute_reach_set(Blow(), root, np.zeros(1), 1.0, 0.1, SEED, 0)

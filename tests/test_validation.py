@@ -154,7 +154,7 @@ def test_replay_checks_the_root_of_a_zero_step_plan():
 def test_both_validators_refuse_a_plan_that_diverges():
     sys_, result, init, goal = _solved_linear()
     blow = make_benchmark("linear1d", theta_lo=0.45, theta_hi=0.55)
-    blow.step_batch = lambda X, U, W, Th, h: X * 1e200 + 1.0
+    blow.step_batch = lambda X, U, W, Th, h, out: np.add(X * 1e200, 1.0, out=out)
     with pytest.raises(RuntimeError, match="plan rollout diverged"):
         monte_carlo_validate(blow, result.plan, init, goal, [], 10, SEED)
     with pytest.raises(RuntimeError, match="plan rollout diverged"):
@@ -208,9 +208,9 @@ def reference_monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
     box = sys.bounds.disturbance
     for k, step in enumerate(plan_obj.steps):
 
-        def w_source(j, count, _k=k):
+        def w_source(j, out, _k=k):
             gen = rng.substream(seed, rng.DOMAIN_VALIDATE, 2, _k, int(j))
-            return box.sample(gen, count)
+            out[...] = box.sample(gen, len(out))
 
         r = rollout_batch(sys, X, np.asarray(step.u, dtype=float), step.tau, h,
                           Th, w_source, mu0=mu, modes0=modes, mu_mode0=mu_mode)
