@@ -122,7 +122,7 @@ def cmd_run(args):
     with open(os.path.join(out, "tree.svg"), "w") as f:
         f.write(render_svg(result, sys, scenario.goal, scenario.obstacles,
                            scenario.sampling_box, params.epsilon, params.seed,
-                           scenario.sha256, __version__))
+                           scenario.sha256))
     if result.plan is not None:
         plan_path = write_result(out, "plan.json", scenario.sha256,
                                  **plan_to_dict(result.plan))

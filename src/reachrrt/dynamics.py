@@ -135,13 +135,14 @@ class FeedbackWrapped(System):
         m, n = base.bounds.control.dim, base.state_dim
         if self.gain.shape != (m, n) or not np.all(np.isfinite(self.gain)):
             raise ValueError(f"gain must be a finite ({m}, {n}) matrix")
+        if base.hybrid:  # no mode machinery is forwarded, and probing needs (k, m) controls
+            raise ValueError("feedback wrapper takes a smooth system, not a hybrid one")
         self.name = base.name
         self.state_dim = base.state_dim
         self.bounds = base.bounds
         self.nominal_param = base.nominal_param
         self.nominal_disturbance = base.nominal_disturbance
         self.collision_projection = base.collision_projection
-        self.hybrid = base.hybrid
 
     def resolve_control(self, nu, X, mu, out):
         """One commanded (m,) control for the whole batch; control j is
@@ -247,7 +248,7 @@ class Rollout:
         return None if self.modes is None else self.modes[-1]
 
 
-def _in_range(X):
+def in_range(X):
     """Every entry of X within [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]; NaN
     fails both comparisons, so a non-finite entry is out of range."""
     return -DIVERGENCE_LIMIT <= X.min() and X.max() <= DIVERGENCE_LIMIT
@@ -350,7 +351,7 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
 
         # the whole block, nominal row included, is one contiguous run; the
         # particle rows alone, a strided block, are read only when it fails
-        bad = N > 0 and not (_in_range(out) or _in_range(out[:N]))
+        bad = N > 0 and not (in_range(out) or in_range(out[:N]))
         if bad:
             lengths = lengths[: j + 1]
             break
@@ -366,57 +367,42 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
     )
 
 
-def rollout(sys, x0, u, tau, h, mode=None):
-    """Single-trace rollout at the nominal parameter and disturbance.
+def rollout(sys, x0, nu, tau, h, mode=None):
+    """Roll copies of the state x0 at the nominal parameter and disturbance.
 
-    Returns the (S+1, n) state trace, with S = ceil(tau / h) sub-steps and the
-    final partial sub-step included; hybrid systems also return the mode trace.
+    nu is one (m,) commanded control or a (k, m) block, one row each, open
+    loop as rollout_batch takes it; x0 and the nominal parameter are tiled
+    to one row per control, and a hybrid system starts every row in mode.
+    Returns the Rollout; a row that leaves the finite range sets `diverged`
+    and cuts the traces of every row.  Deterministic, no random draws.
     """
+    nu = np.asarray(nu, dtype=float)
+    k = len(nu) if nu.ndim == 2 else 1
     modes0 = None
     if sys.hybrid:
         if mode is None:
             raise ValueError("hybrid rollout needs an initial mode")
-        modes0 = np.array([int(mode)], dtype=np.int64)
-    r = rollout_batch(
-        sys,
-        np.asarray(x0, dtype=float)[None, :],
-        u,
-        tau,
-        h,
-        sys.nominal_param[None, :],
-        constant_w_source(sys.nominal_disturbance),
-        modes0=modes0,
+        modes0 = np.full(k, int(mode), dtype=np.int64)
+    return rollout_batch(
+        sys, np.tile(np.asarray(x0, dtype=float), (k, 1)), nu, tau, h,
+        np.tile(sys.nominal_param, (k, 1)),
+        constant_w_source(sys.nominal_disturbance), modes0=modes0,
     )
-    if r.diverged:
-        raise RuntimeError("dynamics diverged")
-    if sys.hybrid:
-        return r.states[:, 0, :], r.modes[:, 0]
-    return r.states[:, 0, :]
 
 
 def reachable_modes(sys, x, mode, tau_max, h):
     """Mode indices a segment from (x, mode) can visit, found by probing.
 
-    Rolls every probe control out for tau_max at the nominal parameter and
-    disturbance, as the rows of one batch, and unions the visited modes.
-    Deterministic, no random draws.  A diverging probe still contributes the
-    modes seen before truncation: a diverged batch is cut for every row, so
-    the probes are then rolled out one at a time.
+    Rolls every probe control out for tau_max with rollout, as the rows of
+    one batch, and unions the visited modes.  Deterministic, no random
+    draws.  A diverging probe still contributes the modes seen before
+    truncation: a diverged batch is cut for every row, so the probes are
+    then rolled out one at a time.
     """
     nus = np.array(sys.probe_controls(x, int(mode)), dtype=float)
-    w = constant_w_source(sys.nominal_disturbance)
-
-    def probe(rows):
-        k = len(rows)
-        return rollout_batch(
-            sys, np.tile(np.asarray(x, dtype=float), (k, 1)), rows, tau_max, h,
-            np.tile(sys.nominal_param, (k, 1)), w,
-            modes0=np.full(k, int(mode), dtype=np.int64),
-        )
-
-    runs = [probe(nus)]
+    runs = [rollout(sys, x, nus, tau_max, h, mode)]
     if runs[0].diverged:
-        runs = [probe(nu[None, :]) for nu in nus]
+        runs = [rollout(sys, x, nu[None, :], tau_max, h, mode) for nu in nus]
     out = {int(mode)}
     for r in runs:
         out.update(np.unique(r.modes).tolist())

@@ -42,7 +42,8 @@ class Box(_Shape):
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or np.any(hi < lo):
+        # NaN fails every comparison: a NaN bound is refused, +-inf kept
+        if lo.shape != hi.shape or not np.all(lo <= hi):
             raise ValueError("box needs lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -102,6 +103,8 @@ class Ball(_Shape):
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if np.isnan(self.center).any():
+            raise ValueError("ball center must not be NaN")
         if not self.radius >= 0:
             raise ValueError("ball radius must be nonnegative")
 
@@ -127,6 +130,8 @@ class GoalRegion:
     def __post_init__(self):
         object.__setattr__(self, "projection", tuple(int(i) for i in self.projection))
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if np.isnan(self.center).any():
+            raise ValueError("goal center must not be NaN")
         if not self.radius > 0:
             raise ValueError("goal radius must be positive")
         if self.center.shape != (len(self.projection),):

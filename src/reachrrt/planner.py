@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .dynamics import DIVERGENCE_LIMIT, MAX_SUBSTEPS, reachable_modes, rollout
+from .dynamics import MAX_SUBSTEPS, in_range, reachable_modes, rollout
 from .reachability import (
     compute_reach_set,
     init_particles,
@@ -49,21 +49,22 @@ class PlannerParams:
     baseline: bool = False       # one particle: region center, nominal parameter
 
     def validated(self, goal):
+        # each test is written so that a NaN fails it
         if self.i_max < 0:
             raise ValueError("i_max must be nonnegative")
-        if self.tau_max <= 0:
+        if not self.tau_max > 0:
             raise ValueError("tau_max must be positive")
-        if self.zeta < 0:
+        if not self.zeta >= 0:
             raise ValueError("zeta must be nonnegative")
         if self.n_particles < 1:
             raise ValueError("need at least one particle")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.h <= 0 or self.h > self.tau_max or self.tau_max / self.h > MAX_SUBSTEPS:
+        if not (0 < self.h <= self.tau_max and self.tau_max / self.h <= MAX_SUBSTEPS):
             raise ValueError(f"sub-step must lie in [tau_max / {MAX_SUBSTEPS}, tau_max]")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.epsilon >= goal.radius:
+        if not self.epsilon < goal.radius:
             raise ValueError(f"epsilon {self.epsilon!r} must be smaller than the goal "
                              f"radius {goal.radius!r}")
         return self
@@ -151,19 +152,18 @@ def extend_hybrid(sys, reach, u, tau, sigma_s, h, seed, ext_id):
     rollout must stay finite, and every particle must end in sigma_s (no
     straddling the guard).  The nominal is row N of the particle rollout,
     so the first gate reads its final mode there.  Only when the particles
-    diverged (which cuts the trace) or the nominal left
-    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] is the nominal rolled out alone,
-    so that each reject keeps its reason.
+    diverged (which cuts the trace) or the nominal left the finite range
+    (dynamics.in_range) is the nominal rolled out alone with
+    dynamics.rollout, so that each reject keeps its reason.
     """
     pset, r = compute_reach_set(sys, reach, u, tau, h, seed, ext_id)
-    if pset is not None and -DIVERGENCE_LIMIT <= r.mu.min() and r.mu.max() <= DIVERGENCE_LIMIT:
+    if pset is not None and in_range(r.mu):
         end_mode = r.mu_modes[-1]
     else:
-        try:
-            _, mtrace = rollout(sys, reach.mu, u, tau, h, mode=reach.mu_mode)
-        except RuntimeError:
+        lone = rollout(sys, reach.mu, u, tau, h, mode=reach.mu_mode)
+        if lone.diverged:
             return ExtendOutcome(None, None, "diverged")
-        end_mode = mtrace[-1]
+        end_mode = lone.modes[-1, 0]
     if int(end_mode) != int(sigma_s):
         return ExtendOutcome(None, None, "nominal_mode")
     if pset is None:

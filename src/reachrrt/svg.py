@@ -9,6 +9,7 @@ numpy scalar operation per point costs more than the arithmetic.
 
 import numpy as np
 
+from . import __version__
 from .geometry import Ball, Box, convex_hull_2d
 from .reachability import project_to_plane
 
@@ -98,8 +99,7 @@ def _hull_elements(frame, hulls):
     return out
 
 
-def render_svg(result, sys, goal, obstacles, sampling_box, epsilon, seed,
-               scenario_sha, version):
+def render_svg(result, sys, goal, obstacles, sampling_box, epsilon, seed, scenario_sha):
     """Render the grown tree: hulls, nominal edges, obstacles (with their
     inflation), goal (with its shrink), and the solution path if any."""
     proj = list(sys.collision_projection)
@@ -114,7 +114,7 @@ def render_svg(result, sys, goal, obstacles, sampling_box, epsilon, seed,
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
         f'viewBox="0 0 {int(_W)} {int(_H)}">',
-        f"<!-- seed={seed} scenario={scenario_sha} version={version} -->",
+        f"<!-- seed={seed} scenario={scenario_sha} version={__version__} -->",
         f'<rect x="0" y="0" width="{int(_W)}" height="{int(_H)}" fill="#fdfdfd"/>',
     ]
 

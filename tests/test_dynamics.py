@@ -122,20 +122,20 @@ def test_substep_lengths_cover_tau_exactly():
 def test_trace_has_ceil_plus_one_entries():
     sys_ = make_benchmark("linear1d", theta_lo=0.4, theta_hi=0.6)
     for tau, want in [(0.25, 4), (0.3, 4), (0.0, 1), (0.05, 2)]:
-        trace = rollout(sys_, np.array([0.0]), np.zeros(1), tau, 0.1)
-        assert len(trace) == want
+        r = rollout(sys_, np.array([0.0]), np.zeros(1), tau, 0.1)
+        assert len(r.states) == want
 
 
 def test_zero_duration_keeps_the_state():
     sys_ = make_benchmark("linear1d")
-    trace = rollout(sys_, np.array([1.5]), np.zeros(1), 0.0, 0.1)
+    trace = rollout(sys_, np.array([1.5]), np.zeros(1), 0.0, 0.1).states[:, 0]
     assert np.array_equal(trace, np.array([[1.5]]))
 
 
 def test_linear1d_rollout_is_exact_integration():
     # flow is state-independent, so euler sub-steps integrate exactly
     sys_ = make_benchmark("linear1d", theta_lo=0.5, theta_hi=0.5)
-    trace = rollout(sys_, np.array([1.0]), np.zeros(1), 0.73, 0.1)
+    trace = rollout(sys_, np.array([1.0]), np.zeros(1), 0.73, 0.1).states[:, 0]
     assert trace[-1, 0] == pytest.approx(1.0 + 0.5 * 0.73, abs=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_zero_uncertainty_collapses_to_nominal():
     Th = np.tile([0.5, 0.5], (32, 1))
     r = rollout_batch(sys_, X0, np.array([0.3, 0.1]), 0.5, H, Th,
                       constant_w_source(np.zeros(2)))
-    nom = rollout(sys_, X0[0], np.array([0.3, 0.1]), 0.5, H)
+    nom = rollout(sys_, X0[0], np.array([0.3, 0.1]), 0.5, H).states[:, 0]
     assert np.array_equal(r.states[:, 0, :], nom)
     assert np.all(r.states == r.states[:, :1, :])
 
@@ -238,6 +238,13 @@ def test_feedback_gain_shape_checked():
         FeedbackWrapped(Quadrotor(), np.zeros((4, 2)))
 
 
+def test_feedback_refuses_a_hybrid_base():
+    # it forwards none of the mode machinery, and its control law takes one
+    # (m,) control where probing rolls a (k, m) block
+    with pytest.raises(ValueError, match="hybrid"):
+        FeedbackWrapped(Jumper(), np.zeros((2, 4)))
+
+
 # ------------------------------------------------------------ divergence
 
 
@@ -263,9 +270,10 @@ class Explode(ContinuousSystem):
         np.multiply(out, 1e6, out=out)
 
 
-def test_divergence_raises_from_rollout():
-    with pytest.raises(RuntimeError, match="dynamics diverged"):
-        rollout(Explode(), np.array([10.0]), np.zeros(1), 2.0, 0.1)
+def test_divergence_is_flagged_by_rollout():
+    r = rollout(Explode(), np.array([10.0]), np.zeros(1), 2.0, 0.1)
+    assert r.diverged
+    assert len(r.states) == len(r.lengths) + 1 < len(substep_lengths(2.0, 0.1)) + 1
 
 
 def test_divergence_truncates_batch_trace():
@@ -657,18 +665,21 @@ def test_skipping_unread_draws_keeps_the_bytes(tracked, tau):
 # ----------------------------------------------------- probing in one batch
 
 
+def _lone(sys, x, nu, tau, h, mode=None):
+    """One row from x under the (m,) control nu, at the nominal parameter
+    and disturbance, by rollout_batch itself."""
+    return rollout_batch(
+        sys, np.asarray(x, dtype=float)[None, :], nu, tau, h, sys.nominal_param[None, :],
+        constant_w_source(sys.nominal_disturbance),
+        modes0=None if mode is None else np.array([int(mode)], dtype=np.int64),
+    )
+
+
 def reference_reachable_modes(sys, x, mode, tau_max, h):
     """reachable_modes with one single-row rollout per probe control."""
     out = {int(mode)}
-    x0 = np.asarray(x, dtype=float)[None, :]
-    th = sys.nominal_param[None, :]
     for nu in sys.probe_controls(x, int(mode)):
-        r = rollout_batch(
-            sys, x0, nu, tau_max, h, th,
-            constant_w_source(sys.nominal_disturbance),
-            modes0=np.array([int(mode)], dtype=np.int64),
-        )
-        out.update(int(v) for v in r.modes[:, 0])
+        out.update(int(v) for v in _lone(sys, x, nu, tau_max, h, mode).modes[:, 0])
     return sorted(out)
 
 
@@ -717,3 +728,51 @@ def test_batched_probes_match_one_probe_at_a_time():
         tau_max = float(gen.uniform(0.0, 1.5))
         assert (reachable_modes(sys_, x, mode, tau_max, 0.05)
                 == reference_reachable_modes(sys_, x, mode, tau_max, 0.05))
+
+
+# ----------------------------------------------- nominal rollouts of a block
+
+
+def _rollout_cases():
+    """(system, x, (k, m) controls, tau, mode) for the jumper's probes, the
+    open-loop quadrotor and ProbeBlow, whose second row diverges."""
+    gen = np.random.default_rng(19)
+    jumper = make_benchmark("jumper")
+    for mode, x in ((Jumper.CONTACT, np.array([0.3, 0.5, 0.0, 0.0])),
+                    (Jumper.FLIGHT, np.array([1.0, 1.5, 0.4, 2.0]))):
+        yield jumper, x, np.array(jumper.probe_controls(x, mode)), 0.7, mode
+    quad = make_benchmark("quadrotor", feedback=False)
+    yield quad, np.array([0.5, 0.2, 1.0, -0.3]), quad.bounds.control.sample(gen, 5), 0.43, None
+    yield ProbeBlow(), np.zeros(1), np.array([[0.0], [1.0]]), 0.5, 0
+
+
+@pytest.mark.parametrize("case", list(_rollout_cases()), ids=lambda c: c[0].name)
+def test_rollout_rows_are_one_row_rollouts(case):
+    sys_, x, nus, tau, mode = case
+    got = rollout(sys_, x, nus, tau, H, mode)
+    lone = [_lone(sys_, x, nu, tau, H, mode) for nu in nus]
+    # a diverging row cuts every row at its bad sub-step
+    assert got.diverged == any(r.diverged for r in lone)
+    assert len(got.states) == min(len(r.states) for r in lone)
+    rows = len(got.states)
+    for i, r in enumerate(lone):
+        assert got.states[:, i].tobytes() == r.states[:rows, 0].tobytes()
+        if mode is not None:
+            assert got.modes[:, i].tobytes() == r.modes[:rows, 0].tobytes()
+    assert got.mu is None and got.mu_modes is None
+
+
+@pytest.mark.parametrize("case", list(_rollout_cases()), ids=lambda c: c[0].name)
+def test_a_single_control_is_a_one_row_block(case):
+    sys_, x, nus, tau, mode = case
+    for nu in nus:
+        got, want = rollout(sys_, x, nu, tau, H, mode), rollout(sys_, x, nu[None, :], tau, H, mode)
+        assert (got.diverged, got.lengths) == (want.diverged, want.lengths)
+        assert got.states.tobytes() == want.states.tobytes()
+        if mode is not None:
+            assert got.modes.tobytes() == want.modes.tobytes()
+
+
+def test_hybrid_rollout_needs_a_mode():
+    with pytest.raises(ValueError, match="initial mode"):
+        rollout(make_benchmark("jumper"), np.zeros(4), np.zeros(2), 0.1, H)

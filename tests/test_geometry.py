@@ -759,6 +759,18 @@ def test_region_validation():
         Box((0.0, 0.0), (1.0, -1e-12))
     with pytest.raises(ValueError):
         GoalRegion((0, 1), (0.0, 0.0), 0.0)
+    # a NaN bound fails every comparison, so its clearance would be NaN and
+    # the collision test (clearance <= epsilon) would drop the obstacle;
+    # infinite bounds stay legal
+    nan = float("nan")
+    for lo, hi in (((nan, -1.0), (1.2, 1.0)), ((1.0, -1.0), (1.2, nan))):
+        with pytest.raises(ValueError):
+            Box(lo, hi)
+    with pytest.raises(ValueError):
+        Ball((0.0, nan), 1.0)
+    with pytest.raises(ValueError):
+        GoalRegion((0, 1), (nan, 0.0), 0.5)
+    assert np.array_equal(Box((-np.inf, 0.0), (np.inf, 0.0)).width, [np.inf, 0.0])
 
 
 def test_box_corner_order_is_a_cycle():

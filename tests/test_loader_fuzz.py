@@ -8,7 +8,9 @@ Scenario whose system builds, or with a ScenarioError naming the key at
 fault; any other exception is a bug.  Mutated copies of the stored plans
 must likewise load or raise ScenarioError.  A sweep sets every field of the
 shipped scenarios and stored plans in turn to a string: each error it
-raises must name the line of that field.
+raises must name the line of that field.  The loader and
+PlannerParams.validated each hold the planner-parameter rules; on numeric
+planner blocks they must refuse the same ones.
 """
 
 import json
@@ -18,6 +20,9 @@ import os
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reachrrt.dynamics import MAX_SUBSTEPS
+from reachrrt.geometry import GoalRegion
+from reachrrt.planner import PlannerParams
 from reachrrt.scenario import (
     Scenario,
     ScenarioError,
@@ -182,3 +187,87 @@ def test_every_plan_error_names_the_line_of_its_field(tmp_path):
     accepted = _sweep(PLANS, load_plan, tmp_path)
     assert {name: sorted(paths) for name, paths in accepted.items()} == {
         name: unchecked for name in PLANS}
+
+
+CORRIDOR = SHIPPED["corridor.json"]
+RADIUS = CORRIDOR["goal"]["radius"]
+
+
+def planner_edges(tau_max):
+    """Edge values of each numeric planner field, given tau_max.  NaN fails
+    every comparison, so both sides must refuse it.  +-inf is left out:
+    validated has no finiteness rule (an infinite zeta selects among every
+    node), while a scenario file holds finite numbers."""
+    real = [0.0, -0.0, -1.0, -1e-300, math.nan]
+    count = [0, -1]
+    return {
+        "i_max": count + [1, 2**63],
+        "tau_max": real + [1e-12, 1.0],
+        "zeta": real + [1e-300],
+        "particles": count + [1],
+        "epsilon": real + [RADIUS, math.nextafter(RADIUS, 0.0), math.nextafter(RADIUS, 1.0)],
+        # tiny sub-steps, and tau_max / MAX_SUBSTEPS and tau_max, the legal ends
+        "substep": real + [5e-324, 1e-4] + [tau_max * (1 + d) / k for d in (-1e-9, 0.0, 1e-9)
+                                            for k in (1, MAX_SUBSTEPS)],
+        "seed": count + [2**64],
+    }
+
+
+@st.composite
+def planner_blocks(draw):
+    """Numeric planner blocks: one or two fields drawn from their edges and
+    the rest from their legal ranges."""
+    edges = planner_edges(1.0)
+    at_edge = {draw(st.sampled_from(sorted(edges))), draw(st.sampled_from(sorted(edges)))}
+
+    def field(name, legal):
+        return draw(st.sampled_from(edges[name]) if name in at_edge else legal)
+
+    tau_max = field("tau_max", st.floats(1e-3, 3.0))
+    edges = planner_edges(tau_max)
+    return {
+        "i_max": field("i_max", st.integers(0, 10**6)),
+        "tau_max": tau_max,
+        "zeta": field("zeta", st.floats(0.0, 3.0)),
+        "particles": field("particles", st.integers(1, 10**6)),
+        "epsilon": field("epsilon", st.floats(0.0, 2 * RADIUS)),
+        "substep": field("substep", st.floats(1.0, 1.0 * MAX_SUBSTEPS).map(
+            lambda k: tau_max / k) if tau_max > 0 else st.just(0.1)),
+        "seed": field("seed", st.integers(0, 2**63)),
+    }
+
+
+def _loader_agrees_with_validated(block, path):
+    """The loader refuses the block, with a planner.* key, exactly when
+    PlannerParams.validated does."""
+    path.write_text(json.dumps({**CORRIDOR, "planner": block}))
+    try:
+        load_scenario(path)
+        loaded = True
+    except ScenarioError as e:
+        assert e.key.startswith("planner."), (e.key, str(e))
+        loaded = False
+    params = PlannerParams(
+        i_max=block["i_max"], tau_max=block["tau_max"], zeta=block["zeta"],
+        n_particles=block["particles"], epsilon=block["epsilon"], h=block["substep"],
+        seed=block["seed"])
+    try:
+        params.validated(GoalRegion(CORRIDOR["goal"]["projection"], CORRIDOR["goal"]["center"],
+                                    RADIUS))
+        valid = True
+    except ValueError:
+        valid = False
+    assert loaded == valid, block
+
+
+@FUZZ
+@given(block=planner_blocks())
+def test_the_loader_refuses_the_planner_blocks_validated_refuses(tmp_path, block):
+    _loader_agrees_with_validated(block, tmp_path / "planner.json")
+
+
+def test_the_loader_and_validated_agree_on_every_planner_edge(tmp_path):
+    shipped = CORRIDOR["planner"]
+    for name, values in planner_edges(shipped["tau_max"]).items():
+        for value in values:
+            _loader_agrees_with_validated({**shipped, name: value}, tmp_path / "planner.json")

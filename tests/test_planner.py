@@ -11,7 +11,7 @@ from scipy import stats
 from reachrrt import rng
 from reachrrt.benchmarks import Jumper, make_benchmark
 from reachrrt import planner
-from reachrrt.dynamics import reachable_modes, rollout
+from reachrrt.dynamics import constant_w_source, reachable_modes, rollout_batch
 from reachrrt.geometry import Ball, Box, GoalRegion, convex_hull_2d, hull_obstacle_clearance
 from reachrrt.planner import (
     ExtendOutcome,
@@ -307,11 +307,12 @@ def test_extend_accepts_staying_grounded():
 def reference_extend_hybrid(sys, reach, u, tau, sigma_s, h, seed, ext_id):
     """extend_hybrid with the nominal-mode gate on its own rollout of the
     nominal, run before the particles."""
-    try:
-        _, mtrace = rollout(sys, reach.mu, u, tau, h, mode=reach.mu_mode)
-    except RuntimeError:
+    lone = rollout_batch(sys, reach.mu[None, :], u, tau, h, sys.nominal_param[None, :],
+                         constant_w_source(sys.nominal_disturbance),
+                         modes0=np.array([reach.mu_mode], dtype=np.int64))
+    if lone.diverged:
         return ExtendOutcome(None, None, "diverged")
-    if int(mtrace[-1]) != int(sigma_s):
+    if int(lone.modes[-1, 0]) != int(sigma_s):
         return ExtendOutcome(None, None, "nominal_mode")
     pset, r = compute_reach_set(sys, reach, u, tau, h, seed, ext_id)
     if pset is None:
@@ -485,6 +486,19 @@ def test_plan_takes_box_obstacles_and_a_ball_initial_region():
     blocked = plan(sys_, init, goal, [wall], sampling, replace(params, i_max=150))
     assert not blocked.solved
     assert blocked.stats.rejected_collision >= 1
+
+
+def test_a_wall_with_a_nan_bound_is_refused_not_planned_through():
+    # the query is the corridor with a goal of radius 0.3; a NaN bound once
+    # made the wall's clearance NaN, the collision test dropped it, and the
+    # planner solved through it in 25 iterations
+    sys_, init, _, sampling, params = _easy_linear()
+    goal = GoalRegion((0,), (2.0,), 0.3)
+    wall = Box([1.0, -1.0], [1.2, 1.0])
+    blocked = plan(sys_, init, goal, [wall], sampling, replace(params, i_max=150))
+    assert not blocked.solved and blocked.stats.rejected_collision >= 1
+    with pytest.raises(ValueError, match="lo <= hi"):
+        Box([np.nan, -1.0], [1.2, 1.0])
 
 
 @pytest.mark.parametrize("eps", [0.55, 0.6])
