@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from . import __version__
 from .geometry import Box
-from .planner import plan as run_plan
+from .planner import ParamError, plan as run_plan
 from .scenario import (
     ScenarioError,
     check_init_clearance,
@@ -30,6 +30,7 @@ from .scenario import (
     load_plan,
     load_scenario,
     plan_to_dict,
+    planner_key,
     stats_to_dict,
     write_result,
 )
@@ -79,16 +80,21 @@ OVERRIDES = (("seed", "seed"), ("max_iters", "i_max"), ("particles", "n_particle
 
 
 def _overridden_params(scenario, args):
-    params = scenario.params
+    """The scenario's planner parameters with the flags' overrides; exit 1
+    naming the flag, or else the file key, of a value validated refuses."""
+    params, flags = scenario.params, {}  # field -> the flag that set it
     for flag, field in OVERRIDES:
         if getattr(args, flag, None) is not None:
             params = replace(params, **{field: getattr(args, flag)})
+            flags[field] = "--" + flag.replace("_", "-")
     if getattr(args, "baseline_padding", None) is not None:
         params = params.as_baseline(args.baseline_padding)
+        flags["epsilon"] = "--baseline-padding"
     try:
         params = params.validated(scenario.goal)
-    except ValueError as e:
-        print(f"invalid parameters: {e}", file=_sys.stderr)
+    except ParamError as e:
+        print(f"invalid parameters: {flags.get(e.field, planner_key(e.field))} {e.rule}",
+              file=_sys.stderr)
         raise SystemExit(1)
     _check_init(scenario, params)
     return params

@@ -36,6 +36,13 @@ from .reachability import (
 from .tree import DualTree, PlanStep, build_path
 
 
+class ParamError(ValueError):
+    """A broken PlannerParams.validated rule: the message is `field`, then `rule`."""
+    def __init__(self, field, rule):
+        super().__init__(f"{field} {rule}")
+        self.field, self.rule = field, rule
+
+
 @dataclass(frozen=True)
 class PlannerParams:
     i_max: int = 1000
@@ -50,22 +57,28 @@ class PlannerParams:
 
     def validated(self, goal):
         # each test is written so that a NaN fails it
+        for field in ("i_max", "n_particles", "seed"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParamError(field, "must be an integer")
         if self.i_max < 0:
-            raise ValueError("i_max must be nonnegative")
+            raise ParamError("i_max", "must be nonnegative")
         if not self.tau_max > 0:
-            raise ValueError("tau_max must be positive")
+            raise ParamError("tau_max", "must be positive")
         if not self.zeta >= 0:
-            raise ValueError("zeta must be nonnegative")
+            raise ParamError("zeta", "must be nonnegative")
         if self.n_particles < 1:
-            raise ValueError("need at least one particle")
+            raise ParamError("n_particles", "must be positive")
         if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
+            raise ParamError("epsilon", "must be nonnegative")
         if not (0 < self.h <= self.tau_max and self.tau_max / self.h <= MAX_SUBSTEPS):
-            raise ValueError(f"sub-step must lie in [tau_max / {MAX_SUBSTEPS}, tau_max]")
+            raise ParamError("h", f"{self.h!r} must lie in [tau_max / {MAX_SUBSTEPS}, tau_max]")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ParamError("seed", "must be nonnegative")
+        if self.nn_weights is not None and not np.all(np.isfinite(self.nn_weights)):
+            raise ParamError("nn_weights", "must hold finite numbers")
         if not self.epsilon < goal.radius:
-            raise ValueError(f"epsilon {self.epsilon!r} must be smaller than the goal "
+            raise ParamError("epsilon", f"{self.epsilon!r} must be smaller than the goal "
                              f"radius {goal.radius!r}")
         return self
 

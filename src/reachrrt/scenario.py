@@ -24,7 +24,7 @@ from . import __version__
 from .benchmarks import make_benchmark
 from .dynamics import MAX_SUBSTEPS
 from .geometry import Ball, Box, GoalRegion, box_obstacle_clearance
-from .planner import PlannerParams
+from .planner import ParamError, PlannerParams
 from .tree import Plan, PlanStep
 
 # result file name -> format tag written into it
@@ -43,12 +43,17 @@ class ScenarioError(ValueError):
         self.key = key
 
 
-def check_padding(name, value, goal):
-    """Refuse a padding (epsilon, baseline_padding) of at least the goal
-    radius: the goal shrunk by it is empty, so no plan could be accepted."""
-    if value >= goal.radius:
-        raise ScenarioError(f"{name} {value!r} must be smaller than the goal "
-                            f"radius {goal.radius!r}", key=name)
+def planner_key(field):
+    """The scenario-file key of a PlannerParams field."""
+    return "planner." + {"n_particles": "particles", "h": "substep"}.get(field, field)
+
+
+def _validated(params, goal, key):
+    """params.validated(goal), a ParamError raised as keyed by key(field)."""
+    try:
+        return params.validated(goal)
+    except ParamError as e:
+        raise ScenarioError(f"{key(e.field)} {e.rule}", key=key(e.field)) from e
 
 
 def check_init_clearance(name, value, init_region, projection, obstacles):
@@ -246,8 +251,8 @@ def load_scenario(path):
 
     p = _want(raw, "planner", dict)
 
-    def num(key, default, **kw):
-        return _number(p, key, default, "planner.", **kw)
+    def num(key, default):
+        return _number(p, key, default, "planner.")
 
     nn_weights = None
     if p.get("nn_weights") is not None:
@@ -256,23 +261,16 @@ def load_scenario(path):
             raise ScenarioError("planner.nn_weights must match the state dimension",
                                 key="planner.nn_weights")
 
-    params = PlannerParams(
-        i_max=num("i_max", 1000, kinds=int, nonneg=True),
-        tau_max=float(num("tau_max", 1.0, positive=True)),
-        zeta=float(num("zeta", 0.0, nonneg=True)),
-        n_particles=num("particles", 100, kinds=int, positive=True),
-        epsilon=float(num("epsilon", 0.0, nonneg=True)),
-        h=float(num("substep", 0.1, positive=True)),
-        seed=num("seed", 0, kinds=int, nonneg=True),
+    params = _validated(PlannerParams(
+        i_max=num("i_max", 1000),
+        tau_max=float(num("tau_max", 1.0)),
+        zeta=float(num("zeta", 0.0)),
+        n_particles=num("particles", 100),
+        epsilon=float(num("epsilon", 0.0)),
+        h=float(num("substep", 0.1)),
+        seed=num("seed", 0),
         nn_weights=nn_weights,
-    )
-    check_padding("planner.epsilon", params.epsilon, goal)
-    if params.h > params.tau_max:
-        raise ScenarioError("planner.substep must not exceed planner.tau_max",
-                            key="planner.substep")
-    if params.tau_max / params.h > MAX_SUBSTEPS:
-        raise ScenarioError(f"planner.substep {params.h!r} makes more than {MAX_SUBSTEPS} "
-                            "sub-steps per planner.tau_max", key="planner.substep")
+    ), goal, planner_key)
 
     init_mode = raw.get("init_mode")
     if sys.hybrid and init_mode is None:
@@ -281,8 +279,8 @@ def load_scenario(path):
         raise ScenarioError(f"init_mode {init_mode!r} is not a mode of {system_name}",
                             key="init_mode")
 
-    baseline_padding = float(_number(raw, "baseline_padding", 0.0, "", nonneg=True))
-    check_padding("baseline_padding", baseline_padding, goal)
+    baseline_padding = float(_number(raw, "baseline_padding", 0.0, ""))
+    _validated(params.as_baseline(baseline_padding), goal, lambda field: "baseline_padding")
 
     val = raw.get("validation", {})
     if not isinstance(val, dict):

@@ -8,9 +8,11 @@ Scenario whose system builds, or with a ScenarioError naming the key at
 fault; any other exception is a bug.  Mutated copies of the stored plans
 must likewise load or raise ScenarioError.  A sweep sets every field of the
 shipped scenarios and stored plans in turn to a string: each error it
-raises must name the line of that field.  The loader and
-PlannerParams.validated each hold the planner-parameter rules; on numeric
-planner blocks they must refuse the same ones.
+raises must name the line of that field.  The planner-parameter rules live
+in PlannerParams.validated alone; the loader adds the file's own rules
+(types, finite numbers) and forwards validated's refusals keyed by the
+file key, so on numeric planner blocks it must refuse exactly the ones
+validated refuses, naming the field validated names.
 """
 
 import json
@@ -22,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reachrrt.dynamics import MAX_SUBSTEPS
 from reachrrt.geometry import GoalRegion
-from reachrrt.planner import PlannerParams
+from reachrrt.planner import ParamError, PlannerParams
 from reachrrt.scenario import (
     Scenario,
     ScenarioError,
@@ -199,7 +201,7 @@ def planner_edges(tau_max):
     validated has no finiteness rule (an infinite zeta selects among every
     node), while a scenario file holds finite numbers."""
     real = [0.0, -0.0, -1.0, -1e-300, math.nan]
-    count = [0, -1]
+    count = [0, -1, 1.5]
     return {
         "i_max": count + [1, 2**63],
         "tau_max": real + [1e-12, 1.0],
@@ -237,27 +239,34 @@ def planner_blocks(draw):
     }
 
 
+# PlannerParams field -> its key in a planner block, in the order the loader
+# reads them
+FILE_KEYS = {"i_max": "i_max", "tau_max": "tau_max", "zeta": "zeta",
+             "n_particles": "particles", "epsilon": "epsilon", "h": "substep", "seed": "seed"}
+
+
 def _loader_agrees_with_validated(block, path):
-    """The loader refuses the block, with a planner.* key, exactly when
-    PlannerParams.validated does."""
+    """The loader refuses the block exactly when PlannerParams.validated
+    does, keyed by the file key of the field validated names; a NaN, which
+    a scenario file may not hold, is refused first, at the first NaN key."""
     path.write_text(json.dumps({**CORRIDOR, "planner": block}))
     try:
         load_scenario(path)
-        loaded = True
+        key = None
     except ScenarioError as e:
-        assert e.key.startswith("planner."), (e.key, str(e))
-        loaded = False
-    params = PlannerParams(
-        i_max=block["i_max"], tau_max=block["tau_max"], zeta=block["zeta"],
-        n_particles=block["particles"], epsilon=block["epsilon"], h=block["substep"],
-        seed=block["seed"])
+        key = e.key
+    params = PlannerParams(**{field: block[k] for field, k in FILE_KEYS.items()})
     try:
         params.validated(GoalRegion(CORRIDOR["goal"]["projection"], CORRIDOR["goal"]["center"],
                                     RADIUS))
-        valid = True
-    except ValueError:
-        valid = False
-    assert loaded == valid, block
+        expected = None
+    except ParamError as e:
+        expected = f"planner.{FILE_KEYS[e.field]}"
+    nans = [k for k in FILE_KEYS.values() if block[k] != block[k]]
+    if nans:
+        assert expected is not None, block
+        expected = f"planner.{nans[0]}"
+    assert key == expected, (block, key)
 
 
 @FUZZ

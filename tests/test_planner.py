@@ -15,6 +15,7 @@ from reachrrt.dynamics import constant_w_source, reachable_modes, rollout_batch
 from reachrrt.geometry import Ball, Box, GoalRegion, convex_hull_2d, hull_obstacle_clearance
 from reachrrt.planner import (
     ExtendOutcome,
+    ParamError,
     PlannerParams,
     extend_hybrid,
     plan,
@@ -514,6 +515,44 @@ def test_plan_refuses_an_epsilon_of_at_least_the_goal_radius(monkeypatch, eps):
         plan(corridor, Ball([0.05], 0.05), GoalRegion((0,), (2.0,), 0.55),
              [Box([0.8, 0.2], [1.2, 0.6])], Box([-0.5], [3.5]),
              PlannerParams(i_max=300, zeta=0.3, n_particles=60, epsilon=eps, seed=23))
+
+
+def _corridor_plan(params):
+    corridor = make_benchmark("linear1d", theta_lo=0.45, theta_hi=0.55)
+    return plan(corridor, Ball([0.05], 0.05), GoalRegion((0,), (2.0,), 0.55), [],
+                Box([-0.5], [3.5]), params)
+
+
+@pytest.mark.parametrize("field,value,rule", [
+    # a fractional particle count planned with its floor, a NaN budget died
+    # in range() and a bool seed planned as seed 1
+    ("n_particles", 2.5, "must be an integer"),
+    ("i_max", np.nan, "must be an integer"),
+    ("seed", True, "must be an integer"),
+    ("i_max", 300.0, "must be an integer"),
+    ("n_particles", np.True_, "must be an integer"),
+    # a NaN weight made every distance NaN, and sample_node died in numpy
+    ("nn_weights", (np.nan,), "must hold finite numbers"),
+    ("nn_weights", (np.inf,), "must hold finite numbers"),
+])
+def test_plan_refuses_a_broken_parameter_before_drawing(monkeypatch, field, value, rule):
+    def no_draw(*key):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(rng, "substream", no_draw)
+    params = PlannerParams(**{"i_max": 300, "zeta": 0.3, "n_particles": 60, "seed": 23,
+                              field: value})
+    with pytest.raises(ParamError) as refused:
+        _corridor_plan(params)
+    assert (refused.value.field, str(refused.value)) == (field, f"{field} {rule}")
+
+
+def test_numpy_integer_counts_plan_as_ints():
+    ints = _corridor_plan(PlannerParams(i_max=300, zeta=0.3, n_particles=60, seed=23))
+    numpy = _corridor_plan(PlannerParams(i_max=np.int64(300), zeta=0.3,
+                                         n_particles=np.int32(60), seed=np.uint8(23)))
+    assert ints.solved and numpy.stats.as_dict() == ints.stats.as_dict()
+    assert numpy.plan.meta == ints.plan.meta and numpy.plan.steps == ints.plan.steps
 
 
 def test_every_tree_edge_replays_collision_free():

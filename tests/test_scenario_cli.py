@@ -134,14 +134,14 @@ def test_scenario_defaults(tmp_path):
     ({"goal": {"projection": [False], "center": [2.0], "radius": 0.55}},
      "goal.projection", "goal.projection must index states 0..0"),
     ({"planner": {**BASE["planner"], "substep": 1.5}},
-     "planner.substep", "planner.substep must not exceed planner.tau_max"),
+     "planner.substep", "planner.substep 1.5 must lie in [tau_max / 10000, tau_max]"),
     ({"obstacles": [{"kind": "ball", "center": [1.0, 10.0], "radius": 0.0}]},
      "obstacles[0].radius", "obstacle radius must be positive"),
     # each rollout would ask for a trace row per sub-step
     ({"planner": {**BASE["planner"], "substep": 1e-300}},
-     "planner.substep", "planner.substep 1e-300 makes more than 10000 sub-steps"),
+     "planner.substep", "planner.substep 1e-300 must lie in [tau_max / 10000, tau_max]"),
     ({"planner": {**BASE["planner"], "substep": 1e-9}},
-     "planner.substep", "planner.substep 1e-09 makes more than 10000 sub-steps"),
+     "planner.substep", "planner.substep 1e-09 must lie in [tau_max / 10000, tau_max]"),
     ({"planner": {**BASE["planner"], "epsilon": 0.6}}, "planner.epsilon",
      "planner.epsilon 0.6 must be smaller than the goal radius 0.55"),
 ])
@@ -305,13 +305,32 @@ def test_a_tau_max_of_too_many_substeps_exits_one(tmp_path, capsys):
     path = _write(tmp_path)
     out = tmp_path / "out"
     assert _run(path, out, "--tau-max", "1e9") == 1
-    assert "invalid parameters: sub-step must lie in [tau_max / 10000, tau_max]" in \
-        capsys.readouterr().err
+    assert "invalid parameters: planner.substep 0.1 must lie in [tau_max / 10000, tau_max]" \
+        in capsys.readouterr().err
     assert not out.exists()
     goal = GoalRegion((0,), (2.0,), 0.55)
-    with pytest.raises(ValueError, match="sub-step must lie in"):
+    with pytest.raises(ValueError, match=r"h 1e-09 must lie in \[tau_max / 10000, tau_max\]"):
         PlannerParams(tau_max=1.0, h=1e-9).validated(goal)
     assert PlannerParams(tau_max=1.0, h=1e-4).validated(goal).h == 1e-4
+
+
+@pytest.mark.parametrize("flags,message", [
+    # the goal-radius rule's flags are named in test_epsilon_at_least_goal_radius_exits_one
+    (("--epsilon", "-1"), "--epsilon must be nonnegative"),
+    (("--max-iters", "-1"), "--max-iters must be nonnegative"),
+    (("--particles", "0"), "--particles must be positive"),
+    (("--zeta", "-1"), "--zeta must be nonnegative"),
+    (("--tau-max", "0"), "--tau-max must be positive"),
+    (("--seed", "-1"), "--seed must be nonnegative"),
+    # the refused value is the file's sub-step, longer than the flag's tau_max
+    (("--tau-max", "0.05"), "planner.substep 0.1 must lie in [tau_max / 10000, tau_max]"),
+])
+def test_a_refused_parameter_names_the_flag_it_came_from(tmp_path, capsys, flags, message):
+    path = _write(tmp_path)
+    out = tmp_path / "out"
+    assert _run(path, out, *flags) == 1
+    assert capsys.readouterr().err == f"invalid parameters: {message}\n"
+    assert not out.exists()
 
 
 def test_invalid_flag_values_exit_one(tmp_path, capsys):
@@ -355,12 +374,14 @@ def test_validate_refuses_a_negative_seed(tmp_path, capsys):
     ("study", {}, ("--epsilon", "0.55", "--budgets", "5")),
 ])
 def test_epsilon_at_least_goal_radius_exits_one(tmp_path, capsys, command, mods, extra):
-    # the goal shrunk by epsilon is empty: fail before planning, write nothing
+    # the goal shrunk by epsilon is empty: fail before planning, write nothing;
+    # the message names the flag, or else the file key, the value came from
     path = _write(tmp_path, **mods)
     out = tmp_path / "out"
     assert main([command, "--scenario", path, "--out-dir", str(out), *extra]) == 1
     err = capsys.readouterr().err
-    assert "epsilon" in err and "goal radius 0.55" in err
+    name = " ".join(extra[:2]) if extra else "planner.epsilon 0.55"
+    assert f"{name} must be smaller than the goal radius 0.55" in err
     assert not out.exists()
 
 
