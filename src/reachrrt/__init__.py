@@ -10,7 +10,7 @@ unpadded constraints.
 __version__ = "0.1.0"
 
 from .dynamics import UncertaintyBounds
-from .geometry import Ball, Box, GoalRegion, convex_hull_2d, hausdorff_distance
+from .geometry import Ball, Box, GoalRegion, convex_hull_2d
 from .benchmarks import make_benchmark
 from .planner import PlannerParams, plan
 from .validation import monte_carlo_validate
@@ -21,7 +21,6 @@ __all__ = [
     "UncertaintyBounds",
     "GoalRegion",
     "convex_hull_2d",
-    "hausdorff_distance",
     "make_benchmark",
     "PlannerParams",
     "plan",

@@ -157,15 +157,13 @@ def cmd_validate(args):
 
     seed = args.seed if args.seed is not None else scenario.validation_seed
     rollouts = args.rollouts if args.rollouts is not None else scenario.validation_rollouts
-    if seed < 0:
-        print("--seed must be nonnegative", file=_sys.stderr)
+    try:
+        record = monte_carlo_validate(sys, plan_obj, scenario.init_region,
+                                      scenario.goal, scenario.obstacles,
+                                      rollouts, seed, init_mode=scenario.init_mode)
+    except ParamError as e:  # a flag's value: the loader refused a bad file value
+        print(f"invalid parameters: --{e.field} {e.rule}", file=_sys.stderr)
         return 1
-    if rollouts < 1:
-        print("--rollouts must be at least 1", file=_sys.stderr)
-        return 1
-    record = monte_carlo_validate(sys, plan_obj, scenario.init_region,
-                                  scenario.goal, scenario.obstacles,
-                                  rollouts, seed, init_mode=scenario.init_mode)
     report_path = write_result(_out_dir(args), "report.json", scenario.sha256, seed=seed,
                                plan_seed=plan_obj.seed, **record.as_dict())
     word = "valid" if record.valid else "invalid"

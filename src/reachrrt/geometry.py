@@ -1,4 +1,4 @@
-"""Planar geometry: convex hulls, clearances, goal regions, set distances.
+"""Planar geometry: convex hulls, clearances and goal regions.
 
 Reachable sets live in full state space but collision and goal checks happen
 on a 2-D (or 1-D, zero-padded) projection, so everything here is planar.
@@ -51,13 +51,6 @@ class Box(_Shape):
     @property
     def center(self):
         return 0.5 * (self.lo + self.hi)
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    def clip(self, x):
-        return np.clip(x, self.lo, self.hi)
 
     def sample(self, gen, n=None):
         """Uniform draws; an (n, dim) block fills row-major, so the first m
@@ -337,16 +330,3 @@ def hull_obstacle_clearance(v, obstacle):
     to_hull = _point_segments_distance(corners[:, None], a, b)
     return float(min(to_box.min(), to_hull.min())) - obstacle.radius
 
-
-def hausdorff_distance(a, b):
-    """Hausdorff distance between two finite point sets of equal dimension."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("empty set has no Hausdorff distance")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("point sets must share a dimension")
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    forward = d2.min(axis=1).max()
-    backward = d2.min(axis=0).max()
-    return float(np.sqrt(max(forward, backward)))

@@ -37,7 +37,8 @@ from .tree import DualTree, PlanStep, build_path
 
 
 class ParamError(ValueError):
-    """A broken PlannerParams.validated rule: the message is `field`, then `rule`."""
+    """A broken rule of PlannerParams.validated or validation.check_settings:
+    the message is `field`, then `rule`."""
     def __init__(self, field, rule):
         super().__init__(f"{field} {rule}")
         self.field, self.rule = field, rule

@@ -14,7 +14,7 @@ DOMAIN_INIT = 1       # initial particle states and parameters
 DOMAIN_PLANNER = 2    # planner loop draws (samples, controls, tie-breaks)
 DOMAIN_EXTEND = 3     # per-extension disturbance blocks, keyed (ext_id, substep)
 DOMAIN_VALIDATE = 4   # Monte-Carlo validation draws
-DOMAIN_CHECK = 5      # bound-check suites
+DOMAIN_CHECK = 5      # test-only draws (tests/)
 
 
 def substream(seed, *key):

@@ -26,6 +26,7 @@ from .dynamics import MAX_SUBSTEPS
 from .geometry import Ball, Box, GoalRegion, box_obstacle_clearance
 from .planner import ParamError, PlannerParams
 from .tree import Plan, PlanStep
+from .validation import check_settings
 
 # result file name -> format tag written into it
 RESULT_FORMATS = {
@@ -48,10 +49,11 @@ def planner_key(field):
     return "planner." + {"n_particles": "particles", "h": "substep"}.get(field, field)
 
 
-def _validated(params, goal, key):
-    """params.validated(goal), a ParamError raised as keyed by key(field)."""
+def _forward(check, *args, key):
+    """Call check(*args); a ParamError is raised as a ScenarioError keyed by
+    key(field)."""
     try:
-        return params.validated(goal)
+        check(*args)
     except ParamError as e:
         raise ScenarioError(f"{key(e.field)} {e.rule}", key=key(e.field)) from e
 
@@ -261,7 +263,7 @@ def load_scenario(path):
             raise ScenarioError("planner.nn_weights must match the state dimension",
                                 key="planner.nn_weights")
 
-    params = _validated(PlannerParams(
+    params = PlannerParams(
         i_max=num("i_max", 1000),
         tau_max=float(num("tau_max", 1.0)),
         zeta=float(num("zeta", 0.0)),
@@ -270,7 +272,8 @@ def load_scenario(path):
         h=float(num("substep", 0.1)),
         seed=num("seed", 0),
         nn_weights=nn_weights,
-    ), goal, planner_key)
+    )
+    _forward(params.validated, goal, key=planner_key)
 
     init_mode = raw.get("init_mode")
     if sys.hybrid and init_mode is None:
@@ -280,11 +283,15 @@ def load_scenario(path):
                             key="init_mode")
 
     baseline_padding = float(_number(raw, "baseline_padding", 0.0, ""))
-    _validated(params.as_baseline(baseline_padding), goal, lambda field: "baseline_padding")
+    _forward(params.as_baseline(baseline_padding).validated, goal,
+             key=lambda field: "baseline_padding")
 
     val = raw.get("validation", {})
     if not isinstance(val, dict):
         raise ScenarioError("validation must be an object", key="validation")
+    rollouts = _number(val, "rollouts", 1000, "validation.", kinds=int)
+    val_seed = _number(val, "seed", 1, "validation.", kinds=int)
+    _forward(check_settings, rollouts, val_seed, key=lambda field: "validation." + field)
 
     return Scenario(
         name=name,
@@ -296,9 +303,8 @@ def load_scenario(path):
         params=params,
         init_mode=None if init_mode is None else sys.modes.index(init_mode),
         baseline_padding=baseline_padding,
-        validation_rollouts=_number(val, "rollouts", 1000, "validation.",
-                                    kinds=int, positive=True),
-        validation_seed=_number(val, "seed", 1, "validation.", kinds=int, nonneg=True),
+        validation_rollouts=rollouts,
+        validation_seed=val_seed,
         sha256=sha,
         path=str(path),
         _system=sys,

@@ -1,4 +1,4 @@
-"""Plan validation and empirical bound checks.
+"""Plan validation and the paper's two experiments.
 
 monte_carlo_validate executes a plan on fresh uncertainty draws against the
 unpadded constraints: a rollout fails on obstacle contact at any sub-step or
@@ -12,12 +12,6 @@ clearance so far (or within contact).  This is exact: every rollout lies in
 the box and no point is nearer an obstacle than its box, so a skipped pair
 can neither collide nor lower the reported minimum.
 
-The bound checks probe two inequalities empirically: the trajectory-level
-bound  |x1_t - x2_t| <= L_t (|x1_0 - x2_0| + |u1 - u2|)  with
-L_t = sqrt(2 max(1, 2 t^2 K^2)) * exp(K t), and its set-level counterpart
-d_H(X1, X2) <= L (d_H(X1_0, X2_0) + |t1 - t2| + |u1 - u2|) with
-L = max(L_t2, sup |f|).
-
 The paper's two experiments live here as well, each in one function that
 the command line and the acceptance tests share: success_rate_study
 (success rate against the iteration budget) and compare_methods (the
@@ -30,23 +24,16 @@ import numpy as np
 
 from . import rng
 from .benchmarks import GRAVITY, Quadrotor
-from .dynamics import rollout_batch
-from .geometry import (
-    box_obstacle_clearance,
-    goal_contains,
-    hausdorff_distance,
-    points_obstacle_clearance,
-)
+from .geometry import box_obstacle_clearance, goal_contains, points_obstacle_clearance
 from .reachability import (
     BOX_MARGIN,
     compute_reach_set,
-    disturbance_source,
     init_particles,
     padded_collision_free,
     padded_goal_contained,
     project_to_plane,
 )
-from .planner import plan as run_plan
+from .planner import ParamError, plan as run_plan
 
 
 @dataclass(frozen=True)
@@ -116,6 +103,19 @@ def walk_plan(sys, plan_obj, root, seed, stream, keys):
         yield r.states[1:], cur
 
 
+def check_settings(rollouts, seed):
+    """The rules on the Monte-Carlo settings, which the loader and the
+    command line forward under their key or flag: rollouts and seed must be
+    integers, rollouts at least 1 and seed at least 0.  Raises
+    planner.ParamError naming "rollouts" or "seed"."""
+    for field, value, least, rule in (("rollouts", rollouts, 1, "must be positive"),
+                                      ("seed", seed, 0, "must be nonnegative")):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParamError(field, "must be an integer")
+        if value < least:
+            raise ParamError(field, rule)
+
+
 def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
                          m_rollouts, seed, init_mode=None):
     """Execute a plan m_rollouts times under fresh uncertainty draws.
@@ -133,11 +133,11 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
     (or within contact).  Every rollout lies in the box, and no point is
     nearer an obstacle than its box (BOX_MARGIN absorbs rounding), so a
     skipped pair changes no count and no byte of the worst clearance.
-    Without obstacles no box is computed.
+    Without obstacles no box is computed.  Settings that check_settings
+    refuses raise its ParamError before any draw.
     """
+    check_settings(m_rollouts, seed)
     m = int(m_rollouts)
-    if m < 1:
-        raise ValueError("need at least one rollout")
     obstacles = list(obstacles)
     proj = sys.collision_projection
     if init_mode is None:
@@ -179,50 +179,6 @@ def replay_validate(sys, plan_obj, init_region, goal, obstacles):
         if not padded_collision_free(block, proj, obstacles, 0.0):
             return False
     return padded_goal_contained(cur, goal, 0.0)
-
-
-def trajectory_bound_factor(t, K):
-    """L_t = sqrt(2 max(1, 2 t^2 K^2)) exp(K t)."""
-    t = np.asarray(t, dtype=float)
-    A = np.maximum(1.0, 2.0 * (t * K) ** 2)
-    return np.sqrt(2.0 * A) * np.exp(K * t)
-
-
-def lipschitz_bound_check(sys, K, box, n_trials, tau_max, h, seed):
-    """Empirical check of the trajectory deviation bound.
-
-    Rolls paired trajectories from random initial states and controls with
-    shared parameters and disturbances, and tests the bound at every
-    sub-step boundary (which dominates any single sampled time).  Returns a
-    dict with the violation count and the worst observed ratio.
-    """
-    T = int(n_trials)
-    X1 = box.sample(rng.substream(seed, rng.DOMAIN_CHECK, 0), T)
-    X2 = box.sample(rng.substream(seed, rng.DOMAIN_CHECK, 1), T)
-    U1 = sys.bounds.control.sample(rng.substream(seed, rng.DOMAIN_CHECK, 2), T)
-    U2 = sys.bounds.control.sample(rng.substream(seed, rng.DOMAIN_CHECK, 3), T)
-    Th = sys.bounds.param.sample(rng.substream(seed, rng.DOMAIN_CHECK, 4), T)
-
-    w_source = disturbance_source(sys.bounds.disturbance, seed, rng.DOMAIN_CHECK, 5)
-    # both rollouts see identical parameter and disturbance realizations;
-    # the controls are applied open loop, one commanded control per row
-    base = getattr(sys, "base", sys)
-    r1 = rollout_batch(base, X1, U1, tau_max, h, Th, w_source)
-    r2 = rollout_batch(base, X2, U2, tau_max, h, Th, w_source)
-
-    times = np.concatenate([[0.0], np.cumsum(r1.lengths)])
-    du = np.linalg.norm(U1 - U2, axis=1)
-    dx0 = np.linalg.norm(X1 - X2, axis=1)
-    L = trajectory_bound_factor(times, K)               # (S+1,)
-    lhs = np.linalg.norm(r1.states - r2.states, axis=2)  # (S+1, T)
-    rhs = L[:, None] * (dx0 + du)[None, :]
-    bad = lhs > rhs + 1e-9
-    ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
-    return {
-        "trials": T,
-        "violations": int(np.any(bad, axis=0).sum()),
-        "worst_ratio": float(ratio.max()),
-    }
 
 
 def _open_loop_quadrotor(sys):
@@ -300,75 +256,6 @@ def lipschitz_stats(sys, sampling_box, h):
     v_inv = max(v_box, (force / a_lo) ** 0.5) + h * force
     K, kmeta = quadrotor_lipschitz_constant(sys, v_inv, h, grid=512)
     return {"lipschitz_constant": K, "lipschitz_meta": {"v_max": v_inv, **kmeta}}
-
-
-def quadrotor_flow_sup(quad, box):
-    """Analytic sup of the sub-step increment magnitude over a state box.
-
-    Componentwise worst cases are attained at box corners (each component is
-    monotone in the relevant coordinates), so the bound is exact up to the
-    conservative combination across components.
-    """
-    base = _open_loop_quadrotor(quad)
-    if base is None:
-        raise TypeError("flow sup bound is quadrotor-specific")
-    v_abs = np.maximum(np.abs(box.lo), np.abs(box.hi))[2:4]
-    u_abs = np.maximum(np.abs(base.bounds.control.lo), np.abs(base.bounds.control.hi))
-    w_abs = np.maximum(np.abs(base.bounds.disturbance.lo),
-                       np.abs(base.bounds.disturbance.hi))
-    a_hi = base.bounds.param.hi
-    g = GRAVITY
-    # sub-step length drops out of the h-dependent term conservatively at 1
-    f1 = v_abs[0] + (g / 4.0) * u_abs[0]
-    f2 = v_abs[1] + (g / 4.0) * u_abs[1]
-    f3 = g * u_abs[0] + a_hi[0] * v_abs[0] ** 2 + w_abs[0]
-    f4 = g * u_abs[1] + a_hi[1] * v_abs[1] ** 2 + w_abs[1]
-    return float(np.sqrt(f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4))
-
-
-def reachset_lipschitz_check(sys, L, box, n_trials, n_particles, tau_max, h, seed):
-    """Empirical check of the set-level deviation bound.
-
-    Paired particle clouds share every uncertainty draw; the second cloud is
-    a translate of the first by up to 0.1 per coordinate, with the control
-    perturbed by up to 0.1 per coordinate and the duration by up to
-    0.1 tau_max.  The Hausdorff distances are computed on the particle sets
-    themselves (full state), which is the quantity the planner's sets
-    approximate.
-    """
-    T = int(n_trials)
-    N = int(n_particles)
-    gen = rng.substream(seed, rng.DOMAIN_CHECK, 10)
-    # the controls are applied open loop, as in lipschitz_bound_check
-    base = getattr(sys, "base", sys)
-
-    violations = 0
-    worst_ratio = 0.0
-    for t in range(T):
-        c = box.sample(gen)
-        rho = gen.uniform(0.0, 0.05 * box.width + 1e-12)
-        P1 = c + gen.uniform(-rho, rho, size=(N, box.dim))
-        shift = gen.uniform(-0.1, 0.1, size=box.dim)
-        P2 = P1 + shift
-        u1 = sys.bounds.control.sample(gen)
-        du = gen.uniform(-0.1, 0.1, size=u1.shape[0])
-        u2 = sys.bounds.control.clip(u1 + du)
-        tau1 = float(gen.uniform(0.25 * tau_max, tau_max))
-        tau2 = float(np.clip(tau1 + gen.uniform(-0.1, 0.1) * tau_max,
-                             0.0, tau_max))
-        Th = sys.bounds.param.sample(rng.substream(seed, rng.DOMAIN_CHECK, 11, t), N)
-
-        w_source = disturbance_source(sys.bounds.disturbance, seed, rng.DOMAIN_CHECK, 12, t)
-        r1 = rollout_batch(base, P1, u1, tau1, h, Th, w_source)
-        r2 = rollout_batch(base, P2, u2, tau2, h, Th, w_source)
-        lhs = hausdorff_distance(r1.final_states, r2.final_states)
-        rhs = L * (hausdorff_distance(P1, P2) + abs(tau1 - tau2)
-                   + float(np.linalg.norm(u1 - u2)))
-        if lhs > rhs + 1e-9:
-            violations += 1
-        if rhs > 0:
-            worst_ratio = max(worst_ratio, lhs / rhs)
-    return {"trials": T, "violations": violations, "worst_ratio": worst_ratio}
 
 
 def success_rate_study(sys, init_region, goal, obstacles, sampling_box,

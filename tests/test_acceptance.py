@@ -18,21 +18,24 @@ from scipy import stats
 from reachrrt import rng
 from reachrrt.benchmarks import Jumper, Linear1D, make_benchmark
 from reachrrt.cli import main
-from reachrrt.geometry import Box, convex_hull_2d, hausdorff_distance
+from reachrrt.geometry import Box, convex_hull_2d
 from reachrrt.planner import extend_hybrid, sample_control, sample_node
 from reachrrt.reachability import compute_reach_set, init_particles
 from reachrrt.scenario import load_scenario
 from reachrrt.tree import DualTree, PlanStep
 from reachrrt.validation import (
     compare_methods,
-    lipschitz_bound_check,
-    quadrotor_flow_sup,
     quadrotor_lipschitz_constant,
-    reachset_lipschitz_check,
     success_rate_study,
-    trajectory_bound_factor,
 )
 
+from bounds import (
+    hausdorff_distance,
+    lipschitz_bound_check,
+    quadrotor_flow_sup,
+    reachset_lipschitz_check,
+    trajectory_bound_factor,
+)
 from oracles import exact_interval_reach, point_in_hull
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")

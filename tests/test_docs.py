@@ -150,16 +150,15 @@ LIBRARY = LIBRARY[:LIBRARY.index("\n## ")]
 
 
 def test_every_src_function_has_a_caller():
-    # code only the tests use belongs in tests/oracles.py, not in the package;
-    # a method counts as called when any src/ or perfbench/ file, a tracer
-    # target or README's library section uses an attribute of its name
+    # code only the tests use belongs in tests/ (oracles.py, bounds.py), not
+    # in the package; a method counts as called when any src/ or perfbench/
+    # file or a tracer target uses an attribute of its name
     callers = set()
     for path in SRC:
         callers |= _referenced_names(path, skip_own_body=True)
     for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
         callers |= _referenced_names(path)
     callers |= {attr.split(".")[-1] for _, _, attr, _ in _load_tracer().TARGETS}
-    callers |= set(re.findall(r"\w+", LIBRARY))
     assert sorted(f"{os.path.basename(path)}:{label}" for path in SRC
                   for label, name in _defined(path) if name not in callers) == []
 
@@ -208,7 +207,8 @@ def _calls(source):
 
 def test_every_src_option_is_set_by_a_caller():
     # a defaulted parameter that no caller sets is a constant in disguise;
-    # the callers are the same as for test_every_src_function_has_a_caller
+    # the callers are those of test_every_src_function_has_a_caller plus
+    # README's library examples, since the CLI calls plan() as run_plan
     sources = [open(p).read() for p in SRC + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))]
     sources += re.findall(r"```python\n(.*?)```", LIBRARY, re.S)
     calls = {}

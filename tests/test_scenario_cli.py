@@ -363,7 +363,29 @@ def test_validate_refuses_a_negative_seed(tmp_path, capsys):
     assert main(["validate", "--scenario", path, "--plan", str(out / "plan.json"),
                  "--out-dir", str(out), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
-    assert err == "--seed must be nonnegative\n"
+    assert err == "invalid parameters: --seed must be nonnegative\n"
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("flags,validation,want", [
+    (("--rollouts", "0"), None, "invalid parameters: --rollouts must be positive\n"),
+    ((), {"rollouts": 0, "seed": 7}, "validation.rollouts must be positive\n"),
+    ((), {"rollouts": 200, "seed": -1}, "validation.seed must be nonnegative\n"),
+])
+def test_validate_names_the_flag_or_file_key_of_a_bad_setting(tmp_path, capsys, flags,
+                                                              validation, want):
+    # a flag's value is refused by monte_carlo_validate's own rules, a file's
+    # by the loader, which forwards the same rules under the file key
+    path = _write(tmp_path)
+    out = tmp_path / "out"
+    assert _run(path, out) == 0
+    capsys.readouterr()
+    if validation is not None:
+        path = _write(tmp_path, name="val.json", validation=validation)
+        want = f"{path}:{_line_of(path, want.split()[0])}: {want}"
+    assert main(["validate", "--scenario", path, "--plan", str(out / "plan.json"),
+                 "--out-dir", str(out), *flags]) == 1
+    assert capsys.readouterr().err == want
     assert not (out / "report.json").exists()
 
 

@@ -12,23 +12,25 @@ from reachrrt import rng, validation
 from reachrrt.benchmarks import GRAVITY, Jumper, make_benchmark
 from reachrrt.dynamics import rollout_batch
 from reachrrt.geometry import Ball, Box, GoalRegion, goal_contains
-from reachrrt.planner import PlannerParams, plan
+from reachrrt.planner import ParamError, PlannerParams, plan
 from reachrrt.reachability import (compute_reach_set, init_particles, padded_collision_free,
                                    padded_goal_contained, project_to_plane)
 from reachrrt.scenario import load_plan, load_scenario
 from reachrrt.tree import PlanStep
 from reachrrt.validation import (
     ValidityRecord,
-    lipschitz_bound_check,
     monte_carlo_validate,
-    quadrotor_flow_sup,
     quadrotor_lipschitz_constant,
-    reachset_lipschitz_check,
     replay_validate,
     success_rate_study,
-    trajectory_bound_factor,
 )
 
+from bounds import (
+    lipschitz_bound_check,
+    quadrotor_flow_sup,
+    reachset_lipschitz_check,
+    trajectory_bound_factor,
+)
 from oracles import reference_points_obstacle_clearance
 
 SEED = 29
@@ -104,6 +106,24 @@ def test_validation_rejects_empty_budget():
     sys_, result, init, goal = _solved_linear()
     with pytest.raises(ValueError):
         monte_carlo_validate(sys_, result.plan, init, goal, [], 0, SEED)
+
+
+@pytest.mark.parametrize("rollouts,seed,field,rule", [
+    (2.5, SEED, "rollouts", "must be an integer"),
+    (True, SEED, "rollouts", "must be an integer"),
+    (0, SEED, "rollouts", "must be positive"),
+    (10, -1, "seed", "must be nonnegative"),
+    (10, 1.5, "seed", "must be an integer"),
+])
+def test_validation_settings_are_refused_before_any_draw(monkeypatch, rollouts, seed,
+                                                         field, rule):
+    sys_, result, init, goal = _solved_linear()
+    drawn = []
+    monkeypatch.setattr(rng, "substream", lambda *key: drawn.append(key))
+    with pytest.raises(ParamError, match=f"^{field} {rule}$") as e:
+        monte_carlo_validate(sys_, result.plan, init, goal, [], rollouts, seed)
+    assert (e.value.field, e.value.rule) == (field, rule)
+    assert drawn == []
 
 
 def test_hybrid_validation_needs_mode():
