@@ -182,15 +182,13 @@ def cmd_study(args):
         print(f"bad --budgets {args.budgets!r}: expected comma-separated integers",
               file=_sys.stderr)
         return 1
-    if not budgets or any(b < 0 for b in budgets):
-        print("budgets must be nonnegative integers", file=_sys.stderr)
+    try:
+        rows = success_rate_study(sys, scenario.init_region, scenario.goal,
+                                  scenario.obstacles, scenario.sampling_box, params,
+                                  budgets, args.repeats, init_mode=scenario.init_mode)
+    except ParamError as e:
+        print(f"invalid parameters: --{e.field} {e.rule}", file=_sys.stderr)
         return 1
-    if args.repeats < 1:
-        print("--repeats must be at least 1", file=_sys.stderr)
-        return 1
-    rows = success_rate_study(sys, scenario.init_region, scenario.goal,
-                              scenario.obstacles, scenario.sampling_box, params,
-                              budgets, args.repeats, init_mode=scenario.init_mode)
     write_result(_out_dir(args), "study.json", scenario.sha256, seed=params.seed,
                  repeats=args.repeats, rows=rows)
     for row in rows:

@@ -14,10 +14,10 @@ come from deterministic probing that depends only on the node, so plan()
 probes each node once, the first time it is selected, and keeps the result
 for the rest of the run.
 
-The collision test drops obstacles that the bounding box of an extension's
-whole trace already clears (see padded_collision_free), so most extensions
-far from every obstacle build no hull at all.  A node keeps a copy of its
-own particle states, not a view into the rollout trace it came from.
+The collision test prunes obstacles by the bounding box of the whole trace,
+then of each sub-step (see padded_collision_free), so an extension hulls
+only the sub-steps near an obstacle.  A node keeps a copy of its own
+particle states, not a view into the rollout trace it came from.
 """
 
 import time
@@ -37,8 +37,8 @@ from .tree import DualTree, PlanStep, build_path
 
 
 class ParamError(ValueError):
-    """A broken rule of PlannerParams.validated or validation.check_settings:
-    the message is `field`, then `rule`."""
+    """A broken rule of PlannerParams.validated, validation.check_settings or
+    validation.check_study: the message is `field`, then `rule`."""
     def __init__(self, field, rule):
         super().__init__(f"{field} {rule}")
         self.field, self.rule = field, rule
@@ -195,7 +195,9 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     All randomness derives from params.seed; a run is reproducible from the
     seed alone.  Nodes are represented by their particle mean; meta records
     that as "nominal_kind" so plan files keep their format.  An epsilon of
-    at least the goal radius leaves no goal to reach and raises ValueError.
+    at least the goal radius leaves no goal to reach, and a root set within
+    epsilon of an obstacle leaves no extension to keep (every trace starts
+    with its parent's states): both raise ValueError before the first draw.
     """
     params = params.validated(goal)
     meta = {
@@ -220,9 +222,10 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
 
     obstacles = list(obstacles)
     proj = sys.collision_projection
-    root_solved = (padded_goal_contained(root, goal, params.epsilon)
-                   and padded_collision_free(root.states[None], proj, obstacles,
-                                             params.epsilon))
+    if not padded_collision_free(root.states[None], proj, obstacles, params.epsilon):
+        raise ValueError(f"the initial set comes within epsilon {params.epsilon!r} of "
+                         "an obstacle: every extension would be rejected")
+    root_solved = padded_goal_contained(root, goal, params.epsilon)
     solved_id = 0 if root_solved else None
 
     gen = rng.substream(params.seed, rng.DOMAIN_PLANNER)

@@ -22,8 +22,8 @@ from .geometry import (
     points_obstacle_clearance,
 )
 
-# Slack on the bounding-box shortcut of padded_collision_free: an obstacle
-# the box clears by less goes to the exact per-sub-step test.
+# Slack on the bounding-box pruning of box_near: an obstacle the box clears
+# by less goes to the exact test.
 BOX_MARGIN = 1e-9
 
 
@@ -167,45 +167,57 @@ def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id, stream=(rng.DOMAIN_EX
     return new, r
 
 
+def substep_boxes(pts):
+    """Bounding boxes (los, his), each (S, 2), of the slices of projected
+    points pts (S, N, 2), reduced column by column (along the rows of an
+    (N, 2) block numpy loops once per row); ValueError on a non-finite point."""
+    x, y = pts[..., 0], pts[..., 1]
+    boxes = np.array([x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)])
+    if not np.all(np.isfinite(boxes)):
+        raise ValueError("trace must be finite")
+    return boxes[:2].T, boxes[2:].T
+
+
+def box_near(lo, hi, obstacle, bound):
+    """True when the box [lo, hi] comes within bound + BOX_MARGIN of the
+    obstacle: the one box-pruning rule of every clearance test.  No point is
+    nearer an obstacle than its box (geometry.box_obstacle_clearance), and a
+    hull of points in the box lies in it, so an obstacle the box is not near
+    is farther than bound from all of them.  The margin hands rounding ties
+    to the exact test."""
+    return box_obstacle_clearance(lo, hi, obstacle) <= bound + BOX_MARGIN
+
+
 def padded_collision_free(traces, projection, obstacles, epsilon):
     """True when the particle hull clears every obstacle by more than epsilon
     at every sub-step of the trace.
 
-    The hull is left alone; the padding inflates obstacles.  Obstacles that
-    the bounding box of the whole projected trace clears by more than
-    epsilon + BOX_MARGIN are dropped first: every particle lies in that box,
-    and so does every sub-step hull, whose vertices are particles, so such an
-    obstacle cannot change the decision.  The margin hands rounding ties to
-    the exact path.  When no obstacle is left the trace is accepted without
-    building a hull.  For the rest, a per-point prefilter rejects early (any
-    particle within epsilon of an obstacle puts the hull within epsilon too);
-    surviving traces get the exact hull check at each sub-step, which also
-    covers the region the hull spans between particles.  A trace without a
-    sub-step (a zero-duration step's new slices) has nothing to clear.
+    The hull is left alone; the padding inflates obstacles.  Obstacles are
+    pruned by box_near against the box of the whole trace, which accepts a
+    trace with none near without a hull, then against each sub-step's box,
+    so only the sub-steps with a near obstacle are hulled.  In between, a
+    per-point prefilter rejects early (a particle within epsilon puts the
+    hull within epsilon too).  The exact hull check also covers the region
+    the hull spans between particles.  A trace without a sub-step (a
+    zero-duration step's new slices) has nothing to clear.
     """
     traces = np.asarray(traces, dtype=float)
     if not obstacles or traces.size == 0:
         return True
     pts = project_to_plane(traces, projection)
-    # the points as an (M, 2) view of a copy that holds each coordinate in
-    # one contiguous row: the box and the prefilter reduce along those rows,
-    # and along the rows of a C-order (M, 2) block numpy would run its inner
-    # loop once per point
-    flat = np.ascontiguousarray(pts.transpose(2, 0, 1)).reshape(2, -1).T
-    lo, hi = flat.min(axis=0), flat.max(axis=0)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("trace must be finite")
-    near = [o for o in obstacles
-            if box_obstacle_clearance(lo, hi, o) <= epsilon + BOX_MARGIN]
+    los, his = substep_boxes(pts)
+    lo, hi = los.min(axis=0), his.max(axis=0)
+    near = [o for o in obstacles if box_near(lo, hi, o, epsilon)]
     if not near:
         return True
     for obstacle in near:
-        if points_obstacle_clearance(flat, obstacle).min() <= epsilon:
+        if points_obstacle_clearance(pts, obstacle).min() <= epsilon:
             return False
-    for k in range(pts.shape[0]):
-        hull = convex_hull_2d(pts[k])
-        for obstacle in near:
-            if hull_obstacle_clearance(hull, obstacle) <= epsilon:
+    for slice_pts, slice_lo, slice_hi in zip(pts, los, his):
+        nearby = [o for o in near if box_near(slice_lo, slice_hi, o, epsilon)]
+        if nearby:
+            hull = convex_hull_2d(slice_pts)
+            if any(hull_obstacle_clearance(hull, o) <= epsilon for o in nearby):
                 return False
     return True
 

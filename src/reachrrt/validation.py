@@ -6,11 +6,8 @@ by ending outside the goal, collision taking precedence and counted once.
 The rollouts are one particle set from the planner's own init_particles,
 stepped by walk_plan (which replay_validate shares), with every draw in the
 validation stream domain, so they are independent of everything the planner
-consumed even under the same numeric seed.  An obstacle is measured on a
-sub-step's rollouts only when their bounding box comes within the worst
-clearance so far (or within contact).  This is exact: every rollout lies in
-the box and no point is nearer an obstacle than its box, so a skipped pair
-can neither collide nor lower the reported minimum.
+consumed even under the same numeric seed.  Obstacles are pruned per
+sub-step by reachability.box_near.
 
 The paper's two experiments live here as well, each in one function that
 the command line and the acceptance tests share: success_rate_study
@@ -24,14 +21,15 @@ import numpy as np
 
 from . import rng
 from .benchmarks import GRAVITY, Quadrotor
-from .geometry import box_obstacle_clearance, goal_contains, points_obstacle_clearance
+from .geometry import goal_contains, points_obstacle_clearance
 from .reachability import (
-    BOX_MARGIN,
+    box_near,
     compute_reach_set,
     init_particles,
     padded_collision_free,
     padded_goal_contained,
     project_to_plane,
+    substep_boxes,
 )
 from .planner import ParamError, plan as run_plan
 
@@ -59,23 +57,19 @@ def _fold_clearance(worst, states, proj, obstacles):
     """Fold the clearances of the sub-step slices states (S, m, n) into the
     per-rollout minimum `worst`, in place.
 
-    An (obstacle, slice) pair is skipped when the slice's bounding box
-    clears the obstacle by more than max(worst so far, 0) + BOX_MARGIN.
-    Slices and obstacles are folded in order, and numpy's minimum keeps the
-    later of equal values, so each rollout keeps the sign of a zero minimum.
+    An obstacle is measured on a slice only when the slice's box is near it
+    (reachability.box_near) within max(worst so far, 0): a skipped pair can
+    neither collide nor lower the reported minimum.  Slices and obstacles
+    are folded in order, and numpy's minimum keeps the later of equal
+    values, so each rollout keeps the sign of a zero minimum.
     """
     if not obstacles:
         return
     pts = project_to_plane(states, proj)
-    # per column: a reduction along the rows of an (m, 2) block makes numpy
-    # run its inner loop once per row
-    x, y = pts[..., 0], pts[..., 1]
-    los = np.column_stack([x.min(axis=1), y.min(axis=1)])
-    his = np.column_stack([x.max(axis=1), y.max(axis=1)])
     bound = float(worst.min())
-    for sl, lo, hi in zip(pts, los, his):
+    for sl, lo, hi in zip(pts, *substep_boxes(pts)):
         for obstacle in obstacles:
-            if box_obstacle_clearance(lo, hi, obstacle) > max(bound, 0.0) + BOX_MARGIN:
+            if not box_near(lo, hi, obstacle, max(bound, 0.0)):
                 continue
             clear = points_obstacle_clearance(sl, obstacle)
             np.minimum(worst, clear, out=worst)
@@ -103,6 +97,10 @@ def walk_plan(sys, plan_obj, root, seed, stream, keys):
         yield r.states[1:], cur
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_settings(rollouts, seed):
     """The rules on the Monte-Carlo settings, which the loader and the
     command line forward under their key or flag: rollouts and seed must be
@@ -110,10 +108,21 @@ def check_settings(rollouts, seed):
     planner.ParamError naming "rollouts" or "seed"."""
     for field, value, least, rule in (("rollouts", rollouts, 1, "must be positive"),
                                       ("seed", seed, 0, "must be nonnegative")):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ParamError(field, "must be an integer")
         if value < least:
             raise ParamError(field, rule)
+
+
+def check_study(budgets, repeats):
+    """The rules on the budget-study settings, which the command line
+    forwards under its flag: budgets must be a nonempty list of nonnegative
+    integers, repeats an integer at least 1.  Raises planner.ParamError
+    naming "budgets" or "repeats"."""
+    if len(budgets) == 0 or not all(_is_integer(b) and b >= 0 for b in budgets):
+        raise ParamError("budgets", "must be a nonempty list of nonnegative integers")
+    if not (_is_integer(repeats) and repeats >= 1):
+        raise ParamError("repeats", "must be an integer at least 1")
 
 
 def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
@@ -126,15 +135,9 @@ def monte_carlo_validate(sys, plan_obj, init_region, goal, obstacles,
     active).  Initial states and parameters come from the substreams
     (seed, DOMAIN_VALIDATE, 0 | 1), the disturbances of step k, sub-step j
     from (seed, DOMAIN_VALIDATE, 2, k, j).  Checks run against the unpadded
-    obstacles and goal, at the initial states and after every sub-step.
-
-    An obstacle is measured on a sub-step's rollouts only when the bounding
-    box of their projections comes within the worst clearance found so far
-    (or within contact).  Every rollout lies in the box, and no point is
-    nearer an obstacle than its box (BOX_MARGIN absorbs rounding), so a
-    skipped pair changes no count and no byte of the worst clearance.
-    Without obstacles no box is computed.  Settings that check_settings
-    refuses raise its ParamError before any draw.
+    obstacles and goal, at the initial states and after every sub-step, each
+    sub-step pruned by reachability.box_near.  Settings that
+    check_settings refuses raise its ParamError before any draw.
     """
     check_settings(m_rollouts, seed)
     m = int(m_rollouts)
@@ -267,12 +270,13 @@ def success_rate_study(sys, init_region, goal, obstacles, sampling_box,
     planned once, at the largest budget, and counts as solved within B when
     it solved in at most B iterations (a root solve takes 0).  The same
     seeds serve every budget, so the curve is nondecreasing by construction.
+    Settings that check_study refuses raise its ParamError before any plan.
     """
-    budgets = [int(b) for b in budgets]
-    repeats = int(repeats)
+    check_study(budgets, repeats)
+    budgets, repeats = [int(b) for b in budgets], int(repeats)
     solved_at = []
     for j in range(repeats):
-        params = replace(base_params, i_max=max(budgets, default=0),
+        params = replace(base_params, i_max=max(budgets),
                          seed=base_params.seed + j)
         result = run_plan(sys, init_region, goal, obstacles, sampling_box,
                           params, init_mode=init_mode)
@@ -285,7 +289,7 @@ def success_rate_study(sys, init_region, goal, obstacles, sampling_box,
             "budget": budget,
             "repeats": repeats,
             "successes": successes,
-            "rate": successes / max(repeats, 1),
+            "rate": successes / repeats,
         })
     return rows
 

@@ -4,7 +4,8 @@ entry of `reachrrt.__all__` must resolve, the third-party modules the code impor
 must be the ones pyproject.toml and README's "Requires" line name, every
 function the benchmark's tracer wraps must still exist by name, every
 function, method and property in src/ must have a caller outside the tests,
-and every defaulted parameter in src/ must be set by one of those callers."""
+every defaulted parameter in src/ must be set by one of those callers, and
+no src/ module but reachability.py may use BOX_MARGIN."""
 
 import ast
 import glob
@@ -161,6 +162,14 @@ def test_every_src_function_has_a_caller():
     callers |= {attr.split(".")[-1] for _, _, attr, _ in _load_tracer().TARGETS}
     assert sorted(f"{os.path.basename(path)}:{label}" for path in SRC
                   for label, name in _defined(path) if name not in callers) == []
+
+
+def test_box_margin_lives_in_reachability_alone():
+    # one box-pruning rule (reachability.box_near): no other module
+    # prunes obstacles by box with its own margin
+    users = sorted(os.path.basename(path) for path in SRC
+                   if "BOX_MARGIN" in _referenced_names(path))
+    assert users == ["reachability.py"]
 
 
 def _options(path):

@@ -440,14 +440,33 @@ def test_trivially_solved_at_root():
     zero = PlannerParams(**{**params.__dict__, "i_max": 0})
     assert plan(sys_, init, goal, [], sampling, zero).solved
     # a root inside the goal but within epsilon of (here: on) an obstacle is
-    # no solve: a 0-step plan would fail replay and Monte-Carlo validation
+    # no solve: a 0-step plan would fail replay and Monte-Carlo validation,
+    # and no extension could clear the obstacle either, so plan() refuses it
     init = Box([0.0], [0.05])
     goal = GoalRegion((0,), (0.0,), 0.3)
     assert plan(sys_, init, goal, [], sampling, zero).solved
     pebble = Ball((0.02, 0.0), 0.01)
     small = PlannerParams(**{**params.__dict__, "i_max": 20})
-    blocked = plan(sys_, init, goal, [pebble], sampling, small)
-    assert not blocked.solved
+    with pytest.raises(ValueError, match="within epsilon"):
+        plan(sys_, init, goal, [pebble], sampling, small)
+
+
+def test_root_within_epsilon_of_an_obstacle_fails_fast():
+    # every extension's trace starts with its parent's states, so from such a
+    # root no node can be added; plan() refuses before drawing a sample
+    sys_, init, goal, _, params = _easy_linear()
+
+    class NoDraws:
+        def sample(self, gen):
+            raise AssertionError("plan() drew a sample")
+
+    for obstacle in (Ball((0.1 + 0.04, 0.0), 0.0), Box([0.05, -1.0], [0.06, 1.0])):
+        with pytest.raises(ValueError, match="within epsilon 0.05"):
+            plan(sys_, init, goal, [obstacle], NoDraws(), params)
+    # clear by more than epsilon: the run proceeds
+    far = Ball((0.1 + 0.06, 0.0), 0.0)
+    small = PlannerParams(**{**params.__dict__, "i_max": 5})
+    assert plan(sys_, init, goal, [far], Box([-0.5], [3.5]), small).stats.iterations == 5
 
 
 def test_zero_budget_exhausts_without_iterating():

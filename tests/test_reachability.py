@@ -415,8 +415,9 @@ def reference_padded_collision_free(traces, projection, obstacles, epsilon):
     return True
 
 
-# Offsets from epsilon at which obstacles are placed against the trace's
-# bounding box: rounding ties on either side of the shortcut's margin.
+# Offsets from epsilon at which obstacles are placed against the bounding box
+# of the trace or of one sub-step: rounding ties on either side of the
+# pruning margin.
 TIE_OFFSETS = [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]
 
 
@@ -474,7 +475,9 @@ def _random_obstacle(draw, degenerate=False):
 @st.composite
 def _collision_cases(draw, degenerate=False):
     """(traces, projection, obstacles, epsilon) over single particles, one
-    slice or one sub-step, flat clouds, tiny clouds and 1-D projections."""
+    slice or one sub-step, flat clouds, tiny clouds and 1-D projections,
+    with obstacles placed against the box of the whole trace or of one
+    sub-step, or anywhere."""
     slices = draw(st.integers(1, 4))        # 1: a root set; 2: one sub-step
     n = draw(st.integers(1, 6))
     projection = draw(st.sampled_from([(0, 1), (1, 0), (0, 2), (0,)]))
@@ -489,10 +492,13 @@ def _collision_cases(draw, degenerate=False):
     scale = draw(st.sampled_from([1.0, 1.0, 1e-5]))
     traces = traces * scale
     eps = draw(st.sampled_from([0.0, 0.05, 0.3]))
-    pts = project_to_plane(traces, projection).reshape(-1, 2)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pts = project_to_plane(traces, projection)
+    lo, hi = pts.reshape(-1, 2).min(axis=0), pts.reshape(-1, 2).max(axis=0)
+    one = pts[draw(st.integers(0, slices - 1))]
     obstacles = draw(st.lists(st.one_of(_placed_obstacle(lo, hi, eps, degenerate),
-                                        _random_obstacle(degenerate)),
+                                        _random_obstacle(degenerate),
+                                        _placed_obstacle(one.min(axis=0), one.max(axis=0),
+                                                         eps, degenerate)),
                               min_size=1, max_size=3))
     return traces, projection, obstacles, eps
 
@@ -606,6 +612,27 @@ def test_obstacle_far_from_the_trace_builds_no_hull(monkeypatch):
     corner = Ball((1.3, 1.3), 0.1)
     assert padded_collision_free(trace, (0, 1), [*far, corner], 0.35)
     assert hulled == [4] * 5
+
+
+def test_only_the_sub_steps_near_an_obstacle_build_a_hull(monkeypatch):
+    hulled = []
+
+    def spy(points):
+        hulled.append(points.copy())
+        return convex_hull_2d(points)
+
+    monkeypatch.setattr(reachability, "convex_hull_2d", spy)
+    diamond = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
+    trace = np.stack([diamond + [10.0 * k, 0.0] for k in range(5)])
+    # within epsilon of sub-step 2's empty box corner, clear of its hull
+    corner = Ball((21.3, 1.3), 0.1)
+    assert padded_collision_free(trace, (0, 1), [corner], 0.35)
+    assert len(hulled) == 1 and np.array_equal(hulled[0], trace[2])
+    # 0.2 off the middle of that hull's edge and over 0.35 from every
+    # particle: the prefilter passes it and sub-step 2's hull rejects it
+    edge = Ball(np.array([20.75, 0.75]) + 0.2 / np.sqrt(2), 0.0)
+    assert not padded_collision_free(trace, (0, 1), [edge], 0.35)
+    assert len(hulled) == 2 and np.array_equal(hulled[1], trace[2])
 
 
 def test_collision_refuses_a_nonfinite_trace():

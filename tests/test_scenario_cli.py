@@ -779,6 +779,22 @@ def test_study_rejects_bad_budgets(tmp_path, capsys):
     assert not (out / "study.json").exists()
 
 
+@pytest.mark.parametrize("flags,want", [
+    (("--budgets", "-5"), "--budgets must be a nonempty list of nonnegative integers"),
+    (("--budgets", "5,-1"), "--budgets must be a nonempty list of nonnegative integers"),
+    (("--budgets", ","), "--budgets must be a nonempty list of nonnegative integers"),
+    (("--budgets", "5", "--repeats", "0"), "--repeats must be an integer at least 1"),
+    (("--budgets", "5", "--repeats", "-1"), "--repeats must be an integer at least 1"),
+])
+def test_study_names_the_flag_of_a_bad_setting(tmp_path, capsys, flags, want):
+    # success_rate_study's own rules, forwarded under the flag
+    path = _write(tmp_path)
+    out = tmp_path / "out"
+    assert main(["study", "--scenario", path, "--out-dir", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"invalid parameters: {want}\n"
+    assert not (out / "study.json").exists()
+
+
 # --------------------------------------------------------------- compare
 
 

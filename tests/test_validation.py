@@ -590,6 +590,29 @@ def test_success_rate_study_monotone():
     assert all(r["successes"] <= r["repeats"] for r in rows)
 
 
+@pytest.mark.parametrize("budgets,repeats,field", [
+    ([24.9], 1, "budgets"),
+    ([-5], 1, "budgets"),
+    ([], 1, "budgets"),
+    ([True], 1, "budgets"),
+    ([5], 2.5, "repeats"),
+    ([5], True, "repeats"),
+    ([5], 0, "repeats"),
+])
+def test_success_rate_study_refuses_bad_settings_before_planning(monkeypatch, budgets,
+                                                                  repeats, field):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("planned before refusing the settings")
+
+    monkeypatch.setattr(validation, "run_plan", no_plan)
+    sys_ = make_benchmark("linear1d", theta_lo=0.45, theta_hi=0.55)
+    base = PlannerParams(i_max=1, tau_max=1.0, n_particles=4, h=0.1)
+    with pytest.raises(ParamError) as e:
+        success_rate_study(sys_, Box([0.0], [0.1]), GoalRegion((0,), (2.0,), 0.55), [],
+                           Box([-0.5], [3.5]), base, budgets, repeats)
+    assert e.value.field == field
+
+
 def _replanning_study(sys_, init, goal, sampling, base, budgets, repeats,
                       init_mode=None):
     """Reference budget study: plans every (budget, seed) pair afresh."""
