@@ -20,8 +20,7 @@ import sys as _sys
 from dataclasses import replace
 
 from . import __version__
-from .geometry import Box
-from .planner import ParamError, plan as run_plan
+from .planner import ParamError, plan as run_plan, root_region
 from .scenario import (
     ScenarioError,
     check_init_clearance,
@@ -103,11 +102,8 @@ def _overridden_params(scenario, args):
 def _check_init(scenario, params):
     """Exit 1 when the root set the planner would start from comes within
     the planning padding of an obstacle."""
-    name, region = "epsilon", scenario.init_region
-    if params.baseline:  # the baseline plans from the region's center alone
-        name, region = "baseline_padding", Box(region.center, region.center)
     try:
-        check_init_clearance(name, params.epsilon, region,
+        check_init_clearance(*root_region(scenario.init_region, params),
                              scenario.build_system().collision_projection,
                              scenario.obstacles)
     except ScenarioError as e:

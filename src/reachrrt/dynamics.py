@@ -219,9 +219,10 @@ class Rollout:
 
     Row k of each trace is the state after k sub-steps.  The traces are
     preallocated for every sub-step; after a divergence they are the prefix
-    that ends at the bad sub-step.  A tracked nominal is row N of the
-    batch: `states` and `modes` then view rows :N of the shared traces, and
-    `mu` and `mu_modes` view row N.
+    that ends at the first bad sub-step (rollout_batch steps them all and
+    cuts after one test of the whole trace).  A tracked nominal is row N of
+    the batch: `states` and `modes` then view rows :N of the shared traces,
+    and `mu` and `mu_modes` view row N.
 
     The state trace is stored channel-major: `states` is a transposed view
     whose `states[k, :, c]` is contiguous; with more than one row neither
@@ -292,8 +293,14 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
     row alone, so row N is exactly what a one-row call would compute.
     `diverged` is set if any particle state (rows :N; the nominal is not
     tested) leaves [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] or is not finite,
-    in which case the traces are cut to the prefix that ends at the bad
-    sub-step.  The step functions and the control law get their inputs
+    in which case the traces are cut to the prefix that ends at the first
+    bad sub-step.  Divergence is tested once per rollout, not per sub-step:
+    every sub-step is stepped, with numpy's overflow and invalid-value
+    warnings off, and one in_range then reads the whole trace; only a trace
+    that fails is searched sub-step by sub-step for the cut.  A diverged
+    rollout thus finishes its sub-steps before the cut and discards the
+    rest; its lengths, flag and prefix are those of a per-sub-step test.
+    The step functions and the control law get their inputs
     (states, modes, controls, disturbances, parameters) as read-only views:
     a step that writes one raises ValueError.
     """
@@ -333,28 +340,32 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
 
     redraw = sys.reads_substep_disturbance
     ctx = None
-    bad = False
-    for j, hj in enumerate(lengths):
-        if j == 0 or redraw:
-            w_source(j, W_draw)
-        X = trace_in[j]
-        if hyb and j == 0:
-            ctx = sys.begin_segment(nu, modes_in[0], W_in)
-        sys.resolve_control(nu, X, X[N] if track_mu else None, U)
+    # a diverging row overflows on its way past the limit; the one test
+    # below catches it, so numpy's warnings would say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, hj in enumerate(lengths):
+            if j == 0 or redraw:
+                w_source(j, W_draw)
+            X = trace_in[j]
+            if hyb and j == 0:
+                ctx = sys.begin_segment(nu, modes_in[0], W_in)
+            sys.resolve_control(nu, X, X[N] if track_mu else None, U)
 
-        out = states[j + 1]
-        if hyb:
-            modes_trace[j + 1] = sys.hybrid_step_batch(X, modes_in[j], U_in, W_in, Th_in,
-                                                       hj, ctx, j, out)
-        else:
-            sys.step_batch(X, U_in, W_in, Th_in, hj, out)
+            out = states[j + 1]
+            if hyb:
+                modes_trace[j + 1] = sys.hybrid_step_batch(X, modes_in[j], U_in, W_in, Th_in,
+                                                           hj, ctx, j, out)
+            else:
+                sys.step_batch(X, U_in, W_in, Th_in, hj, out)
 
-        # the whole block, nominal row included, is one contiguous run; the
-        # particle rows alone, a strided block, are read only when it fails
-        bad = N > 0 and not (in_range(out) or in_range(out[:N]))
-        if bad:
-            lengths = lengths[: j + 1]
-            break
+    # one test over every stepped sub-step: the whole block, nominal row
+    # included, is one contiguous run, and the particle rows alone, a
+    # strided block, are read only when it fails.  Only a trace whose
+    # particles fail is searched for its first bad sub-step, where it is cut
+    particles = states[1:, :N]
+    diverged = particles.size > 0 and not (in_range(states[1:]) or in_range(particles))
+    if diverged:
+        lengths = lengths[: next(j for j, X in enumerate(particles) if not in_range(X)) + 1]
 
     rows = len(lengths) + 1
     return Rollout(
@@ -363,7 +374,7 @@ def rollout_batch(sys, X0, nu, tau, h, thetas, w_source, mu0=None, modes0=None,
         mu=states[:rows, N] if track_mu else None,
         mu_modes=modes_trace[:rows, N] if hyb and track_mu else None,
         lengths=lengths,
-        diverged=bool(bad),
+        diverged=diverged,
     )
 
 

@@ -33,20 +33,35 @@ class _Shape:
 
 @dataclass(frozen=True)
 class Box(_Shape):
-    """Axis-aligned box in R^d, possibly degenerate (lo == hi)."""
+    """Axis-aligned box in R^d, possibly degenerate (lo == hi).
+
+    lo and hi are read-only copies of the bounds passed in, so the
+    constants derived from them are computed once, here: the width
+    hi - lo, whether it is finite (a draw from a box of infinite or NaN
+    width is refused at sample time), and zero_width, a finite box with
+    lo == hi on every axis, whose every draw is lo + 0.0.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
     radius = 0.0  # a box is its own core
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        # copies, so the caller's arrays stay writable and can change
+        # nothing computed from them
+        lo, hi = (np.array(b, dtype=float, ndmin=1) for b in (self.lo, self.hi))
+        lo.flags.writeable = hi.flags.writeable = False
         # NaN fails every comparison: a NaN bound is refused, +-inf kept
         if lo.shape != hi.shape or not np.all(lo <= hi):
             raise ValueError("box needs lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        # a width that overflows or is inf - inf is refused only when drawn
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo
+        finite = bool(np.isfinite(width).all())
+        object.__setattr__(self, "_width", width if finite else None)
+        object.__setattr__(self, "zero_width", finite and not width.any())
 
     @property
     def center(self):
@@ -60,7 +75,7 @@ class Box(_Shape):
         lo + (hi - lo) * u from the same doubles u, without its broadcasting
         cost; like it, refuses a width that is not finite."""
         if n is None:
-            return self.lo + self._width() * gen.random(self.dim)
+            return self.lo + self._finite_width() * gen.random(self.dim)
         u = np.empty((int(n), self.dim))
         self.sample_into(gen, u, u)
         return u
@@ -71,7 +86,7 @@ class Box(_Shape):
         (n, dim) buffer that may be out itself, and each column of out is
         then u * width + lo.  out may have any layout: a channel-major out
         gets each column in one contiguous row."""
-        width = self._width()
+        width = self._finite_width()
         gen.random(out=u)
         # column by column: a (d,) vector broadcast across (n, d) rows makes
         # numpy run its inner loop once per row
@@ -79,11 +94,10 @@ class Box(_Shape):
             np.multiply(col, w, out=dst)
             np.add(dst, lo, out=dst)
 
-    def _width(self):
-        width = self.hi - self.lo
-        if not np.isfinite(width).all():
+    def _finite_width(self):
+        if self._width is None:
             raise OverflowError("Range exceeds valid bounds")
-        return width
+        return self._width
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ import numpy as np
 
 from . import rng
 from .dynamics import MAX_SUBSTEPS, in_range, reachable_modes, rollout
+from .geometry import Box, box_obstacle_clearance
 from .reachability import (
+    ParticleSet,
     compute_reach_set,
     init_particles,
     padded_collision_free,
@@ -42,6 +44,46 @@ class ParamError(ValueError):
     def __init__(self, field, rule):
         super().__init__(f"{field} {rule}")
         self.field, self.rule = field, rule
+
+
+class InitClearanceError(ValueError):
+    """The set a plan starts from comes within the planning padding of an
+    obstacle (check_init_clearance)."""
+
+
+def check_init_clearance(name, value, init_region, projection, obstacles):
+    """Refuse an initial region whose collision projection comes within a
+    padding (epsilon, baseline_padding) of an obstacle: every extension's
+    trace starts with the root set, so the planner would reject every
+    extension and burn its budget.  The region, not the particles drawn
+    from it, is tested: a root set that happens to clear the obstacle says
+    nothing of the rollouts a validator draws from the same region.
+
+    Region and obstacle are each a core box [lo, hi] grown by a radius
+    (geometry.Box and Ball), except that a region seen through a 1-D
+    projection is the interval it covers; their clearance is the signed
+    distance between the two core boxes minus both radii.
+    """
+    proj = list(projection)
+    lo, hi, r = init_region.lo[proj], init_region.hi[proj], init_region.radius
+    if len(proj) == 1:  # zero-padded to the plane, as the planner does
+        lo, hi, r = np.append(lo - r, 0.0), np.append(hi + r, 0.0), 0.0
+    for i, obstacle in enumerate(obstacles):
+        clearance = box_obstacle_clearance(lo, hi, obstacle, radius=r)
+        if clearance <= value:
+            raise InitClearanceError(
+                f"the initial set comes within {name} {value!r} of obstacles[{i}] "
+                f"(clearance {clearance!r}): every extension would be rejected")
+
+
+def root_region(init_region, params):
+    """(padding name, padding, region) that check_init_clearance tests for
+    the root set plan() starts from: the initial region within epsilon, or
+    for the baseline the region's center within its padding."""
+    if params.baseline:
+        center = init_region.center
+        return "baseline_padding", params.epsilon, Box(center, center)
+    return "epsilon", params.epsilon, init_region
 
 
 @dataclass(frozen=True)
@@ -195,9 +237,11 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     All randomness derives from params.seed; a run is reproducible from the
     seed alone.  Nodes are represented by their particle mean; meta records
     that as "nominal_kind" so plan files keep their format.  An epsilon of
-    at least the goal radius leaves no goal to reach, and a root set within
-    epsilon of an obstacle leaves no extension to keep (every trace starts
-    with its parent's states): both raise ValueError before the first draw.
+    at least the goal radius leaves no goal to reach (ParamError), and an
+    initial region within epsilon of an obstacle (for the baseline: its
+    center) leaves no extension to keep, since every trace starts with its
+    parent's states (InitClearanceError, see check_init_clearance): both
+    raise before the first draw.
     """
     params = params.validated(goal)
     meta = {
@@ -212,6 +256,10 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     if init_mode is not None:
         meta["init_mode"] = int(init_mode)
 
+    obstacles = list(obstacles)
+    proj = sys.collision_projection
+    check_init_clearance(*root_region(init_region, params), proj, obstacles)
+
     t0 = time.perf_counter()
     root = init_particles(
         sys, init_region, params.n_particles, params.seed,
@@ -220,11 +268,6 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     tree = DualTree(root, weights=params.nn_weights)
     stats = PlanStats()
 
-    obstacles = list(obstacles)
-    proj = sys.collision_projection
-    if not padded_collision_free(root.states[None], proj, obstacles, params.epsilon):
-        raise ValueError(f"the initial set comes within epsilon {params.epsilon!r} of "
-                         "an obstacle: every extension would be rejected")
     root_solved = padded_goal_contained(root, goal, params.epsilon)
     solved_id = 0 if root_solved else None
 
@@ -267,8 +310,8 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
             continue
 
         # the node keeps its own slice, not a view that pins the whole trace
-        pset = replace(pset, states=pset.states.copy(), mu=pset.mu.copy(),
-                       modes=None if pset.modes is None else pset.modes.copy())
+        pset = ParticleSet(pset.states.copy(), pset.thetas, pset.mu.copy(),
+                           None if pset.modes is None else pset.modes.copy(), pset.mu_mode)
         new_id = tree.add_node(nid, pset, PlanStep(
             u=tuple(float(v) for v in u), tau=float(tau), ext_id=i,
             node_id=len(tree), mode=edge_mode))

@@ -67,8 +67,11 @@ class ParticleSet:
     def nominal(self):
         # computed on first use: only sets that become tree nodes need it
         # over a C-order block: numpy sums a contiguous axis pairwise, so a
-        # channel-major view (a rollout's final_states) would round differently
-        return np.mean(np.ascontiguousarray(self.states), axis=0)
+        # channel-major view (a rollout's final_states) would round
+        # differently.  The sum over the count is np.mean's own arithmetic
+        # without its dispatch.
+        c = np.ascontiguousarray(self.states)
+        return np.add.reduce(c, axis=0) / len(c)
 
 
 def init_particles(sys, init_region, n_particles, seed, init_mode=None,
@@ -116,13 +119,14 @@ def disturbance_source(box, seed, *key):
     many particles other rollouts used and the first m rows of a block are
     stable as the particle count grows.  The uniform doubles go row-major
     into one (count, dim) buffer that the source reuses, and each column is
-    scaled from it straight into out.  A zero-width box (lo == hi on every
-    axis) creates no substream: a uniform draw is lo + (hi - lo) u, which
-    is lo + 0.0 for every u, and nothing else reads the sub-step's private
-    generator.  Its block never changes, so it is written at sub-step 0
-    only (rollout_batch hands the source the same block every sub-step).
+    scaled from it straight into out.  A zero-width box (Box.zero_width:
+    finite, with lo == hi on every axis) creates no substream: a uniform
+    draw is lo + (hi - lo) u, which is lo + 0.0 for every u, and nothing
+    else reads the sub-step's private generator.  Its block never changes,
+    so it is written at sub-step 0 only (rollout_batch hands the source the
+    same block every sub-step).
     """
-    if np.array_equal(box.lo, box.hi) and np.all(np.isfinite(box.lo)):
+    if box.zero_width:
         return constant_w_source(box.lo + 0.0)
 
     u = np.empty((0, box.dim))
@@ -169,10 +173,17 @@ def compute_reach_set(sys, pset, nu, tau, h, seed, ext_id, stream=(rng.DOMAIN_EX
 
 def substep_boxes(pts):
     """Bounding boxes (los, his), each (S, 2), of the slices of projected
-    points pts (S, N, 2), reduced column by column (along the rows of an
-    (N, 2) block numpy loops once per row); ValueError on a non-finite point."""
+    points pts (S, N, 2); ValueError on a non-finite point."""
+    return _bounds(pts, 1)
+
+
+def _bounds(pts, axis):
+    """Bounds (lo, hi) of projected points pts (..., 2) reduced along axis
+    (None: over every point), column by column (along the rows of an
+    (N, 2) block numpy loops once per row); ValueError on a non-finite
+    point."""
     x, y = pts[..., 0], pts[..., 1]
-    boxes = np.array([x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)])
+    boxes = np.array([x.min(axis=axis), y.min(axis=axis), x.max(axis=axis), y.max(axis=axis)])
     if not np.all(np.isfinite(boxes)):
         raise ValueError("trace must be finite")
     return boxes[:2].T, boxes[2:].T
@@ -193,27 +204,27 @@ def padded_collision_free(traces, projection, obstacles, epsilon):
     at every sub-step of the trace.
 
     The hull is left alone; the padding inflates obstacles.  Obstacles are
-    pruned by box_near against the box of the whole trace, which accepts a
-    trace with none near without a hull, then against each sub-step's box,
-    so only the sub-steps with a near obstacle are hulled.  In between, a
-    per-point prefilter rejects early (a particle within epsilon puts the
-    hull within epsilon too).  The exact hull check also covers the region
-    the hull spans between particles.  A trace without a sub-step (a
-    zero-duration step's new slices) has nothing to clear.
+    pruned by box_near against the box of the whole trace, taken straight
+    from the points, which accepts a trace with none near without a hull;
+    only then are the per-sub-step boxes built, and the sub-steps whose own
+    box has a near obstacle are hulled.  In between, a per-point prefilter
+    rejects early (a particle within epsilon puts the hull within epsilon
+    too).  The exact hull check also covers the region the hull spans
+    between particles.  A trace without a sub-step (a zero-duration step's
+    new slices) has nothing to clear.
     """
     traces = np.asarray(traces, dtype=float)
     if not obstacles or traces.size == 0:
         return True
     pts = project_to_plane(traces, projection)
-    los, his = substep_boxes(pts)
-    lo, hi = los.min(axis=0), his.max(axis=0)
+    lo, hi = _bounds(pts, None)
     near = [o for o in obstacles if box_near(lo, hi, o, epsilon)]
     if not near:
         return True
     for obstacle in near:
         if points_obstacle_clearance(pts, obstacle).min() <= epsilon:
             return False
-    for slice_pts, slice_lo, slice_hi in zip(pts, los, his):
+    for slice_pts, slice_lo, slice_hi in zip(pts, *substep_boxes(pts)):
         nearby = [o for o in near if box_near(slice_lo, slice_hi, o, epsilon)]
         if nearby:
             hull = convex_hull_2d(slice_pts)

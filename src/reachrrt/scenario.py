@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, planner
 from .benchmarks import make_benchmark
 from .dynamics import MAX_SUBSTEPS
 from .geometry import Ball, Box, GoalRegion, box_obstacle_clearance
@@ -59,27 +59,12 @@ def _forward(check, *args, key):
 
 
 def check_init_clearance(name, value, init_region, projection, obstacles):
-    """Refuse an initial region whose collision projection comes within a
-    padding (epsilon, baseline_padding) of an obstacle: every extension's
-    trace starts with the root set, so the planner would reject every
-    extension and burn its budget.
-
-    Region and obstacle are each a core box [lo, hi] grown by a radius
-    (geometry.Box and Ball), except that a region seen through a 1-D
-    projection is the interval it covers; their clearance is the signed
-    distance between the two core boxes minus both radii.
-    """
-    proj = list(projection)
-    lo, hi, r = init_region.lo[proj], init_region.hi[proj], init_region.radius
-    if len(proj) == 1:  # zero-padded to the plane, as the planner does
-        lo, hi, r = np.append(lo - r, 0.0), np.append(hi + r, 0.0), 0.0
-    for i, obstacle in enumerate(obstacles):
-        clearance = box_obstacle_clearance(lo, hi, obstacle, radius=r)
-        if clearance <= value:
-            raise ScenarioError(
-                f"the initial set comes within {name} {value!r} of obstacles[{i}] "
-                f"(clearance {clearance!r}): every extension would be rejected",
-                key="init")
+    """planner.check_init_clearance, its refusal raised as a ScenarioError
+    keyed `init`."""
+    try:
+        planner.check_init_clearance(name, value, init_region, projection, obstacles)
+    except planner.InitClearanceError as e:
+        raise ScenarioError(str(e), key="init") from e
 
 
 @dataclass

@@ -471,6 +471,40 @@ def test_inplace_trace_matches_stacked_reference(hybrid, value, diverges, tau):
         assert got.lengths == substep_lengths(tau, 0.1)
 
 
+_BAD = st.sampled_from([np.nan, np.inf, -np.inf, NEXT, -NEXT, 1e300])
+
+
+@given(hybrid=st.booleans(), rows=st.integers(1, 4), tau=st.sampled_from([0.05, 0.3, 0.75]),
+       hits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3), st.integers(0, 1),
+                               _BAD | st.sampled_from([BIG, -BIG, 0.5])), max_size=4),
+       nominal=st.sampled_from([0.0, np.nan, -np.inf, NEXT]))
+@settings(max_examples=300, deadline=None)
+def test_the_once_per_rollout_cut_is_the_per_substep_cut(hybrid, rows, tau, hits, nominal):
+    # rollout_batch steps every sub-step and tests the particle rows once;
+    # the reference tests each sub-step and stops at the first bad one.
+    # Values land at random (sub-step, row, channel); a value and its
+    # negation return a row to range after it left, and the nominal row N
+    # may diverge on its own without cutting the particles
+    sys_ = AdditiveHybrid() if hybrid else Additive()
+
+    def source(j, out):
+        out[...] = 0.0
+        for k, row, ch, value in hits:
+            if k == j and row < rows:
+                out[row, ch] = value
+
+    kw = {"mu0": np.full(2, nominal)}
+    if hybrid:
+        kw.update(modes0=np.arange(rows) % 2, mu_mode0=1)
+    args = (sys_, np.zeros((rows, 2)), np.zeros(1), tau, 0.1, np.zeros((rows, 1)), source)
+    got = rollout_batch(*args, **kw)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row the reference steps on
+        want = reference_rollout_batch(*args, **kw)
+    _assert_same_rollout(got, want)
+    if nominal != 0.0 and not got.diverged:
+        assert got.lengths == substep_lengths(tau, 0.1)
+
+
 @pytest.mark.parametrize("name,options,tracked,n", [
     ("quadrotor", {}, True, 50),
     ("quadrotor", {}, True, 10_000),

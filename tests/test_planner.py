@@ -469,6 +469,24 @@ def test_root_within_epsilon_of_an_obstacle_fails_fast():
     assert plan(sys_, init, goal, [far], Box([-0.5], [3.5]), small).stats.iterations == 5
 
 
+def test_the_initial_region_not_its_particles_must_clear_the_obstacles():
+    # the ball touches the region [0, 0.4]; when plan() tested only the
+    # root's three particles, six of seeds 0-7 drew them clear of it and
+    # solved, and each of those plans collided in 18 of 1000 rollouts
+    sys_, _, goal, sampling, params = _easy_linear()
+    init, pebble = Box([0.0], [0.4]), Ball((0.01, 0.0), 0.005)
+    for seed in range(8):
+        few = replace(params, n_particles=3, seed=seed)
+        with pytest.raises(planner.InitClearanceError,
+                           match=r"within epsilon 0.05 of obstacles\[0\]"):
+            plan(sys_, init, goal, [pebble], sampling, few)
+    # the baseline starts from the region's center, 0.185 from the ball
+    assert plan(sys_, init, goal, [pebble], sampling,
+                replace(params, i_max=5).as_baseline(0.1)).stats.iterations == 5
+    with pytest.raises(planner.InitClearanceError, match="within baseline_padding 0.2 "):
+        plan(sys_, init, goal, [pebble], sampling, params.as_baseline(0.2))
+
+
 def test_zero_budget_exhausts_without_iterating():
     sys_, init, goal, sampling, params = _easy_linear()
     zero = PlannerParams(**{**params.__dict__, "i_max": 0})

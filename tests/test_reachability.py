@@ -335,6 +335,19 @@ def test_extension_mean_nominal_is_particle_mean():
     assert np.array_equal(pset.nominal, pset.states.mean(axis=0))
 
 
+@given(rows=st.integers(1, 300), dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-300, 1e300]))
+@settings(max_examples=200, deadline=None)
+def test_nominal_is_the_mean_of_a_c_order_copy(rows, dim, seed, scale):
+    # nominal sums over the count itself; np.mean over a C-order copy is
+    # the reference, on the channel-major blocks a rollout hands out
+    gen = np.random.default_rng(seed)
+    states = np.empty((dim, rows)).T
+    states[...] = gen.uniform(-1.0, 1.0, (rows, dim)) * scale
+    got = ParticleSet(states=states, thetas=np.zeros((rows, 1)), mu=states[0]).nominal
+    assert got.tobytes() == np.mean(np.ascontiguousarray(states), axis=0).tobytes()
+
+
 def test_divergent_extension_returns_none():
     class Blow:
         name = "blow"

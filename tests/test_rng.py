@@ -101,6 +101,44 @@ def test_a_nan_bound_is_refused_when_the_box_is_built():
             Box(lo, hi)
 
 
+def test_box_bounds_are_read_only_copies():
+    lo, hi = np.array([0.0, -1.0]), np.array([2.0, 1.0])
+    box = Box(lo, hi)
+    for bound in (box.lo, box.hi):
+        with pytest.raises(ValueError, match="read-only"):
+            bound[0] = 0.5
+    # the caller's arrays stay writable, and writing them changes neither
+    # the bounds nor the draws, whose width the box computed once
+    first = box.sample(rng.substream(0, 1), 4)
+    lo[...], hi[...] = 5.0, 6.0
+    assert (box.lo.tolist(), box.hi.tolist()) == ([0.0, -1.0], [2.0, 1.0])
+    assert box.sample(rng.substream(0, 1), 4).tobytes() == first.tobytes()
+
+
+# signed zeros, infinities, bounds whose width overflows, ordinary values
+_BOUNDS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324]) | \
+    st.floats(-1e3, 1e3)
+
+
+@given(axes=st.lists(st.tuples(_BOUNDS, _BOUNDS).map(sorted), min_size=1, max_size=3))
+@settings(max_examples=300)
+def test_box_constants_are_the_per_draw_reference(axes):
+    # the width, its finiteness and the zero-width flag are computed when
+    # the box is built; per draw they were hi - lo, isfinite and
+    # array_equal(lo, hi) with a finite lo
+    lo, hi = map(np.array, zip(*axes))
+    box = Box(lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = hi - lo
+    assert box.zero_width == (np.array_equal(lo, hi) and bool(np.isfinite(lo).all()))
+    if np.isfinite(width).all():
+        got = box.sample(rng.substream(0, 1), 3)
+        assert got.tobytes() == (lo + width * rng.substream(0, 1).random((3, len(lo)))).tobytes()
+    else:
+        with pytest.raises(OverflowError):
+            box.sample(rng.substream(0, 1))
+
+
 @given(seed=st.integers(0, 2**63 - 1), key=st.lists(st.integers(0, 2**31), min_size=1, max_size=4))
 def test_streams_are_pure_functions_of_seed_and_key(seed, key):
     a = rng.substream(seed, *key).integers(0, 2**32, size=8)
