@@ -14,7 +14,14 @@ so one sub-step of length h is the map
     vy+ = vy + h (-g u2 - ay vy |vy| + w2)
 
 with controls u = (tan of pitch, tan of roll) and drag coefficients
-(ax, ay) frozen per particle.
+(ax, ay) frozen per particle.  The two axes differ only in the signs of
+their control coefficients, so step_batch computes the pair as one block:
+with p = (px, py), v = (vx, vy), a = (ax, ay) and c = (1, -1),
+
+    p+ = p + h v + (h^2 g / 4) c u
+    v+ = v + h (g c u - a v |v| + w)
+
+each product with a (2, 1) column of coefficients.
 """
 
 import numpy as np
@@ -62,45 +69,39 @@ class Quadrotor(System):
         )
         self.nominal_param = self.bounds.param.center
         self.nominal_disturbance = self.bounds.disturbance.center
+        # the (2, 1) coefficient columns (g, -g) and (quarter, -quarter) of
+        # the axis pair; the second is rewritten for each sub-step length
+        self._gravity = np.array([[GRAVITY], [-GRAVITY]])
+        self._quarter = np.empty((2, 1))
 
     def step_batch(self, X, U, W, Th, h, out):
-        px, py, vx, vy = X.T
-        u1, u2 = U.T
-        ax, ay = Th.T
-        w1, w2 = W.T
-        g = GRAVITY
-        quarter = h * h * g / 4.0
-        # in place, each value with the operands and order of
-        #   px + h vx + quarter u1,  py + h vy - quarter u2,
+        # the x and y axes as one (2, N) block each for positions (channels
+        # 0:2) and velocities (2:4), in place, each value with the operands
+        # and order of
+        #   px + h vx + quarter u1,  py + h vy + (-quarter) u2,
         #   vx + h (g u1 - ax vx |vx| + w1),  vy + h (-g u2 - ay vy |vy| + w2);
-        # a column not yet written serves as a working row, so the last one
-        # written needs the one extra working row t
-        o0, o1, o2, o3 = out.T
-        t = self._work_rows(1, len(X))[0]
-        np.multiply(-g, u2, out=o3)
-        np.multiply(ay, vy, out=t)
-        np.abs(vy, out=o2)
-        np.multiply(t, o2, out=t)
-        np.subtract(o3, t, out=o3)
-        np.add(o3, w2, out=o3)
-        np.multiply(h, o3, out=o3)
-        np.add(vy, o3, out=o3)
-        np.multiply(g, u1, out=o2)
-        np.multiply(ax, vx, out=t)
-        np.abs(vx, out=o1)
-        np.multiply(t, o1, out=t)
-        np.subtract(o2, t, out=o2)
-        np.add(o2, w1, out=o2)
-        np.multiply(h, o2, out=o2)
-        np.add(vx, o2, out=o2)
-        np.multiply(h, vy, out=o1)
-        np.add(py, o1, out=o1)
-        np.multiply(quarter, u2, out=t)
-        np.subtract(o1, t, out=o1)
-        np.multiply(h, vx, out=o0)
-        np.add(px, o0, out=o0)
-        np.multiply(quarter, u1, out=t)
-        np.add(o0, t, out=o0)
+        # py's "- quarter u2" is "+ (-quarter) u2": a - b is a + (-b), zero
+        # signs included.  A (2, 1) column runs numpy's inner loop once per
+        # axis; the position block serves as a working block until it is
+        # written, so one more (2, N) block t does
+        P, V = X.T[:2], X.T[2:]
+        p_out, v_out = out.T[:2], out.T[2:]
+        quarter = h * h * GRAVITY / 4.0
+        self._quarter[0, 0] = quarter
+        self._quarter[1, 0] = -quarter
+        t = self._work_rows(2, len(X))
+        np.multiply(self._gravity, U.T, out=v_out)
+        np.multiply(Th.T, V, out=t)
+        np.abs(V, out=p_out)
+        np.multiply(t, p_out, out=t)
+        np.subtract(v_out, t, out=v_out)
+        np.add(v_out, W.T, out=v_out)
+        np.multiply(h, v_out, out=v_out)
+        np.add(V, v_out, out=v_out)
+        np.multiply(h, V, out=p_out)
+        np.add(P, p_out, out=p_out)
+        np.multiply(self._quarter, U.T, out=t)
+        np.add(p_out, t, out=p_out)
 
     def linearization(self, h):
         """Exact hover linearization of the sub-step map (drag vanishes at

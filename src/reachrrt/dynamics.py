@@ -143,6 +143,11 @@ class FeedbackWrapped(System):
         self.nominal_param = base.nominal_param
         self.nominal_disturbance = base.nominal_disturbance
         self.collision_projection = base.collision_projection
+        # (m, 1) columns: the gain's column per state and the control
+        # bounds, broadcast along the rows of the (m, N) control block
+        self._gain_cols = [k[:, None] for k in self.gain.T]
+        self._lo_col = self.bounds.control.lo[:, None]
+        self._hi_col = self.bounds.control.hi[:, None]
 
     def resolve_control(self, nu, X, mu, out):
         """One commanded (m,) control for the whole batch; control j is
@@ -162,15 +167,15 @@ class FeedbackWrapped(System):
         U[...] = nu[:, None]
         work = self._work_rows(m + 1, len(X))
         e, term = work[0], work[1:]
-        for x, c, k in zip(X.T, mu.tolist(), self.gain.T):
+        for x, c, k in zip(X.T, mu.tolist(), self._gain_cols):
             np.subtract(x, c, out=e)
-            np.multiply(k[:, None], e, out=term)
+            np.multiply(k, e, out=term)
             np.add(U, term, out=U)
         # a value equal to a bound becomes the bound, as in np.clip with
         # array bounds: maximum and minimum return their second argument on
         # a tie, which decides the sign of a zero
-        np.maximum(U, self.bounds.control.lo[:, None], out=U)
-        np.minimum(U, self.bounds.control.hi[:, None], out=U)
+        np.maximum(U, self._lo_col, out=U)
+        np.minimum(U, self._hi_col, out=U)
 
     def step_batch(self, X, U, W, Th, h, out):
         self.base.step_batch(X, U, W, Th, h, out)

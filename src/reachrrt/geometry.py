@@ -10,6 +10,7 @@ clearance is computed for the core box, less the radius.  Clearances are
 signed where it matters: a nonpositive clearance means contact or overlap.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,10 +291,31 @@ def box_obstacle_clearance(lo, hi, obstacle, radius=0.0):
     also in floating point: each gap is at most the point's per-axis
     distance, since rounding is monotone, and the distance is the same sum of
     squares (two columns add in either order to the same double).
+
+    Computed in Python floats over the one or two axes, with the bytes of
+    the numpy form
+        gap = np.maximum(obstacle.lo - hi, lo - obstacle.hi)
+        g = np.maximum(gap, 0.0)
+        np.sqrt((g * g).sum()) if gap.max() > 0 else gap.max()
+    np.maximum and the running max of gap.max() return their second
+    argument on a tie, which decides the sign of a zero gap; the squares
+    add left to right from 0.0 (a zero square adds nothing), and
+    math.sqrt is correctly rounded, like np.sqrt.  No NaN reaches the
+    function: Box and Ball refuse NaN bounds, and trace boxes are checked
+    finite.  A NaN made inside, from inf - inf where the box and the
+    obstacle share an infinite bound, propagates as numpy's maximum
+    propagates it.
     """
-    gap = np.maximum(obstacle.lo - hi, lo - obstacle.hi)
-    g = np.maximum(gap, 0.0)
-    boxes = np.sqrt((g * g).sum()) if gap.max() > 0 else gap.max()
+    top, squares = None, 0.0
+    for b_lo, b_hi, o_lo, o_hi in zip(lo.tolist(), hi.tolist(), obstacle.lo.tolist(),
+                                      obstacle.hi.tolist()):
+        a, b = o_lo - b_hi, b_lo - o_hi
+        gap = a if a > b or a != a else b
+        if top is None or not (top > gap or top != top):
+            top = gap
+        if gap > 0.0:
+            squares += gap * gap
+    boxes = math.sqrt(squares) if top > 0 else top
     return float(boxes - radius - obstacle.radius)
 
 

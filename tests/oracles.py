@@ -7,8 +7,9 @@ form (the monotone chain with a function call per point, the steps as
 expressions that allocate and return a fresh block, the jumper step with
 every mask built on every call and its own countdown, and the feedback
 law and the point clearances on whole (N, d) blocks rather than column by
-column, the SVG hull elements formatted one vertex at a time, and the
-Riccati iteration with no early refusal of a stalled run).  The package
+column, the box clearance in numpy rather than Python floats, the SVG hull
+elements formatted one vertex at a time, and the Riccati iteration with no
+early refusal of a stalled run).  The package
 itself works on batches and clearances, so these live next to the tests
 that check it.
 """
@@ -87,6 +88,15 @@ def resolved(sys, nu, X, mu):
     out = np.empty((len(X), sys.bounds.control.dim))
     sys.resolve_control(nu, X, mu, out)
     return out
+
+
+def nan_blind_bytes(a):
+    """The C-order bytes of a with every NaN made one positive NaN.  Of two
+    NaN operands, numpy's add and multiply keep the first one's sign in the
+    body of a vector loop but the second one's in its tail, so below a few
+    thousand rows the sign of a NaN tells the element's position, not the
+    operand order; zero signs and every other byte still count."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
 def reference_linear1d_step(X, U, W, Th, h):
@@ -230,6 +240,15 @@ def reference_points_obstacle_clearance(pts, obstacle):
     outside = np.sqrt((np.maximum(q, 0.0) ** 2).sum(axis=1))
     inside = q.max(axis=1)  # <= 0 iff inside or on the boundary
     return np.where(inside > 0, outside, inside)
+
+
+def reference_box_obstacle_clearance(lo, hi, obstacle, radius=0.0):
+    """geometry.box_obstacle_clearance in numpy: the per-axis gaps as one
+    np.maximum, their squares summed by numpy and np.sqrt."""
+    gap = np.maximum(obstacle.lo - hi, lo - obstacle.hi)
+    g = np.maximum(gap, 0.0)
+    boxes = np.sqrt((g * g).sum()) if gap.max() > 0 else gap.max()
+    return float(boxes - radius - obstacle.radius)
 
 
 def _fmt(v):

@@ -18,6 +18,7 @@ from reachrrt.dynamics import (constant_w_source, reachable_modes, rollout_batch
 
 from oracles import (
     hybrid_step,
+    nan_blind_bytes,
     reference_dlqr_gain,
     reference_jumper_step,
     reference_linear1d_step,
@@ -286,6 +287,29 @@ def test_in_place_steps_are_the_reference_bytes(name, layout):
             want = reference(X, U, W, Th, h)
         assert np.ascontiguousarray(out).tobytes() == want.tobytes()
         assert np.isnan(want).any() and (np.signbit(want) & (want == 0)).any()
+
+
+@pytest.mark.parametrize("layout", ["C", "channel-major"])
+@pytest.mark.parametrize("n", [1, 2, 41, 101])
+def test_paired_quadrotor_step_is_the_reference_bytes_at_planner_sizes(n, layout):
+    # the axis pair stepped as (2, N) blocks with (2, 1) coefficient columns,
+    # at the planner's batch sizes: full sub-steps of H and a partial one in
+    # turn, so the quarter column is rewritten between calls.  At these
+    # sizes the sign of a NaN follows numpy's vector loops (nan_blind_bytes)
+    sys_ = make_benchmark("quadrotor", feedback=False)
+    partial = substep_lengths(2.5 * H, H)[-1]
+    gen = np.random.default_rng(2400 + n)
+    for _ in range(25):
+        X, U, W, Th = (_read_only(np.where(gen.random((n, d)) < 0.3,
+                                           gen.choice(_STEP_EDGES, (n, d)),
+                                           gen.uniform(-3.0, 3.0, (n, d))))
+                       for d in (4, 2, 2, 2))
+        for h in (H, partial, H):
+            out = np.empty((n, 4)) if layout == "C" else _trace_row(n, 4)
+            with np.errstate(all="ignore"):
+                sys_.step_batch(X, U, W, Th, h, out)
+                want = reference_quadrotor_step(X, U, W, Th, h)
+            assert nan_blind_bytes(out) == nan_blind_bytes(want)
 
 
 @pytest.mark.parametrize("jump", [0.0, 1.0])

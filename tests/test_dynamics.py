@@ -29,7 +29,7 @@ from reachrrt.dynamics import (
 from reachrrt.geometry import Box
 from reachrrt.reachability import disturbance_source
 
-from oracles import reference_resolve_control, resolved, step
+from oracles import nan_blind_bytes, reference_resolve_control, resolved, step
 
 H = 0.1
 
@@ -209,6 +209,33 @@ def test_feedback_control_is_the_reference_bytes(rows, bounds, gain, nu, mu, nom
     assert got.shape == want.shape == (rows, 2)
     assert got.tobytes() == want.tobytes()
     assert (X.tobytes(), mu.tobytes()) == before
+
+
+@pytest.mark.parametrize("layout", ["C", "channel-major"])
+@pytest.mark.parametrize("n", [1, 2, 41, 101])
+def test_feedback_control_is_the_reference_bytes_at_planner_sizes(n, layout):
+    # the shipped gain at the planner's batch sizes, with the (m, 1) gain
+    # and bound columns built once and reused: entries that tie, sign a
+    # zero, overflow or are not numbers, the nominal row X = mu last, and a
+    # commanded -0.0.  At these sizes the sign of a NaN follows numpy's
+    # vector loops (nan_blind_bytes)
+    fb = make_benchmark("quadrotor")
+    edges = [0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e-310, np.inf, -np.inf, np.nan,
+             np.copysign(np.nan, -1.0)]
+    gen = np.random.default_rng(2400 + n)
+    for _ in range(25):
+        mu = gen.uniform(-3.0, 3.0, 4)
+        X = np.where(gen.random((n, 4)) < 0.3, gen.choice(edges, (n, 4)),
+                     gen.uniform(-3.0, 3.0, (n, 4)))
+        X[-1] = mu
+        X_in = X if layout == "C" else np.ascontiguousarray(X.T).T
+        for nu in (np.array([-0.0, 0.3]), gen.uniform(-1.5, 1.5, 2)):
+            out = np.empty((n, 2)) if layout == "C" else np.empty((2, n)).T
+            with np.errstate(all="ignore"):
+                fb.resolve_control(nu, X_in, mu, out)
+                want = reference_resolve_control(fb, nu, X, mu)
+            assert nan_blind_bytes(out) == nan_blind_bytes(want)
+            assert out[-1].tolist() == np.clip(nu, -1.0, 1.0).tolist()
 
 
 @pytest.mark.parametrize("nu", [np.zeros((3, 2)), np.zeros(3), np.zeros((1, 2))],

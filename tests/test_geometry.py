@@ -34,6 +34,7 @@ from bounds import hausdorff_distance
 from oracles import (
     point_hull_distance,
     point_in_hull,
+    reference_box_obstacle_clearance,
     reference_convex_hull_2d,
     reference_points_obstacle_clearance,
 )
@@ -399,6 +400,55 @@ def test_box_clearance_bounds_every_point_in_the_box(obstacle, pool, scale, seed
     pts = np.concatenate([pts, corners])
     box = box_obstacle_clearance(lo, hi, obstacle)
     assert box <= points_obstacle_clearance(pts, obstacle).min()
+
+
+# bounds that tie, sign a zero, lie at infinity or overflow a gap
+_bound_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf,
+                                 1e308, -1e308]) | st.floats(-4, 4)
+
+
+@st.composite
+def _box_clearance_queries(draw):
+    """(lo, hi, obstacle, radius): a 1-D or 2-D query box and an obstacle
+    (a box, flat box or point, or a ball), their bounds drawn from a small
+    shared pool so that they tie."""
+    dim = draw(st.sampled_from([1, 2]))
+    pool = draw(st.lists(_bound_values, min_size=1, max_size=4))
+    coord = st.sampled_from(pool) | _bound_values
+    radius = st.sampled_from([0.0, 0.5, math.inf]) | st.floats(0, 3)
+
+    def bounds(kind):
+        a = [draw(coord) for _ in range(dim)]
+        b = a if kind == "point" else [draw(coord) for _ in range(dim)]
+        pairs = [sorted(p) for p in zip(a, b)]  # stable: ties keep both zero orders
+        if kind == "flat":
+            axis = draw(st.integers(0, dim - 1))
+            pairs[axis] = [pairs[axis][0]] * 2
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+    lo, hi = bounds(draw(st.sampled_from(["box", "flat", "point"])))
+    kind = draw(st.sampled_from(["box", "flat", "point", "ball"]))
+    if kind == "ball":
+        obstacle = Ball(np.array([draw(coord) for _ in range(dim)]), draw(radius))
+    else:
+        obstacle = Box(*bounds(kind))
+    return lo, hi, obstacle, draw(radius)
+
+
+@given(query=_box_clearance_queries())
+@settings(max_examples=2000, deadline=None)
+# a tie in the running max of the gaps, (-0.0, 0.0) and (0.0, -0.0), and
+# one between an axis's two gaps, 0.0 and -0.0
+@example(query=(np.zeros(2), np.zeros(2), Box([-0.0, 0.0], [1.0, 1.0]), 0.0))
+@example(query=(np.zeros(2), np.zeros(2), Box([0.0, -0.0], [1.0, 1.0]), 0.0))
+@example(query=(np.array([-0.0]), np.array([0.0]), Box([0.0], [0.0]), 0.0))
+def test_box_clearance_is_the_reference_bytes(query):
+    # the Python-float clearance against the numpy form, on the repr of
+    # the result: zero signs, infinities and NaN from inf - inf included
+    lo, hi, obstacle, radius = query
+    with np.errstate(all="ignore"):
+        want = reference_box_obstacle_clearance(lo, hi, obstacle, radius)
+    assert repr(box_obstacle_clearance(lo, hi, obstacle, radius)) == repr(want)
 
 
 # ------------------------------------------------ hull/membership oracles
