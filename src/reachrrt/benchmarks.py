@@ -24,9 +24,12 @@ with p = (px, py), v = (vx, vy), a = (ax, ay) and c = (1, -1),
 each product with a (2, 1) column of coefficients.
 """
 
+import math
+
 import numpy as np
 
-from .dynamics import ContinuousSystem, FeedbackWrapped, HybridSystem, System, UncertaintyBounds
+from .dynamics import (DIVERGENCE_LIMIT, ContinuousSystem, FeedbackWrapped, HybridSystem, System,
+                       UncertaintyBounds, substep_lengths)
 from .geometry import Box
 
 GRAVITY = 9.81
@@ -266,6 +269,48 @@ class Jumper(HybridSystem):
             o3[landed] = 0.0
             modes = np.where(landed, self.CONTACT, modes)
         return modes
+
+    def nominal_modes(self, x, mode, nu, tau, h):
+        # hybrid_step_batch on the one nominal row, in Python floats: a
+        # sub-step costs about a microsecond instead of numpy's per-call
+        # cost.  Each value has that method's operands and order, and
+        # max/min that of np.maximum/np.minimum (NaN kept, a tie gives the
+        # bound), so modes and flag are those of the rollout.  The firing
+        # sub-step is begin_segment's rule on the (finite) nominal
+        # disturbance; after each sub-step the four channels get in_range's
+        # test, which NaN fails, and the trace is cut at the first failure
+        mass = float(self.nominal_param[0])
+        if mass == 0.0:  # Python's division would raise where numpy's gives inf
+            return super().nominal_modes(x, mode, nu, tau, h)
+        x, xdot, y, ydot = np.asarray(x, dtype=float).tolist()
+        u, jump = np.asarray(nu, dtype=float).tolist()
+        mode = int(mode)
+        fire = -1
+        if jump >= 0.5 and mode == self.CONTACT:
+            fire = min(2, math.floor(3.0 * float(self.nominal_disturbance[0])))
+        kp, kd, ground = float(self.kp), float(self.kd), float(self.ground)
+        lo, hi = float(-self.a_max), float(self.a_max)
+        lim = DIVERGENCE_LIMIT
+        modes = [mode]
+        for j, hj in enumerate(substep_lengths(tau, h)):
+            if j == fire:
+                ydot = float(self.v_takeoff) / mass
+                mode = self.FLIGHT
+            acc = kp * (u - x) - kd * xdot
+            acc = acc if acc > lo or acc != acc else lo
+            acc = acc if acc < hi or acc != acc else hi
+            x, xdot = x + hj * xdot, xdot + hj * (acc / mass)
+            if mode == self.FLIGHT:
+                y, ydot = y + hj * ydot, ydot - hj * GRAVITY
+                if y <= ground and ydot <= 0.0:
+                    y, ydot, mode = ground, 0.0, self.CONTACT
+            else:
+                ydot = 0.0
+            modes.append(mode)
+            if not (-lim <= x <= lim and -lim <= xdot <= lim
+                    and -lim <= y <= lim and -lim <= ydot <= lim):
+                return modes, True
+        return modes, False
 
     def probe_controls(self, x, mode):
         hold = float(x[0])

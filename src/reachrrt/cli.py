@@ -15,6 +15,7 @@ hash, and the tool version.
 """
 
 import argparse
+import functools
 import os
 import sys as _sys
 from dataclasses import replace
@@ -213,7 +214,10 @@ def cmd_compare(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: parse_args reads it and
+    returns a fresh namespace, so calls share no parsed state."""
     parser = argparse.ArgumentParser(
         prog="reachrrt",
         description="kinodynamic RRT over particle reachable sets")
@@ -255,9 +259,12 @@ def main(argv=None):
     p_cmp.add_argument("--seeds", type=int, default=10,
                        help="number of seeds, counting up from the master seed")
     p_cmp.set_defaults(fn=cmd_compare)
+    return parser
 
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on a usage error, but 2 is reserved for honest
         # negatives; --help and --version exit 0 through here

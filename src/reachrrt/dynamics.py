@@ -123,6 +123,15 @@ class HybridSystem(System):
         """Candidate controls used to probe which modes a segment can reach."""
         raise NotImplementedError
 
+    def nominal_modes(self, x, mode, nu, tau, h):
+        """(modes, diverged) of the nominal from (x, mode) under the (m,)
+        commanded control nu for tau: the mode at each trace row of its
+        rollout up to the cut, as a list of ints, and whether it left the
+        finite range.  This is row 0 of dynamics.rollout; a subclass may
+        compute the same list and flag another way."""
+        r = rollout(self, x, nu, tau, h, mode)
+        return r.modes[:, 0].tolist(), r.diverged
+
 
 class FeedbackWrapped(System):
     """Wraps a system with control u = nu + K (x - mu), clipped to the
@@ -409,17 +418,11 @@ def rollout(sys, x0, nu, tau, h, mode=None):
 def reachable_modes(sys, x, mode, tau_max, h):
     """Mode indices a segment from (x, mode) can visit, found by probing.
 
-    Rolls every probe control out for tau_max with rollout, as the rows of
-    one batch, and unions the visited modes.  Deterministic, no random
-    draws.  A diverging probe still contributes the modes seen before
-    truncation: a diverged batch is cut for every row, so the probes are
-    then rolled out one at a time.
+    The union of the modes the nominal visits under each probe control for
+    tau_max (sys.nominal_modes).  Deterministic, no random draws.  A
+    diverging probe still contributes the modes seen up to its cut.
     """
-    nus = np.array(sys.probe_controls(x, int(mode)), dtype=float)
-    runs = [rollout(sys, x, nus, tau_max, h, mode)]
-    if runs[0].diverged:
-        runs = [rollout(sys, x, nu[None, :], tau_max, h, mode) for nu in nus]
     out = {int(mode)}
-    for r in runs:
-        out.update(np.unique(r.modes).tolist())
+    for nu in sys.probe_controls(x, int(mode)):
+        out.update(sys.nominal_modes(x, mode, nu, tau_max, h)[0])
     return sorted(out)

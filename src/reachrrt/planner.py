@@ -8,11 +8,12 @@ a new node whose particles all reach the shrunken goal solves the query.
 
 Hybrid systems additionally sample a target mode among those reachable from
 the chosen node and reject extensions whose nominal ends in a different mode
-or whose particles straddle modes.  The nominal rides along as row N of the
-particle rollout, so one rollout answers both gates.  The reachable modes
-come from deterministic probing that depends only on the node, so plan()
-probes each node once, the first time it is selected, and keeps the result
-for the rest of the run.
+or whose particles straddle modes.  The nominal's modes come from
+sys.nominal_modes, which needs no particle and no draw, so an extension
+whose nominal ends elsewhere is rejected before its particles are rolled
+out.  The reachable modes come from deterministic probing with the same
+call; it depends only on the node, so plan() probes each node once, the
+first time it is selected, and keeps the result for the rest of the run.
 
 The collision test prunes obstacles by the bounding box of the whole trace,
 then of each sub-step (see padded_collision_free), so an extension hulls
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .dynamics import MAX_SUBSTEPS, in_range, reachable_modes, rollout
+from .dynamics import MAX_SUBSTEPS, reachable_modes
 from .geometry import Box, box_obstacle_clearance
 from .reachability import (
     ParticleSet,
@@ -139,8 +140,13 @@ class PlanStats:
     nodes_added: int = 0
     rejected_collision: int = 0
     rejected_divergence: int = 0
-    rejected_mode: int = 0
+    rejected_nominal_mode: int = 0   # the nominal ends outside the target mode
+    rejected_straddle: int = 0       # the particles end in more than one mode
     wall_time: float = 0.0
+
+    @property
+    def rejected_mode(self):
+        return self.rejected_nominal_mode + self.rejected_straddle
 
     def as_dict(self):
         # wall time stays out: stats files must be byte-identical across runs
@@ -204,24 +210,18 @@ def sample_control_hybrid(control_box, tau_max, modes, gen):
 def extend_hybrid(sys, reach, u, tau, sigma_s, h, seed, ext_id):
     """One hybrid extension attempt against a target mode sigma_s.
 
-    Gates in order: the nominal rollout must end in sigma_s, the particle
-    rollout must stay finite, and every particle must end in sigma_s (no
-    straddling the guard).  The nominal is row N of the particle rollout,
-    so the first gate reads its final mode there.  Only when the particles
-    diverged (which cuts the trace) or the nominal left the finite range
-    (dynamics.in_range) is the nominal rolled out alone with
-    dynamics.rollout, so that each reject keeps its reason.
+    Gates in order: the nominal (sys.nominal_modes) must stay finite and
+    end in sigma_s, the particle rollout must stay finite, and every
+    particle must end in sigma_s (no straddling the guard).  The nominal's
+    gates need no particle and no draw, so a nominal reject rolls no
+    particle out and creates no substream.
     """
-    pset, r = compute_reach_set(sys, reach, u, tau, h, seed, ext_id)
-    if pset is not None and in_range(r.mu):
-        end_mode = r.mu_modes[-1]
-    else:
-        lone = rollout(sys, reach.mu, u, tau, h, mode=reach.mu_mode)
-        if lone.diverged:
-            return ExtendOutcome(None, None, "diverged")
-        end_mode = lone.modes[-1, 0]
-    if int(end_mode) != int(sigma_s):
+    modes, diverged = sys.nominal_modes(reach.mu, reach.mu_mode, u, tau, h)
+    if diverged:
+        return ExtendOutcome(None, None, "diverged")
+    if modes[-1] != int(sigma_s):
         return ExtendOutcome(None, None, "nominal_mode")
+    pset, r = compute_reach_set(sys, reach, u, tau, h, seed, ext_id)
     if pset is None:
         return ExtendOutcome(None, r, "diverged")
     if np.any(pset.modes != int(sigma_s)):
@@ -288,8 +288,11 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
                 sys.bounds.control, params.tau_max, modes_of[nid], gen)
             out = extend_hybrid(sys, reach, u, tau, sigma, params.h,
                                 params.seed, i)
-            if out.reject in ("nominal_mode", "mode_straddle"):
-                stats.rejected_mode += 1
+            if out.reject == "nominal_mode":
+                stats.rejected_nominal_mode += 1
+                continue
+            if out.reject == "mode_straddle":
+                stats.rejected_straddle += 1
                 continue
             if out.reject == "diverged":
                 stats.rejected_divergence += 1

@@ -19,9 +19,9 @@ from reachrrt import rng
 from reachrrt.benchmarks import Jumper, Linear1D, make_benchmark
 from reachrrt.cli import main
 from reachrrt.geometry import Box, convex_hull_2d
-from reachrrt.planner import extend_hybrid, sample_control, sample_node
+from reachrrt.planner import extend_hybrid, plan, sample_control, sample_node
 from reachrrt.reachability import compute_reach_set, init_particles
-from reachrrt.scenario import load_scenario
+from reachrrt.scenario import load_scenario, plan_to_dict, stats_to_dict, write_result
 from reachrrt.tree import DualTree, PlanStep
 from reachrrt.validation import (
     compare_methods,
@@ -397,6 +397,30 @@ def test_full_quadrotor_solve_writes_the_stored_plan(tmp_path, capsys):
         assert (tmp_path / "plan.json").read_bytes() == f.read()
     assert hashlib.sha256((tmp_path / "tree.svg").read_bytes()).hexdigest() == \
         "1560420613fd3fd4f474e3bd0857b43de86093fd6784958e6a7b9cc8eb0aded2"
+
+
+def test_full_jumper_solve_is_pinned(tmp_path):
+    # the whole 2991-iteration seed-0 solve, recorded before the nominal-mode
+    # gate moved ahead of the particle rollout: its counts, both mode-reject
+    # reasons and the stats.json and plan.json bytes (the plan is the stored
+    # perfbench plan)
+    sc = load_scenario(os.path.join(SCENARIOS, "jumper.json"))
+    result = plan(sc.build_system(), sc.init_region, sc.goal, sc.obstacles, sc.sampling_box,
+                  sc.params, init_mode=sc.init_mode)
+    s = result.stats
+    assert (s.iterations, s.nodes_added, s.rejected_collision, s.rejected_divergence) == \
+        (2991, 1447, 167, 0)
+    assert (s.rejected_mode, s.rejected_nominal_mode, s.rejected_straddle) == (1377, 1035, 342)
+    write_result(tmp_path, "stats.json", sc.sha256, **stats_to_dict(result, sc.params))
+    write_result(tmp_path, "plan.json", sc.sha256, **plan_to_dict(result.plan))
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in ("stats.json", "plan.json")}
+    assert got == {
+        "stats.json": "803fbc5ea7e77afee6c24000a8cbc4b9952c61457ea96f8d62af06431cb62b8a",
+        "plan.json": "01334a690df4b5e2326661d96f9255101614888059b2762712fac5edaf8d9044",
+    }
+    with open(os.path.join(PERFBENCH_DATA, "jumper-vault.plan.json"), "rb") as f:
+        assert (tmp_path / "plan.json").read_bytes() == f.read()
 
 
 # ------------------------------------------------------------ budget trend

@@ -8,12 +8,12 @@ oracles.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
 from reachrrt import benchmarks
 from reachrrt.benchmarks import GRAVITY, Jumper, Quadrotor, dlqr_gain, make_benchmark, quadrotor_tracking_gain
-from reachrrt.dynamics import (constant_w_source, reachable_modes, rollout_batch,
+from reachrrt.dynamics import (HybridSystem, constant_w_source, reachable_modes, rollout_batch,
                                substep_lengths)
 
 from oracles import (
@@ -252,9 +252,8 @@ def test_lean_jumper_step_matches_the_reference(case, n):
         assert (ref_cd < 0).all() and (ref_modes == Jumper.FLIGHT).any() and landed
 
 
-# entries that tie, sign a zero, overflow or are not numbers; a NaN of
-# each sign shows the operand order, since of two NaN operands the result
-# keeps the first one's sign
+# entries that tie, sign a zero, overflow or are not numbers (of either
+# sign, though the tests compare NaNs without their sign: nan_blind_bytes)
 _STEP_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e-310, np.inf, -np.inf, np.nan,
                np.copysign(np.nan, -1.0)]
 
@@ -262,8 +261,11 @@ _STEP_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e-310, np.inf, -np.inf, np.na
 @pytest.mark.parametrize("layout", ["C", "channel-major"])
 @pytest.mark.parametrize("name", ["linear1d", "quadrotor"])
 def test_in_place_steps_are_the_reference_bytes(name, layout):
-    # each step writes its output block in place; every byte, NaN payloads
-    # and zero signs included, must be what the old expression computes
+    # each step writes its output block in place; every byte, zero signs
+    # included, must be what the old expression computes.  The sign of a NaN
+    # is left out (nan_blind_bytes): which NaN operand numpy's add and
+    # multiply keep depends on where the element falls in a vector loop,
+    # and so on the host's vector width
     if name == "linear1d":
         sys_, reference = make_benchmark("linear1d"), reference_linear1d_step
     else:
@@ -285,7 +287,7 @@ def test_in_place_steps_are_the_reference_bytes(name, layout):
         with np.errstate(all="ignore"):
             sys_.step_batch(X, U, W, Th, h, out)
             want = reference(X, U, W, Th, h)
-        assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+        assert nan_blind_bytes(out) == nan_blind_bytes(want)
         assert np.isnan(want).any() and (np.signbit(want) & (want == 0)).any()
 
 
@@ -358,6 +360,59 @@ def test_jumper_steps_ignore_the_substep_draws(W, step):
             Xk = Xn
         outs.append((Xk.tobytes(), mk.tobytes()))
     assert outs[0] == outs[1]
+
+
+def _nominal_jumper(w=0.0, **kw):
+    sys_ = Jumper(**kw)
+    sys_.nominal_disturbance = np.array([w])
+    return sys_
+
+
+# the shipped jumper, nominal disturbances with latency 1 (floor(3 * 0.4))
+# and 2, clip bounds of 0 (an int: its negation is +0, and a float: -0.0),
+# and a nominal mass of 0, where Python's division would raise
+_NOMINAL_JUMPERS = [Jumper(), _nominal_jumper(0.4), _nominal_jumper(0.7), _nominal_jumper(1.0),
+                    Jumper(a_max=0), Jumper(a_max=0.0), Jumper(mass_lo=-1.0, mass_hi=1.0)]
+_LIMIT_EDGES = [np.nan, np.inf, -np.inf, 1e12, -1e12, np.nextafter(1e12, np.inf),
+                np.nextafter(-1e12, -np.inf), np.nextafter(1e12, 0.0), 0.0, -0.0]
+_channel = st.one_of(st.floats(-6.0, 6.0), st.sampled_from(_LIMIT_EDGES),
+                     st.floats(9.9e11, 1.1e12), st.floats(-1.1e12, -9.9e11))
+_jump_channel = st.one_of(st.sampled_from([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                                           0.0, 1.0, np.nan]), st.floats(0.0, 1.0))
+
+
+@given(sys_=st.sampled_from(_NOMINAL_JUMPERS), x=st.lists(_channel, min_size=4, max_size=4),
+       mode=st.sampled_from([Jumper.CONTACT, Jumper.FLIGHT]),
+       u=st.one_of(st.floats(-1.0, 7.0), st.sampled_from(_LIMIT_EDGES)), jump=_jump_channel,
+       tau=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+       h=st.sampled_from([H, 0.05, 0.1, 0.07]))
+@settings(max_examples=400)
+# landing on the first sub-step, from rest and while descending
+@example(sys_=Jumper(), x=[1.0, 0.0, 0.0, 0.0], mode=Jumper.FLIGHT, u=1.0, jump=0.0, tau=0.2, h=H)
+@example(sys_=Jumper(), x=[1.0, 0.0, 0.01, -1.0], mode=Jumper.FLIGHT, u=1.0, jump=1.0, tau=H, h=H)
+# a tie at the clip: kp (u - x) = a_max exactly
+@example(sys_=Jumper(), x=[0.0, 0.0, 0.0, 0.0], mode=Jumper.CONTACT, u=0.625, jump=0.0, tau=0.1,
+         h=H)
+# a partial last sub-step and a jump from contact at each latency
+@example(sys_=_NOMINAL_JUMPERS[1], x=[0.0, 0.0, 0.0, 0.0], mode=Jumper.CONTACT, u=2.0, jump=0.5,
+         tau=0.095, h=H)
+@example(sys_=_NOMINAL_JUMPERS[2], x=[0.0, 0.0, 0.0, 0.0], mode=Jumper.CONTACT, u=2.0, jump=1.0,
+         tau=0.095, h=H)
+# a NaN setpoint: the clip keeps the NaN, which then fails the range test
+@example(sys_=Jumper(), x=[1.0, 0.0, 0.0, 0.0], mode=Jumper.CONTACT, u=np.nan, jump=0.0, tau=0.1,
+         h=H)
+# a flight that leaves the finite range at its first sub-step
+@example(sys_=Jumper(), x=[0.0, 0.0, 1e12 - 1.0, 100.0], mode=Jumper.FLIGHT, u=0.0, jump=0.0,
+         tau=0.3, h=H)
+def test_scalar_nominal_modes_are_the_rollout_modes(sys_, x, mode, u, jump, tau, h):
+    # Jumper.nominal_modes steps one row in Python floats; the default reads
+    # row 0 of dynamics.rollout: the same modes up to the cut, the same flag
+    args = (np.array(x), mode, np.array([u, jump]), tau, h)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the zero mass
+        want = HybridSystem.nominal_modes(sys_, *args)
+        got = sys_.nominal_modes(*args)
+    assert got == want
+    assert all(type(m) is int for m in got[0])
 
 
 # ------------------------------------------------------------------ gain

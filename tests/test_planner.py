@@ -10,7 +10,7 @@ from scipy import stats
 
 from reachrrt import rng
 from reachrrt.benchmarks import Jumper, make_benchmark
-from reachrrt import planner
+from reachrrt import dynamics, planner, reachability
 from reachrrt.dynamics import constant_w_source, reachable_modes, rollout_batch
 from reachrrt.geometry import Ball, Box, GoalRegion, convex_hull_2d, hull_obstacle_clearance
 from reachrrt.planner import (
@@ -366,6 +366,49 @@ def test_extend_matches_the_two_rollout_gate():
         _assert_same_outcome(out, reference_extend_hybrid(*args))
         seen.add(out.reject)
     assert seen == {None, "nominal_mode", "mode_straddle"}
+
+
+@pytest.mark.parametrize("u, tau, sigma", [
+    ((0.5, 0.0), 0.15, Jumper.FLIGHT),    # grounded nominal, flight target
+    ((0.0, 1.0), 0.15, Jumper.CONTACT),   # the nominal takes off
+    ((0.0, 1.0), 1.2, Jumper.FLIGHT),     # it takes off and lands again
+])
+def test_a_nominal_mode_reject_rolls_no_particle_out(monkeypatch, u, tau, sigma):
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    sys_, root = _jumper_root()
+    monkeypatch.setattr(reachability, "rollout_batch", spy("rollout_batch", rollout_batch))
+    monkeypatch.setattr(dynamics, "rollout_batch", spy("rollout_batch", rollout_batch))
+    monkeypatch.setattr(rng, "substream", spy("substream", rng.substream))
+    out = extend_hybrid(sys_, root, np.array(u), tau, sigma, 0.03, 11, 7)
+    assert out.reject == "nominal_mode" and calls == []
+    # the spies see the particle rollout of an extension that passes the gate
+    out = extend_hybrid(sys_, root, np.array(u), tau, 1 - sigma, 0.03, 11, 7)
+    assert out.reject != "nominal_mode" and "rollout_batch" in calls and "substream" in calls
+
+
+def test_mode_rejects_are_counted_by_reason(monkeypatch):
+    reasons = []
+
+    def spy(*args):
+        out = extend_hybrid(*args)
+        reasons.append(out.reject)
+        return out
+
+    monkeypatch.setattr(planner, "extend_hybrid", spy)
+    stats = _jumper_plan().stats
+    assert stats.rejected_nominal_mode == reasons.count("nominal_mode") > 0
+    assert stats.rejected_straddle == reasons.count("mode_straddle") > 0
+    assert stats.rejected_mode == stats.rejected_nominal_mode + stats.rejected_straddle
+    # stats.json keeps its keys: the split is not written
+    assert list(stats.as_dict()) == ["iterations", "nodes_added", "rejected_collision",
+                                     "rejected_divergence", "rejected_mode"]
 
 
 # ------------------------------------------------------------- parameters

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reachrrt.cli import main
+from reachrrt.cli import _parser, main
 from reachrrt.geometry import Ball, Box, GoalRegion
 from reachrrt.planner import PlannerParams
 from reachrrt.scenario import ScenarioError, check_init_clearance, load_scenario, write_json
@@ -351,6 +351,31 @@ def test_invalid_flag_values_exit_one(tmp_path, capsys):
                  "--out-dir", str(out), "--rollouts", "0"]) == 1
     assert "--rollouts" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_back_to_back_commands_share_no_parsed_state(tmp_path, capsys):
+    # the parser is built once per process (cli._parser); a call's flags
+    # must not reach the next call, whatever its subcommand
+    assert _parser() is _parser()
+    path = _write(tmp_path)
+    ref, again, other = tmp_path / "ref", tmp_path / "again", tmp_path / "other"
+    assert _run(path, ref) == 0
+    assert _run(path, other, "--max-iters", "3", "--epsilon", "0.01", "--seed", "5") == 2
+    assert main(["study", "--scenario", path, "--out-dir", str(other), "--budgets", "2",
+                 "--repeats", "1", "--zeta", "0.2", "--tau-max", "0.3"]) == 0
+    assert main(["validate", "--scenario", path, "--plan", str(ref / "plan.json"),
+                 "--out-dir", str(other), "--rollouts", "3", "--seed", "4"]) == 0
+    assert _run(path, again) == 0
+    capsys.readouterr()
+    for name in ("plan.json", "stats.json", "tree.svg"):
+        assert (again / name).read_bytes() == (ref / name).read_bytes()
+    flagged = vars(_parser().parse_args(["run", "--scenario", "a", "--max-iters", "3"]))
+    plain = vars(_parser().parse_args(["run", "--scenario", "b"]))
+    validate = vars(_parser().parse_args(["validate", "--scenario", "c", "--plan", "p",
+                                          "--rollouts", "9"]))
+    assert flagged["max_iters"] == 3 and plain["max_iters"] is None
+    assert plain["scenario"] == "b" and "rollouts" not in plain
+    assert "max_iters" not in validate and validate["rollouts"] == 9
 
 
 def test_validate_refuses_a_negative_seed(tmp_path, capsys):
