@@ -8,10 +8,11 @@
 Exit codes: 0 success (run: solved; validate: plan valid; study, compare:
 finished), 2 honest negative (budget exhausted / plan invalid), 1 usage,
 scenario or plan errors: a scenario or plan file that breaks a rule of
-scenario.load_scenario, plan_from_dict or check_plan_fits is named as
-FILE:LINE: message.  Output files are byte-deterministic for a given
-scenario, seed, and flags; they embed the seeds, the scenario content
-hash, and the tool version.
+scenario.load_scenario, plan_from_dict or check_plan_fits, or whose root
+set planner.check_query refuses, is named as FILE:LINE: message, and a
+refused flag value by its flag.  Output files are byte-deterministic for
+a given scenario, seed, and flags; they embed the seeds, the scenario
+content hash, and the tool version.
 """
 
 import argparse
@@ -21,10 +22,9 @@ import sys as _sys
 from dataclasses import replace
 
 from . import __version__
-from .planner import ParamError, plan as run_plan, root_region
+from .planner import InitClearanceError, ParamError, plan as run_plan
 from .scenario import (
     ScenarioError,
-    check_init_clearance,
     check_plan_fits,
     error_line,
     load_plan,
@@ -80,35 +80,26 @@ OVERRIDES = (("seed", "seed"), ("max_iters", "i_max"), ("particles", "n_particle
 
 
 def _overridden_params(scenario, args):
-    """The scenario's planner parameters with the flags' overrides; exit 1
-    naming the flag, or else the file key, of a value validated refuses."""
-    params, flags = scenario.params, {}  # field -> the flag that set it
+    """The scenario's planner parameters with the flags' overrides."""
+    params = scenario.params
     for flag, field in OVERRIDES:
         if getattr(args, flag, None) is not None:
             params = replace(params, **{field: getattr(args, flag)})
-            flags[field] = "--" + flag.replace("_", "-")
     if getattr(args, "baseline_padding", None) is not None:
         params = params.as_baseline(args.baseline_padding)
-        flags["epsilon"] = "--baseline-padding"
-    try:
-        params = params.validated(scenario.goal)
-    except ParamError as e:
-        print(f"invalid parameters: {flags.get(e.field, planner_key(e.field))} {e.rule}",
-              file=_sys.stderr)
-        raise SystemExit(1)
-    _check_init(scenario, params)
     return params
 
 
-def _check_init(scenario, params):
-    """Exit 1 when the root set the planner would start from comes within
-    the planning padding of an obstacle."""
-    try:
-        check_init_clearance(*root_region(scenario.init_region, params),
-                             scenario.build_system().collision_projection,
-                             scenario.obstacles)
-    except ScenarioError as e:
-        _refuse(scenario.path, e)
+def _flag(args, field):
+    """The flag that set a field a ParamError names, or else the field's
+    scenario-file key: a value from the file reaches no check but the
+    loader's."""
+    if field == "epsilon" and getattr(args, "baseline_padding", None) is not None:
+        return "--baseline-padding"
+    flag = next((flag for flag, f in OVERRIDES if f == field), field)
+    if getattr(args, flag, None) is not None:
+        return "--" + flag.replace("_", "-")
+    return planner_key(field)
 
 
 def cmd_run(args):
@@ -154,13 +145,9 @@ def cmd_validate(args):
 
     seed = args.seed if args.seed is not None else scenario.validation_seed
     rollouts = args.rollouts if args.rollouts is not None else scenario.validation_rollouts
-    try:
-        record = monte_carlo_validate(sys, plan_obj, scenario.init_region,
-                                      scenario.goal, scenario.obstacles,
-                                      rollouts, seed, init_mode=scenario.init_mode)
-    except ParamError as e:  # a flag's value: the loader refused a bad file value
-        print(f"invalid parameters: --{e.field} {e.rule}", file=_sys.stderr)
-        return 1
+    record = monte_carlo_validate(sys, plan_obj, scenario.init_region,
+                                  scenario.goal, scenario.obstacles,
+                                  rollouts, seed, init_mode=scenario.init_mode)
     report_path = write_result(_out_dir(args), "report.json", scenario.sha256, seed=seed,
                                plan_seed=plan_obj.seed, **record.as_dict())
     word = "valid" if record.valid else "invalid"
@@ -179,13 +166,9 @@ def cmd_study(args):
         print(f"bad --budgets {args.budgets!r}: expected comma-separated integers",
               file=_sys.stderr)
         return 1
-    try:
-        rows = success_rate_study(sys, scenario.init_region, scenario.goal,
-                                  scenario.obstacles, scenario.sampling_box, params,
-                                  budgets, args.repeats, init_mode=scenario.init_mode)
-    except ParamError as e:
-        print(f"invalid parameters: --{e.field} {e.rule}", file=_sys.stderr)
-        return 1
+    rows = success_rate_study(sys, scenario.init_region, scenario.goal,
+                              scenario.obstacles, scenario.sampling_box, params,
+                              budgets, args.repeats, init_mode=scenario.init_mode)
     write_result(_out_dir(args), "study.json", scenario.sha256, seed=params.seed,
                  repeats=args.repeats, rows=rows)
     for row in rows:
@@ -196,7 +179,6 @@ def cmd_study(args):
 def cmd_compare(args):
     scenario = _load(args)
     params = _overridden_params(scenario, args)
-    _check_init(scenario, params.as_baseline(scenario.baseline_padding))
     if args.seeds < 1:
         print("--seeds must be at least 1", file=_sys.stderr)
         return 1
@@ -275,6 +257,12 @@ def main(argv=None):
         return args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
+    except ParamError as e:  # a flag's value: the loader refused a bad file value
+        print(f"invalid parameters: {_flag(args, e.field)} {e.rule}", file=_sys.stderr)
+        return 1
+    except InitClearanceError as e:  # planner.check_query on the scenario's root set
+        print(f"{args.scenario}:{error_line(args.scenario, e.key)}: {e}", file=_sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -49,7 +49,9 @@ class ParamError(ValueError):
 
 class InitClearanceError(ValueError):
     """The set a plan starts from comes within the planning padding of an
-    obstacle (check_init_clearance)."""
+    obstacle (check_init_clearance); `key` is the scenario-file key of that
+    set."""
+    key = "init"
 
 
 def check_init_clearance(name, value, init_region, projection, obstacles):
@@ -77,14 +79,19 @@ def check_init_clearance(name, value, init_region, projection, obstacles):
                 f"(clearance {clearance!r}): every extension would be rejected")
 
 
-def root_region(init_region, params):
-    """(padding name, padding, region) that check_init_clearance tests for
-    the root set plan() starts from: the initial region within epsilon, or
-    for the baseline the region's center within its padding."""
+def check_query(init_region, goal, obstacles, projection, params):
+    """Every rule a query must meet before plan() draws: params.validated
+    (ParamError; among others, an epsilon of at least the goal radius leaves
+    no goal to reach), then check_init_clearance on the root set plan()
+    starts from, the initial region within epsilon or for the baseline the
+    region's center within its padding (InitClearanceError).  Returns the
+    validated params."""
+    params = params.validated(goal)
+    name, region = "epsilon", init_region
     if params.baseline:
-        center = init_region.center
-        return "baseline_padding", params.epsilon, Box(center, center)
-    return "epsilon", params.epsilon, init_region
+        name, region = "baseline_padding", Box(init_region.center, init_region.center)
+    check_init_clearance(name, params.epsilon, region, projection, obstacles)
+    return params
 
 
 @dataclass(frozen=True)
@@ -236,14 +243,12 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     Every iteration consumes budget whether or not its extension is kept.
     All randomness derives from params.seed; a run is reproducible from the
     seed alone.  Nodes are represented by their particle mean; meta records
-    that as "nominal_kind" so plan files keep their format.  An epsilon of
-    at least the goal radius leaves no goal to reach (ParamError), and an
-    initial region within epsilon of an obstacle (for the baseline: its
-    center) leaves no extension to keep, since every trace starts with its
-    parent's states (InitClearanceError, see check_init_clearance): both
-    raise before the first draw.
+    that as "nominal_kind" so plan files keep their format.  A query that
+    breaks a rule of check_query raises before the first draw.
     """
-    params = params.validated(goal)
+    obstacles = list(obstacles)
+    proj = sys.collision_projection
+    params = check_query(init_region, goal, obstacles, proj, params)
     meta = {
         "n_particles": int(params.n_particles),
         "epsilon": float(params.epsilon),
@@ -255,10 +260,6 @@ def plan(sys, init_region, goal, obstacles, sampling_box, params, init_mode=None
     }
     if init_mode is not None:
         meta["init_mode"] = int(init_mode)
-
-    obstacles = list(obstacles)
-    proj = sys.collision_projection
-    check_init_clearance(*root_region(init_region, params), proj, obstacles)
 
     t0 = time.perf_counter()
     root = init_particles(

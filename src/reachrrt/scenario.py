@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__, planner
+from . import __version__
 from .benchmarks import make_benchmark
 from .dynamics import MAX_SUBSTEPS
 from .geometry import Ball, Box, GoalRegion, box_obstacle_clearance
@@ -56,15 +56,6 @@ def _forward(check, *args, key):
         check(*args)
     except ParamError as e:
         raise ScenarioError(f"{key(e.field)} {e.rule}", key=key(e.field)) from e
-
-
-def check_init_clearance(name, value, init_region, projection, obstacles):
-    """planner.check_init_clearance, its refusal raised as a ScenarioError
-    keyed `init`."""
-    try:
-        planner.check_init_clearance(name, value, init_region, projection, obstacles)
-    except planner.InitClearanceError as e:
-        raise ScenarioError(str(e), key="init") from e
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .reachability import (
     project_to_plane,
     substep_boxes,
 )
-from .planner import ParamError, plan as run_plan
+from .planner import ParamError, check_query, plan as run_plan
 
 
 @dataclass(frozen=True)
@@ -302,28 +302,39 @@ def compare_methods(scenario, seeds):
     solved plan is Monte-Carlo validated with the scenario's validation
     rollouts and seed.  Returns one row per (method, seed), the reach-set
     rows first.  Rows hold no wall time, so they repeat byte for byte.  A
-    row's worst_clearance is None when the scenario has no obstacle.
+    row's worst_clearance is None when the scenario has no obstacle.  Every
+    run's query passes planner.check_query before the first plan, so a
+    refused one raises before any seed is planned.
     """
     sys = scenario.build_system()
+    seeds = list(seeds)  # read once per method and once for the checks
+
+    def runs():
+        for method in ("reach-set", "baseline"):
+            for seed in seeds:
+                params = replace(scenario.params, seed=seed)
+                if method == "baseline":
+                    params = params.as_baseline(scenario.baseline_padding)
+                yield method, seed, params
+
+    for _, _, params in runs():
+        check_query(scenario.init_region, scenario.goal, scenario.obstacles,
+                    sys.collision_projection, params)
     rows = []
-    for method in ("reach-set", "baseline"):
-        for seed in seeds:
-            params = replace(scenario.params, seed=seed)
-            if method == "baseline":
-                params = params.as_baseline(scenario.baseline_padding)
-            result = run_plan(sys, scenario.init_region, scenario.goal,
-                              scenario.obstacles, scenario.sampling_box, params,
-                              init_mode=scenario.init_mode)
-            row = {"seed": seed, "method": method, "solved": result.solved,
-                   "iterations": result.stats.iterations, "valid": False,
-                   "collisions": None, "goal_misses": None, "worst_clearance": None}
-            if result.solved:
-                rec = monte_carlo_validate(
-                    sys, result.plan, scenario.init_region, scenario.goal,
-                    scenario.obstacles, scenario.validation_rollouts,
-                    scenario.validation_seed, init_mode=scenario.init_mode)
-                row.update(valid=rec.valid, collisions=rec.collisions,
-                           goal_misses=rec.goal_misses,
-                           worst_clearance=_json_clearance(round(rec.worst_clearance, 4)))
-            rows.append(row)
+    for method, seed, params in runs():
+        result = run_plan(sys, scenario.init_region, scenario.goal,
+                          scenario.obstacles, scenario.sampling_box, params,
+                          init_mode=scenario.init_mode)
+        row = {"seed": seed, "method": method, "solved": result.solved,
+               "iterations": result.stats.iterations, "valid": False,
+               "collisions": None, "goal_misses": None, "worst_clearance": None}
+        if result.solved:
+            rec = monte_carlo_validate(
+                sys, result.plan, scenario.init_region, scenario.goal,
+                scenario.obstacles, scenario.validation_rollouts,
+                scenario.validation_seed, init_mode=scenario.init_mode)
+            row.update(valid=rec.valid, collisions=rec.collisions,
+                       goal_misses=rec.goal_misses,
+                       worst_clearance=_json_clearance(round(rec.worst_clearance, 4)))
+        rows.append(row)
     return rows

@@ -4,8 +4,10 @@ entry of `reachrrt.__all__` must resolve, the third-party modules the code impor
 must be the ones pyproject.toml and README's "Requires" line name, every
 function the benchmark's tracer wraps must still exist by name, every
 function, method and property in src/ must have a caller outside the tests,
-every defaulted parameter in src/ must be set by one of those callers, and
-no src/ module but reachability.py may use BOX_MARGIN."""
+every defaulted parameter in src/ must be set by one of those callers,
+no src/ module but reachability.py may use BOX_MARGIN, only cli.main may
+catch the planner's refusals and only planner.check_query may call
+check_init_clearance."""
 
 import ast
 import glob
@@ -170,6 +172,35 @@ def test_box_margin_lives_in_reachability_alone():
     users = sorted(os.path.basename(path) for path in SRC
                    if "BOX_MARGIN" in _referenced_names(path))
     assert users == ["reachability.py"]
+
+
+def _owned_nodes(path):
+    """(name of the innermost enclosing function, or "<module>", node) of
+    every AST node of a Python file."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else owner
+            yield name, child
+            yield from walk(child, name)
+    yield from walk(ast.parse(open(path).read()), "<module>")
+
+
+def test_one_refusal_path():
+    # planner.check_query holds every rule a query must meet before plan()
+    # draws, and cli.main alone turns the library's refusals into messages
+    cli = os.path.join(ROOT, "src", "reachrrt", "cli.py")
+    refusals = {"ParamError", "InitClearanceError"}
+    catchers = {owner for owner, node in _owned_nodes(cli)
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and refusals & {n.id if isinstance(n, ast.Name) else n.attr
+                                for n in ast.walk(node.type)
+                                if isinstance(n, (ast.Name, ast.Attribute))}}
+    assert catchers == {"main"}
+    callers = {f"{os.path.basename(path)}:{owner}" for path in SRC
+               for owner, node in _owned_nodes(path)
+               if isinstance(node, ast.Call) and "check_init_clearance" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers == {"planner.py:check_query"}
 
 
 def _options(path):

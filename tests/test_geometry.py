@@ -809,6 +809,8 @@ def test_region_validation():
         Box((0.0, 0.0), (1.0, -1e-12))
     with pytest.raises(ValueError):
         GoalRegion((0, 1), (0.0, 0.0), 0.0)
+    with pytest.raises(ValueError, match="dimension must match projection"):
+        GoalRegion((0, 1), (0.0, 0.0, 0.0), 0.5)
     # a NaN bound fails every comparison, so its clearance would be NaN and
     # the collision test (clearance <= epsilon) would drop the obstacle;
     # infinite bounds stay legal

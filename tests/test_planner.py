@@ -582,6 +582,52 @@ def test_a_wall_with_a_nan_bound_is_refused_not_planned_through():
         Box([np.nan, -1.0], [1.2, 1.0])
 
 
+def _diverging_query(case):
+    """(system, plan() arguments, init_mode) of a query whose extensions
+    diverge: a huge parameter on the corridor, a vanishing jumper mass (the
+    nominal diverges), or a jumper region so wide that only some particles
+    do."""
+    if case == "smooth":
+        sys_, init, goal, sampling, params = _easy_linear()
+        sys_ = make_benchmark("linear1d", theta_lo=1e14, theta_hi=2e14)
+        return sys_, (init, goal, [], sampling, replace(params, i_max=50)), None
+    sc = load_scenario(os.path.join(SCENARIOS, "jumper.json"))
+    if case == "hybrid-nominal":
+        sys_ = make_benchmark("jumper", mass_lo=1e-20, mass_hi=1e-20)
+        return sys_, (sc.init_region, sc.goal, sc.obstacles, sc.sampling_box,
+                      replace(sc.params, i_max=200)), sc.init_mode
+    wide = Box([-5e12, 0.0, 0.0, 0.0], [5e12, 0.0, 0.0, 0.0])
+    return sc.build_system(), (wide, sc.goal, [], sc.sampling_box,
+                               replace(sc.params, i_max=100)), sc.init_mode
+
+
+@pytest.mark.parametrize("case,iterations,diverged,nominal_mode,rolled_out", [
+    ("smooth", 50, 50, 0, None),
+    ("hybrid-nominal", 200, 200, 0, False),
+    ("hybrid-particles", 100, 52, 48, True),
+])
+def test_a_diverging_extension_is_counted_and_adds_no_node(monkeypatch, case, iterations,
+                                                           diverged, nominal_mode, rolled_out):
+    # a nominal that diverges is rejected before any particle moves; a
+    # particle set that diverges is rejected with the rollout that showed it
+    outcomes = []
+
+    def spy(*args):
+        outcomes.append(extend_hybrid(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(planner, "extend_hybrid", spy)
+    sys_, query, init_mode = _diverging_query(case)
+    result = plan(sys_, *query, init_mode=init_mode)
+    s = result.stats
+    assert (s.iterations, s.rejected_divergence, s.rejected_nominal_mode) == (
+        iterations, diverged, nominal_mode)
+    assert s.nodes_added == s.rejected_collision == s.rejected_straddle == 0
+    assert len(result.tree) == 1 and not result.solved
+    rollouts = [out.rollout is not None for out in outcomes if out.reject == "diverged"]
+    assert rollouts == ([] if rolled_out is None else [rolled_out] * diverged)
+
+
 @pytest.mark.parametrize("eps", [0.55, 0.6])
 def test_plan_refuses_an_epsilon_of_at_least_the_goal_radius(monkeypatch, eps):
     # the goal shrunk by epsilon is empty; plan() ran all 300 iterations

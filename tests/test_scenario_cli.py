@@ -12,8 +12,8 @@ import pytest
 
 from reachrrt.cli import _parser, main
 from reachrrt.geometry import Ball, Box, GoalRegion
-from reachrrt.planner import PlannerParams
-from reachrrt.scenario import ScenarioError, check_init_clearance, load_scenario, write_json
+from reachrrt.planner import InitClearanceError, PlannerParams, check_init_clearance
+from reachrrt.scenario import ScenarioError, load_scenario, write_json
 
 BASE = {
     "name": "corridor",
@@ -144,9 +144,19 @@ def test_scenario_defaults(tmp_path):
      "planner.substep", "planner.substep 1e-09 must lie in [tau_max / 10000, tau_max]"),
     ({"planner": {**BASE["planner"], "epsilon": 0.6}}, "planner.epsilon",
      "planner.epsilon 0.6 must be smaller than the goal radius 0.55"),
+    ({"init": {"kind": "ball", "center": [0.0, 0.0], "radius": 0.1}},
+     "init.center", "init ball must have dimension 1"),
+    ({"planner": {**BASE["planner"], "nn_weights": [1.0, 1.0]}},
+     "planner.nn_weights", "planner.nn_weights must match the state dimension"),
+    # a whole file that is not a JSON object
+    (["corridor"], "", "scenario must be a JSON object"),
 ])
 def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
-    path = _write(tmp_path, **mods)
+    if isinstance(mods, dict):
+        path = _write(tmp_path, **mods)
+    else:
+        (tmp_path / "sc.json").write_text(json.dumps(mods))
+        path = str(tmp_path / "sc.json")
     out = tmp_path / "out"
     assert main(["run", "--scenario", path, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
@@ -210,6 +220,9 @@ def test_non_text_scenario_reports_cleanly(tmp_path, capsys):
 def test_missing_file_reports_cleanly(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.json")]) == 1
     assert "nope.json" in capsys.readouterr().err
+    missing = tmp_path / "no-plan.json"
+    assert main(["validate", "--scenario", _write(tmp_path), "--plan", str(missing)]) == 1
+    assert capsys.readouterr().err == f"{missing}: cannot load plan: No such file or directory\n"
 
 
 def test_hybrid_scenario_requires_mode(tmp_path, capsys):
@@ -505,7 +518,7 @@ def test_compare_rejects_baseline_start_within_its_padding(tmp_path, capsys):
 ], ids=["box-ball", "box-box", "ball-box", "ball-ball", "1d-ball-ball"])
 def test_init_clearance_is_the_planar_distance(region, proj, obstacle, clearance):
     check_init_clearance("epsilon", clearance - 1e-9, region, proj, [obstacle])
-    with pytest.raises(ScenarioError, match=r"obstacles\[0\]") as e:
+    with pytest.raises(InitClearanceError, match=r"obstacles\[0\]") as e:
         check_init_clearance("epsilon", clearance + 1e-9, region, proj, [obstacle])
     assert e.value.key == "init"
 
@@ -516,8 +529,9 @@ def test_init_clearance_tie_is_refused():
     region = Box([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0])
     obstacle = Box([1.5, -1.0], [3.0, 0.5])  # 0.5 away, exactly
     check_init_clearance("epsilon", 0.25, region, (0, 1), [obstacle])
-    with pytest.raises(ScenarioError, match="epsilon 0.5 "):
+    with pytest.raises(InitClearanceError, match="epsilon 0.5 ") as e:
         check_init_clearance("epsilon", 0.5, region, (0, 1), [obstacle])
+    assert e.value.key == "init"
 
 
 @pytest.mark.parametrize("region", [
@@ -525,9 +539,10 @@ def test_init_clearance_tie_is_refused():
     Ball([2.5, 0.0, 0.0, 0.0], 0.1),
 ], ids=["box", "ball"])
 def test_init_overlapping_an_obstacle_is_refused_at_zero_epsilon(region):
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InitClearanceError) as e:
         check_init_clearance("epsilon", 0.0, region, (0, 1),
                              [Box([2.0, -1.0], [3.0, 1.0])])
+    assert e.value.key == "init"
 
 
 # -------------------------------------------------------------- validate

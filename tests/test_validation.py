@@ -12,13 +12,14 @@ from reachrrt import rng, validation
 from reachrrt.benchmarks import GRAVITY, Jumper, make_benchmark
 from reachrrt.dynamics import rollout_batch
 from reachrrt.geometry import Ball, Box, GoalRegion, goal_contains
-from reachrrt.planner import ParamError, PlannerParams, plan
+from reachrrt.planner import InitClearanceError, ParamError, PlannerParams, plan
 from reachrrt.reachability import (compute_reach_set, init_particles, padded_collision_free,
                                    padded_goal_contained, project_to_plane)
 from reachrrt.scenario import load_plan, load_scenario
 from reachrrt.tree import PlanStep
 from reachrrt.validation import (
     ValidityRecord,
+    compare_methods,
     monte_carlo_validate,
     quadrotor_lipschitz_constant,
     replay_validate,
@@ -611,6 +612,39 @@ def test_success_rate_study_refuses_bad_settings_before_planning(monkeypatch, bu
         success_rate_study(sys_, Box([0.0], [0.1]), GoalRegion((0,), (2.0,), 0.55), [],
                            Box([-0.5], [3.5]), base, budgets, repeats)
     assert e.value.field == field
+
+
+def test_compare_methods_refuses_a_query_before_planning(monkeypatch):
+    # every (method, seed) query passes planner.check_query before the
+    # first plan, so a refused one costs no seed's budget
+    def no_plan(*args, **kwargs):
+        raise AssertionError("planned before refusing the query")
+
+    monkeypatch.setattr(validation, "run_plan", no_plan)
+    sc = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                                    "corridor.json"))
+    # the ball is 0.16 off the corridor: clear of epsilon 0.05, but within
+    # the baseline's padding of 0.2 around the region's center
+    near = replace(sc, obstacles=[Ball([0.025, 0.18], 0.02)])
+    with pytest.raises(InitClearanceError, match=r"baseline_padding 0.2 of obstacles\[0\]"):
+        compare_methods(near, range(3))
+    with pytest.raises(ParamError, match="n_particles must be positive"):
+        compare_methods(replace(sc, params=replace(sc.params, n_particles=0)), range(3))
+    # seed 0's queries pass; seed -1's is refused before seed 0 is planned
+    with pytest.raises(ParamError, match="seed must be nonnegative"):
+        compare_methods(sc, [0, -1])
+
+
+def test_compare_methods_reads_a_one_pass_iterator_of_seeds():
+    # the seeds are read once per method; an iterator once gave the
+    # reach-set rows alone
+    sc = load_scenario(os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                                    "corridor.json"))
+    sc = replace(sc, params=replace(sc.params, i_max=30))
+    rows = compare_methods(sc, iter([23, 24]))
+    assert rows == compare_methods(sc, [23, 24])
+    assert [(r["method"], r["seed"]) for r in rows] == [
+        ("reach-set", 23), ("reach-set", 24), ("baseline", 23), ("baseline", 24)]
 
 
 def _replanning_study(sys_, init, goal, sampling, base, budgets, repeats,
