@@ -138,6 +138,8 @@ class GoalRegion:
     def __post_init__(self):
         object.__setattr__(self, "projection", tuple(int(i) for i in self.projection))
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not self.projection:
+            raise ValueError("goal projection must name at least one state")
         if np.isnan(self.center).any():
             raise ValueError("goal center must not be NaN")
         if not self.radius > 0:
@@ -149,15 +151,32 @@ class GoalRegion:
 def goal_contains(goal, x, shrink=0.0):
     """True where the projected state lies in the goal ball shrunk by `shrink`.
 
-    Accepts a single state or a batch (leading axes).  A shrink larger than
-    the radius leaves an empty goal, so nothing is contained.
+    Accepts a single state or a batch (leading axes), in any memory layout;
+    a single state gives a Python bool.  A shrink of at least the radius
+    leaves an empty goal, so nothing is contained, not even the center (the
+    rule by which PlannerParams.validated refuses such an epsilon).
+
+    The squared offsets are added column by column in projection order.
+    That is how numpy's row sum adds fewer than 8 columns, in any layout
+    (from 8 on it sums pairwise), so for every projection a state of up to
+    7 dimensions can have, the distances are the bytes of the fancy-index
+    form sqrt(((x[..., proj] - center) ** 2).sum(-1)), without its copy of
+    the projected columns or its per-row reduction.
     """
     r = goal.radius - shrink
     x = np.asarray(x, dtype=float)
-    p = x[..., list(goal.projection)] - goal.center
-    d = np.sqrt((p * p).sum(axis=-1))
-    out = d <= r
-    return out if d.ndim else bool(out)
+    if not r > 0:
+        return np.zeros(x.shape[:-1], dtype=bool) if x.ndim > 1 else False
+    sq = None
+    for i, c in zip(goal.projection, goal.center):
+        e = x[..., i] - c
+        e *= e
+        if sq is None:
+            sq = e
+        else:
+            sq += e
+    out = np.sqrt(sq) <= r
+    return out if out.ndim else bool(out)
 
 
 def convex_hull_2d(points):

@@ -186,14 +186,21 @@ class ExtendOutcome:
 
 
 def sample_node(tree, x_s, zeta, gen):
-    """Node selection: the unique nearest nominal when the sample is farther
-    than zeta from the tree, otherwise uniform among all nominals within
-    zeta.  The spread keeps dense regions from absorbing every extension."""
-    nid, d = tree.nearest_nominal(x_s)
-    if d > zeta:
+    """Node selection: the nearest nominal when the sample is farther than
+    zeta from the tree, otherwise uniform among all nominals within zeta.
+    The spread keeps dense regions from absorbing every extension.
+
+    Both come from one scan of the tree (DualTree.distances).  Ties for the
+    nearest go to the lowest node id.  The zeta ball is closed: a nominal
+    at distance exactly zeta is a candidate, so zeta = 0 draws among the
+    nominals that equal the sample.  Only a selection within zeta draws from
+    `gen`, one gen.integers over the candidates in ascending id order."""
+    d = tree.distances(x_s)
+    nid = int(d.argmin())
+    if d[nid] > zeta:
         return nid
-    cands = tree.range_nominal(x_s, zeta)
-    return cands[int(gen.integers(len(cands)))]
+    cands = np.flatnonzero(d <= zeta)
+    return int(cands[int(gen.integers(len(cands)))])
 
 
 def sample_control(control_box, tau_max, gen):

@@ -236,4 +236,4 @@ def padded_collision_free(traces, projection, obstacles, epsilon):
 def padded_goal_contained(pset, goal, epsilon):
     """True when every particle's projection lies in the goal shrunk by
     epsilon."""
-    return bool(np.all(goal_contains(goal, pset.states, shrink=epsilon)))
+    return bool(goal_contains(goal, pset.states, shrink=epsilon).all())

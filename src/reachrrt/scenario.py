@@ -207,6 +207,9 @@ def load_scenario(path):
     if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < dim for i in proj):
         raise ScenarioError(f"goal.projection must index states 0..{dim - 1}",
                             key="goal.projection")
+    if not proj:
+        raise ScenarioError("goal.projection must name at least one state",
+                            key="goal.projection")
     ball = _shape(goal_raw, "goal", len(proj), kinds=("ball",))
     if not ball.radius > 0:
         raise ScenarioError("goal.radius must be positive", key="goal.radius")

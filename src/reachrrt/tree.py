@@ -1,8 +1,11 @@
 """Search tree over reachable sets.
 
-Every node stores a full particle set; nearest-neighbor queries run against
-the nominal representatives only, as one vectorized scan over the scaled
-nominals (ties to the lowest node id).
+Every node stores a full particle set; node selection looks at the nominal
+representatives only.  `DualTree.distances` is one vectorized scan over the
+scaled nominals, and planner.sample_node takes both the nearest node and
+the zeta ball from that one scan.  `nearest_nominal` and `range_nominal`
+are thin queries over the same scan; the planner calls neither, and they
+remain for the tests and the benchmark's tracer.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +47,14 @@ class Plan:
 
 
 class DualTree:
-    """Tree of reachable sets with exact nearest-nominal queries.
+    """Tree of reachable sets with exact scans over the nominals.
+
+    Node selection is one `distances` scan per iteration (planner.sample_node);
+    `nearest_nominal` and `range_nominal` answer the same queries from a scan
+    of their own, for the tests and the benchmark's tracer.  The scaled
+    nominals are stored row-major, one (dim,) row per node: a column-major
+    store scans slower at the tree sizes most runs see (under about 150 to
+    200 nodes of a 4-D state) and pays off only at full-solve sizes.
 
     `weights` scales state coordinates before distances are taken, which is
     how position and velocity units are traded off; with no weights the
@@ -80,19 +90,23 @@ class DualTree:
         self._scaled[nid] = self._scale(reach.nominal)
         return nid
 
-    def _dists(self, x):
-        d = self._scaled[:len(self.nodes)] - self._scale(x)[None, :]
-        return np.sqrt((d * d).sum(axis=1))
+    def distances(self, x):
+        """Scaled Euclidean distance from x to every node's nominal, indexed
+        by node id: the one scan that node selection takes."""
+        d = self._scaled[:len(self.nodes)] - self._scale(x)
+        d *= d
+        s = d.sum(axis=1)
+        return np.sqrt(s, out=s)
 
     def nearest_nominal(self, x):
         """Nearest node by scaled Euclidean distance; ties take the lowest id."""
-        dists = self._dists(x)
+        dists = self.distances(x)
         best_id = int(np.argmin(dists))
         return best_id, float(dists[best_id])
 
     def range_nominal(self, x, radius):
         """Ids of nodes within the closed scaled ball, ascending."""
-        return [int(i) for i in np.flatnonzero(self._dists(x) <= radius)]
+        return [int(i) for i in np.flatnonzero(self.distances(x) <= radius)]
 
 
 def build_path(tree, leaf_id, seed, system_name, meta=None):

@@ -8,8 +8,9 @@ expressions that allocate and return a fresh block, the jumper step with
 every mask built on every call and its own countdown, and the feedback
 law and the point clearances on whole (N, d) blocks rather than column by
 column, the box clearance in numpy rather than Python floats, the SVG hull
-elements formatted one vertex at a time, and the Riccati iteration with no
-early refusal of a stalled run).  The package
+elements formatted one vertex at a time, the Riccati iteration with no
+early refusal of a stalled run, node selection as two tree scans, and the
+goal test on a fancy-index copy of the projected columns).  The package
 itself works on batches and clearances, so these live next to the tests
 that check it.
 """
@@ -296,3 +297,25 @@ def reference_circle(frame, center, radius, fill, opacity, stroke, width, dash=N
     return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius * frame.s)}" '
             f'fill="{fill}" fill-opacity="{opacity}" stroke="{stroke}" '
             f'stroke-width="{width}"{extra}/>')
+
+
+def reference_sample_node(tree, x_s, zeta, gen):
+    """planner.sample_node as two scans of the tree: nearest_nominal, then,
+    when the sample lies within zeta, range_nominal's list of ids and one
+    gen.integers draw over it."""
+    nid, d = tree.nearest_nominal(x_s)
+    if d > zeta:
+        return nid
+    cands = tree.range_nominal(x_s, zeta)
+    return cands[int(gen.integers(len(cands)))]
+
+
+def reference_goal_contains(goal, x, shrink=0.0):
+    """geometry.goal_contains on a fancy-index copy of the projected
+    columns, with numpy's row sum."""
+    r = goal.radius - shrink
+    x = np.asarray(x, dtype=float)
+    p = x[..., list(goal.projection)] - goal.center
+    d = np.sqrt((p * p).sum(axis=-1))
+    out = d <= r
+    return out if d.ndim else bool(out)

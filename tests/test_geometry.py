@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reachrrt.benchmarks import make_benchmark
 from reachrrt.geometry import (
     COLLINEAR_TOL,
     Ball,
@@ -28,6 +29,7 @@ from reachrrt.geometry import (
     box_obstacle_clearance,
 )
 
+from reachrrt.reachability import compute_reach_set, init_particles
 from reachrrt.svg import _Frame, _hull_elements
 
 from bounds import hausdorff_distance
@@ -36,6 +38,7 @@ from oracles import (
     point_in_hull,
     reference_box_obstacle_clearance,
     reference_convex_hull_2d,
+    reference_goal_contains,
     reference_points_obstacle_clearance,
 )
 
@@ -797,6 +800,101 @@ def test_goal_projection_picks_state_dims():
     assert bool(goal_contains(goal, outside)) is False
 
 
+_GOAL_PROJECTIONS = [(0,), (0, 2), (2, 0)]
+# finite floats up to a magnitude whose squared offsets cannot overflow
+_COORD = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]),
+                   st.floats(-1e150, 1e150))
+
+
+def _states(values, shape, layout):
+    """A (*shape, 3) state block from flat values: C order, or channel-major
+    like a rollout trace (Rollout.states is a transposed (S+1, n, N) block,
+    and Rollout.final_states its last, non-contiguous slice)."""
+    x = np.array(values, dtype=float).reshape(shape + (3,))
+    if layout == "channel-major" and x.ndim > 1:
+        block = np.ascontiguousarray(np.moveaxis(x, -1, -2))
+        x = np.moveaxis(block, -2, -1)
+        assert not x.flags.c_contiguous or x.shape[-2] == 1
+    return x
+
+
+def _assert_goal_fold(goal, x, shrink):
+    got = goal_contains(goal, x, shrink=shrink)
+    if x.ndim == 1:
+        assert type(got) is bool
+    else:
+        assert got.shape == x.shape[:-1] and got.dtype == bool
+    if shrink >= goal.radius:
+        # an empty goal holds nothing, not even its center
+        assert not np.any(got)
+    else:
+        assert np.array_equal(got, reference_goal_contains(goal, x, shrink=shrink))
+
+
+@settings(max_examples=400, deadline=None)
+@given(proj=st.sampled_from(_GOAL_PROJECTIONS), data=st.data())
+def test_goal_fold_matches_the_fancy_index_form(proj, data):
+    center = data.draw(st.tuples(*[_COORD] * len(proj)))
+    goal = GoalRegion(proj, center, data.draw(st.floats(1e-3, 8.0)))
+    shrink = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0),
+                                 st.just(goal.radius)))
+    shape = data.draw(st.sampled_from([(), (1,), (6,), (3, 4)]))
+    m = int(np.prod(shape))
+    values = data.draw(st.lists(_COORD, min_size=3 * m, max_size=3 * m))
+    x = np.array(values).reshape(m, 3)
+    # half the states near the goal, so both answers come up
+    near = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(proj) * m,
+                              max_size=len(proj) * m))
+    offsets = np.array(near).reshape(m, len(proj)) * goal.radius
+    x[: m // 2 + 1, list(proj)] = goal.center + offsets[: m // 2 + 1]
+    x = _states(x.ravel(), shape, data.draw(st.sampled_from(["C", "channel-major"])))
+    _assert_goal_fold(goal, x, shrink)
+
+
+# exact offsets of length 5 along the projection: the squares and their sum
+# are exact in binary, so these points lie on the boundary to the last bit
+_ON_BOUNDARY = {1: [(5.0,), (-5.0,)],
+                2: [(3.0, 4.0), (-4.0, 3.0), (0.0, -5.0), (5.0, -0.0)]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(proj=st.sampled_from(_GOAL_PROJECTIONS),
+       eighths=st.lists(st.integers(-32, 32), min_size=2, max_size=2),
+       k=st.integers(-6, 6), shrink_eighths=st.integers(0, 8),
+       layout=st.sampled_from(["C", "channel-major"]))
+def test_goal_fold_on_the_shrunk_boundary(proj, eighths, k, shrink_eighths, layout):
+    scale, shrink = 2.0 ** k, shrink_eighths / 8.0
+    center = np.array(eighths[: len(proj)]) / 8.0
+    goal = GoalRegion(proj, center, 5.0 * scale + shrink)
+    rows = []   # each boundary point between its neighbours along proj[0]
+    for off in _ON_BOUNDARY[len(proj)]:
+        row = np.array([9.0, -0.0, 9.0])
+        row[list(proj)] = center + np.array(off) * scale
+        below, above = row.copy(), row.copy()
+        below[proj[0]] = np.nextafter(row[proj[0]], -np.inf)
+        above[proj[0]] = np.nextafter(row[proj[0]], np.inf)
+        rows += [below, row, above]
+    x = _states(np.ravel(rows), (len(rows),), layout)
+    _assert_goal_fold(goal, x, shrink)
+    # the shrunk ball is closed: every exact boundary point is inside
+    assert goal_contains(goal, x[1::3], shrink=shrink).all()
+    for row in np.asarray(rows)[1::3]:
+        assert goal_contains(goal, row, shrink=shrink) is True
+
+
+def test_goal_fold_on_a_rollout_trace():
+    sys_ = make_benchmark("quadrotor")
+    pset = init_particles(sys_, Box([0.0] * 4, [0.5] * 4), 40, 17)
+    _, r = compute_reach_set(sys_, pset, np.array([0.3, -0.2]), 0.37, 0.1, 17, 0)
+    assert not r.final_states.flags.c_contiguous
+    for proj in _GOAL_PROJECTIONS:
+        goal = GoalRegion(proj, r.final_states[0, list(proj)], 0.05)
+        for x in (r.states, r.final_states, r.final_states[3]):
+            for shrink in (0.0, 0.01, 0.05):
+                _assert_goal_fold(goal, x, shrink)
+        assert 0 < goal_contains(goal, r.final_states).sum() < len(r.final_states)
+
+
 def test_region_validation():
     # a zero radius and a flat box are shapes; the scenario loader refuses
     # them as obstacles (tests/test_scenario_cli.py)
@@ -811,6 +909,8 @@ def test_region_validation():
         GoalRegion((0, 1), (0.0, 0.0), 0.0)
     with pytest.raises(ValueError, match="dimension must match projection"):
         GoalRegion((0, 1), (0.0, 0.0, 0.0), 0.5)
+    with pytest.raises(ValueError, match="at least one state"):
+        GoalRegion((), (), 0.5)
     # a NaN bound fails every comparison, so its clearance would be NaN and
     # the collision test (clearance <= epsilon) would drop the obstacle;
     # infinite bounds stay legal

@@ -29,6 +29,8 @@ from reachrrt.scenario import load_scenario
 from reachrrt.tree import DualTree, PlanStep
 from reachrrt.validation import walk_plan
 
+from oracles import reference_sample_node
+
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
@@ -37,8 +39,8 @@ class FakeReach:
     nominal: np.ndarray
 
 
-def _tree(points):
-    tree = DualTree(FakeReach(np.asarray(points[0], dtype=float)))
+def _tree(points, weights=None):
+    tree = DualTree(FakeReach(np.asarray(points[0], dtype=float)), weights=weights)
     for i, p in enumerate(points[1:], start=1):
         tree.add_node(0, FakeReach(np.asarray(p, dtype=float)),
                       PlanStep(u=(0.0,), tau=0.0, ext_id=i, node_id=i))
@@ -94,6 +96,67 @@ def test_selection_frequency_lower_bound():
     bound = (2 * zeta) / len(nodes)  # ball volume within [0,1] over k nodes
     sigma = np.sqrt(freq * (1 - freq) / trials)
     assert np.all(freq + 3 * sigma >= bound)
+
+
+@pytest.mark.parametrize("weights", [None, (1.0, 0.0, 2.0)])
+@pytest.mark.parametrize("n", [1, 5, 64, 200, 1000])
+def test_selection_matches_the_two_scan_reference(n, weights):
+    gen = rng.substream(9, rng.DOMAIN_CHECK, n)
+    pts = gen.uniform(-2.0, 2.0, size=(n, 3))
+    pts[n // 2::7] = pts[0]   # exact duplicates of the root's nominal
+    tree = _tree(pts, weights)
+    for trial in range(120):
+        x = gen.uniform(-2.5, 2.5, size=3)
+        kind = trial % 4
+        if kind == 0:
+            zeta = float(gen.uniform(0.0, 1.5))
+        elif kind == 1:
+            # some node lies exactly on the ball's boundary
+            zeta = float(tree.distances(x)[gen.integers(n)])
+        elif kind == 2:
+            zeta = 0.0
+        else:
+            # the sample sits on a nominal, which may have duplicates
+            x, zeta = pts[gen.integers(n)].copy(), 0.0
+        got_gen = rng.substream(trial, rng.DOMAIN_PLANNER)
+        want_gen = rng.substream(trial, rng.DOMAIN_PLANNER)
+        got = sample_node(tree, x, zeta, got_gen)
+        assert got == reference_sample_node(tree, x, zeta, want_gen)
+        assert type(got) is int
+        # the same draws, so the planner stream goes on unchanged
+        assert got_gen.random() == want_gen.random()
+
+
+def _spy_scans(monkeypatch):
+    scans = []
+    real = DualTree.distances
+
+    def spy(self, x):
+        scans.append(x)
+        return real(self, x)
+
+    def refused(self, *args):
+        raise AssertionError("node selection took a second scan")
+
+    monkeypatch.setattr(DualTree, "distances", spy)
+    monkeypatch.setattr(DualTree, "nearest_nominal", refused)
+    monkeypatch.setattr(DualTree, "range_nominal", refused)
+    return scans
+
+
+def test_corridor_solve_scans_the_tree_once_per_iteration(monkeypatch):
+    scans = _spy_scans(monkeypatch)
+    sc = load_scenario(os.path.join(SCENARIOS, "corridor.json"))
+    result = plan(sc.build_system(), sc.init_region, sc.goal, sc.obstacles,
+                  sc.sampling_box, sc.params)
+    assert result.solved and sc.params.seed == 23
+    assert len(scans) == result.stats.iterations > 1
+
+
+def test_jumper_run_scans_the_tree_once_per_iteration(monkeypatch):
+    scans = _spy_scans(monkeypatch)
+    result = _jumper_plan()
+    assert len(scans) == result.stats.iterations == 160
 
 
 # ---------------------------------------------------------- control draws

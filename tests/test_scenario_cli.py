@@ -150,6 +150,9 @@ def test_scenario_defaults(tmp_path):
      "planner.nn_weights", "planner.nn_weights must match the state dimension"),
     # a whole file that is not a JSON object
     (["corridor"], "", "scenario must be a JSON object"),
+    # an empty projection died in the sampling-box check with a TypeError
+    ({"goal": {"projection": [], "center": [], "radius": 0.55}},
+     "goal.projection", "goal.projection must name at least one state"),
 ])
 def test_loader_errors_are_line_anchored(tmp_path, capsys, mods, key, fragment):
     if isinstance(mods, dict):
